@@ -27,6 +27,16 @@
 // identical to a full evaluation. The quantum (2^-52 of the injected
 // power) is ~9 orders of magnitude below any physically meaningful
 // crosstalk level.
+//
+// One pair kernel serves every evaluation path (kernel.go). Each element
+// keeps an occupancy list of the path steps traversing it, with what the
+// kernel reads from a step inline: ports, kind and ring state packed in
+// one class byte, and the two linear factors. A table indexed by the
+// victim's class and the aggressor's ports says whether a pair contends,
+// leaks or neither. A whole-set evaluation (Evaluator, Incremental.Init)
+// goes element by element and visits each pair of co-located steps once,
+// applying both directions; a delta (Incremental.ApplyDelta) visits only
+// the pairs on the changed paths' elements.
 package analysis
 
 import (
@@ -34,7 +44,6 @@ import (
 	"math"
 
 	"phonocmap/internal/network"
-	"phonocmap/internal/photonic"
 	"phonocmap/internal/topo"
 )
 
@@ -80,12 +89,6 @@ type Detail struct {
 	SNRDB float64
 }
 
-// occupant records that a communication's step traverses an element.
-type occupant struct {
-	comm int
-	step int
-}
-
 // noiseScale is the fixed-point quantum of crosstalk accumulation: one
 // unit is 2^-52 of the injected power. Contributions are < 1 (leak
 // coefficients and losses are negative dB), so a quantized contribution
@@ -100,38 +103,15 @@ func fixedNoise(x float64) int64 { return int64(x * noiseScale) }
 // linear domain.
 func noiseFromFixed(a int64) float64 { return float64(a) / noiseScale }
 
-// stepEffect classifies the interaction of a victim path step with an
-// aggressor occupant step at a shared element: same-waveguide contention
-// (conflict), a quantized first-order leak contribution, or nothing.
-// It is a pure function of the two immutable steps, so the full and the
-// incremental evaluators produce identical values from it.
-func stepEffect(leakLin *[3][2]float64, vs, as *network.Step) (conflict bool, contrib int64) {
-	if as.In == vs.In || as.Out == vs.Out {
-		// Same input waveguide (the signals already share the upstream
-		// segment) or same output waveguide (the signals merge
-		// downstream): single-wavelength contention, not crosstalk.
-		return true, 0
-	}
-	if !photonic.LeaksInto(vs.Kind, vs.State, as.In, vs.Out) {
-		return false, 0
-	}
-	return false, fixedNoise(leakLin[vs.Kind][vs.State] * as.LinLossBefore * vs.LinDownstream)
-}
-
 // Evaluator computes worst-case loss and SNR for communication sets on
 // one network. It reuses internal buffers across calls and is therefore
 // not safe for concurrent use; use Clone to obtain independent evaluators
 // for parallel search.
 type Evaluator struct {
-	nw *network.Network
-	// occupants[elem] lists the communications traversing the element in
-	// the current evaluation; touched tracks dirtied entries for O(paths)
-	// cleanup.
-	occupants [][]occupant
-	touched   []network.GlobalElem
-	paths     []*network.Path
-	// leakLin[kind][state] caches the linear-domain leak coefficients.
-	leakLin [3][2]float64
+	nw    *network.Network
+	occ   occupancy
+	paths []*network.Path
+	acc   []int64 // per-communication fixed-point noise
 	// weights, when non-nil, turn AvgLossDB into a weighted mean (set
 	// transiently by EvaluateWeighted).
 	weights []float64
@@ -139,16 +119,8 @@ type Evaluator struct {
 
 // NewEvaluator returns an evaluator for the given network.
 func NewEvaluator(nw *network.Network) *Evaluator {
-	e := &Evaluator{
-		nw:        nw,
-		occupants: make([][]occupant, nw.NumElements()),
-	}
-	p := nw.Params()
-	for _, k := range []photonic.Kind{photonic.Crossing, photonic.PPSE, photonic.CPSE} {
-		for _, s := range []photonic.State{photonic.Off, photonic.On} {
-			e.leakLin[k][s] = photonic.DBToLinear(p.LeakCoeff(k, s))
-		}
-	}
+	e := &Evaluator{nw: nw}
+	e.occ.bind(nw)
 	return e
 }
 
@@ -218,10 +190,12 @@ func (e *Evaluator) run(comms []Communication, details []Detail, channel []int) 
 		return Result{}, fmt.Errorf("analysis: no communications to evaluate")
 	}
 	n := e.nw.NumTiles()
-	if cap(e.paths) < len(comms) {
-		e.paths = make([]*network.Path, len(comms))
+	m := len(comms)
+	if cap(e.paths) < m {
+		e.paths = make([]*network.Path, m)
+		e.acc = make([]int64, m)
 	}
-	e.paths = e.paths[:len(comms)]
+	e.paths = e.paths[:m]
 	for i, c := range comms {
 		if c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n {
 			return Result{}, fmt.Errorf("analysis: communication %d: tile out of range (%d->%d)", i, c.Src, c.Dst)
@@ -232,80 +206,9 @@ func (e *Evaluator) run(comms []Communication, details []Detail, channel []int) 
 		e.paths[i] = e.nw.Path(c.Src, c.Dst)
 	}
 
-	// Build element occupancy.
-	for _, g := range e.touched {
-		e.occupants[g] = e.occupants[g][:0]
-	}
-	e.touched = e.touched[:0]
-	for ci, p := range e.paths {
-		for si := range p.Steps {
-			g := p.Steps[si].Node
-			if len(e.occupants[g]) == 0 {
-				e.touched = append(e.touched, g)
-			}
-			e.occupants[g] = append(e.occupants[g], occupant{comm: ci, step: si})
-		}
-	}
-
-	res := Result{
-		WorstLossDB:  0,
-		WorstSNRDB:   math.Inf(1),
-		WorstLossIdx: -1,
-		WorstSNRIdx:  -1,
-	}
-	lossSum, weightSum := 0.0, 0.0
-	for vi, vp := range e.paths {
-		var acc int64
-		for si := range vp.Steps {
-			vs := &vp.Steps[si]
-			occ := e.occupants[vs.Node]
-			if len(occ) < 2 {
-				continue
-			}
-			for _, o := range occ {
-				if o.comm == vi {
-					continue
-				}
-				if channel != nil && channel[o.comm] != channel[vi] {
-					continue // different wavelengths do not interact
-				}
-				conflict, contrib := stepEffect(&e.leakLin, vs, &e.paths[o.comm].Steps[o.step])
-				if conflict {
-					// Worst-case SNR analysis skips contention and
-					// reports it separately.
-					res.Conflicts++
-					continue
-				}
-				acc += contrib
-			}
-		}
-		loss := vp.TotalLoss
-		if res.WorstLossIdx < 0 || loss < res.WorstLossDB {
-			res.WorstLossDB = loss
-			res.WorstLossIdx = vi
-		}
-		w := 1.0
-		if e.weights != nil {
-			w = e.weights[vi]
-		}
-		lossSum += w * loss
-		weightSum += w
-		snr := math.Inf(1)
-		noiseDB := math.Inf(-1)
-		if acc > 0 {
-			noiseDB = photonic.LinearToDB(noiseFromFixed(acc))
-			snr = loss - noiseDB
-		}
-		if res.WorstSNRIdx < 0 || snr < res.WorstSNRDB {
-			res.WorstSNRDB = snr
-			res.WorstSNRIdx = vi
-		}
-		if details != nil {
-			details[vi] = Detail{LossDB: loss, NoiseDB: noiseDB, SNRDB: snr}
-		}
-	}
-	if weightSum > 0 {
-		res.AvgLossDB = lossSum / weightSum
-	}
-	return res, nil
+	e.occ.seat(e.paths)
+	acc := e.acc[:m]
+	clear(acc)
+	conflicts := e.occ.pass(acc, channel)
+	return fold(e.paths, acc, e.weights, conflicts, details), nil
 }

@@ -6,45 +6,48 @@ import (
 	"sync"
 
 	"phonocmap/internal/network"
-	"phonocmap/internal/photonic"
 )
 
 // Incremental is the delta-evaluation engine behind swap-move search: it
-// keeps the element-occupancy map and the per-victim noise/conflict
-// accumulators of one communication set alive across calls, so that
-// changing a few communications (the edges incident to two swapped
-// tiles) costs only the work local to the changed paths instead of a
-// full re-evaluation.
+// keeps the element-occupancy map and the per-victim noise accumulators
+// of one communication set alive across calls, so that changing a few
+// communications (the edges incident to two swapped tiles) costs only
+// the work local to the changed paths instead of a full re-evaluation.
 //
 // Bit-for-bit contract: every Result an Incremental produces is
 // identical — to the last bit — to Evaluator.Evaluate (or
-// EvaluateWeighted) on the same communication slice. The contract rests
-// on the fixed-point noise representation shared with Evaluator.run:
-// per-victim noise is an integer sum of quantized pairwise contributions
-// (stepEffect), and integer addition is order-independent and exactly
-// invertible. A delta therefore subtracts the departing aggressor's
-// contributions from each victim it shared elements with, adds the
-// arriving ones, and lands on exactly the integer a full evaluation
-// would compute.
+// EvaluateWeighted) on the same communication slice. Both run the same
+// pair kernel (kernel.go): per-victim noise is an integer sum of
+// quantized pairwise contributions, and integer addition is
+// order-independent and exactly invertible. A delta therefore subtracts
+// the departing steps' contributions from each victim they shared
+// elements with, adds the arriving ones, and lands on exactly the
+// integer a full evaluation would compute. The conflict total moves by
+// 2 per contending pair that leaves or arrives.
 //
-// Complexity of ApplyDelta, with m communications, |Δ| changed ones and
-// occ the mean element occupancy:
+// Cost of ApplyDelta, with m communications, |Δ| changed ones and occ
+// the mean element occupancy:
 //
-//   - O(Σ_{c∈Δ} |path(c)|·occ) to patch the victims sharing elements
-//     with a changed communication's old and new paths (one stepEffect
-//     and one integer add each — no rescan of untouched pairs),
-//   - O(Σ_{c∈Δ} |path(c)|·occ) to recompute the changed communications'
-//     own accumulators from scratch, and
-//   - O(m) to rebuild the worst-case trackers and the (weighted) mean
-//     from the cached per-victim values (the "bounded rescan": pure
-//     float compares plus one log10 per noisy victim, no pairwise work).
+//   - two scans per changed communication, O(|path|·occ) each. The
+//     first detaches the old path: it takes back the old steps'
+//     contributions and drops their entries in the same pass. The
+//     second attaches the new path: it adds the new contributions and
+//     builds the changed communication's own accumulator from the
+//     pairs it meets. A pair of two changed communications is handled
+//     once, when the later one attaches. Untouched pairs are never
+//     visited.
+//   - above rebuildNum/rebuildDen of m changed, a rebuild instead: the
+//     occupancy map is refilled and the whole-set pass runs, which
+//     visits every pair once, where the scans would visit a pair once
+//     per changed side and scan (see rebuildNum for the measurement).
+//   - O(m) to fold the cached per-victim values into the worst-case
+//     trackers and the (weighted) mean: float compares plus one log10
+//     per noisy victim, no pairwise work.
 //
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
-	nw *network.Network
-	// leakLin[kind][state] caches the linear-domain leak coefficients
-	// (same table as Evaluator).
-	leakLin [3][2]float64
+	nw  *network.Network
+	occ occupancy
 
 	// Current communication set and its resolved paths.
 	comms []Communication
@@ -56,37 +59,42 @@ type Incremental struct {
 	weights    []float64
 	weightsBuf []float64
 
-	// occupants[elem] lists the communications traversing the element.
-	// everOccupied tracks which elements have ever held an entry so Init
-	// can reset in O(touched).
-	occupants    [][]occupant
-	everOccupied []network.GlobalElem
-	inOccupied   []bool
-
-	// Per-victim accumulators: fixed-point noise (see noiseScale) and
-	// conflict count of each communication.
+	// noiseAcc is each communication's fixed-point noise (see
+	// noiseScale); conflicts is the set's contention total.
 	noiseAcc  []int64
-	conflicts []int
+	conflicts int
 
 	res    Result
 	inited bool
 
 	// Per-delta scratch: changedMark flags the communications being
-	// replaced (recomputed from scratch, never patched); touchedMark
-	// flags every victim whose accumulators were snapshotted for undo.
+	// replaced (catches duplicates); touchedMark flags every victim whose
+	// accumulator was snapshotted for undo.
 	changedMark []bool
 	touchedMark []bool
 
-	// Single-level undo log for the last ApplyDelta.
+	// Single-level undo log for the last ApplyDelta. After a rebuild,
+	// undoNoise holds every accumulator and undoTouched is empty.
 	undoValid   bool
+	undoRebuilt bool
 	undoChanged []int
 	undoComms   []Communication
 	undoPaths   []*network.Path
 	undoTouched []int
 	undoNoise   []int64
-	undoConf    []int
 	undoRes     Result
 }
+
+// A delta changing more than rebuildNum/rebuildDen of the communications
+// is applied by rebuilding. The fraction was set by timing both ways of
+// applying deltas of 10 % to 100 % of the set, forward and back, on
+// Crux/XY meshes (Intel Xeon, 2 vCPUs). On the 8×8 dense problem (220
+// communications) the scans cost 0.87 ms per pair of deltas at 10 %,
+// break even with the 2.2 ms of two rebuilds at 30 %, and cost 2.1× as
+// much at 90 %, the share of the set a GA or memetic batch reseat
+// changes. On a 4×4 mesh with 48 communications they break even between
+// 30 % and 40 %.
+const rebuildNum, rebuildDen = 3, 10
 
 // incPool recycles released engines: the occupancy map and the
 // per-victim accumulator slices dominate the cost of standing up an
@@ -104,39 +112,20 @@ func NewIncremental(nw *network.Network) *Incremental {
 		inc.adopt(nw)
 		return inc
 	}
-	inc := &Incremental{
-		nw:         nw,
-		occupants:  make([][]occupant, nw.NumElements()),
-		inOccupied: make([]bool, nw.NumElements()),
-	}
-	inc.loadLeakTable()
+	inc := &Incremental{nw: nw}
+	inc.occ.bind(nw)
 	return inc
 }
 
 // adopt re-seats a pooled engine on a network. Buffers are kept when
-// the element count matches (Init clears stale occupancy through
-// everOccupied); otherwise the occupancy map is rebuilt at the new
-// size.
+// the element count matches (Init clears stale occupancy); otherwise the
+// occupancy map is rebuilt at the new size.
 func (inc *Incremental) adopt(nw *network.Network) {
 	if inc.nw == nw {
 		return
 	}
-	if ne := nw.NumElements(); len(inc.occupants) != ne {
-		inc.occupants = make([][]occupant, ne)
-		inc.inOccupied = make([]bool, ne)
-		inc.everOccupied = inc.everOccupied[:0]
-	}
 	inc.nw = nw
-	inc.loadLeakTable()
-}
-
-func (inc *Incremental) loadLeakTable() {
-	p := inc.nw.Params()
-	for _, k := range []photonic.Kind{photonic.Crossing, photonic.PPSE, photonic.CPSE} {
-		for _, s := range []photonic.State{photonic.Off, photonic.On} {
-			inc.leakLin[k][s] = photonic.DBToLinear(p.LeakCoeff(k, s))
-		}
-	}
+	inc.occ.bind(nw)
 }
 
 // Release returns the engine's buffers to the package pool for reuse by
@@ -200,42 +189,31 @@ func (inc *Incremental) init(comms []Communication, weights []float64) (Result, 
 	if cap(inc.paths) < m {
 		inc.paths = make([]*network.Path, m)
 		inc.noiseAcc = make([]int64, m)
-		inc.conflicts = make([]int, m)
 		inc.changedMark = make([]bool, m)
 		inc.touchedMark = make([]bool, m)
 	}
 	inc.paths = inc.paths[:m]
 	inc.noiseAcc = inc.noiseAcc[:m]
-	inc.conflicts = inc.conflicts[:m]
 	inc.changedMark = inc.changedMark[:m]
 	inc.touchedMark = inc.touchedMark[:m]
-	for i := range inc.changedMark {
-		inc.changedMark[i] = false
-		inc.touchedMark[i] = false
-	}
+	clear(inc.changedMark)
+	clear(inc.touchedMark)
 	for i, c := range inc.comms {
 		inc.paths[i] = inc.nw.Path(c.Src, c.Dst)
 	}
-
-	// Rebuild the occupancy map.
-	for _, g := range inc.everOccupied {
-		inc.occupants[g] = inc.occupants[g][:0]
-		inc.inOccupied[g] = false
-	}
-	inc.everOccupied = inc.everOccupied[:0]
-	for ci, p := range inc.paths {
-		for si := range p.Steps {
-			inc.addOccupant(p.Steps[si].Node, occupant{comm: ci, step: si})
-		}
-	}
-
-	for vi := range inc.paths {
-		inc.recomputeVictim(vi)
-	}
-	inc.res = inc.assemble()
+	inc.rebuild()
+	inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
 	inc.inited = true
 	inc.undoValid = false
 	return inc.res, nil
+}
+
+// rebuild refills the occupancy map from the current paths and
+// recomputes every accumulator with the whole-set pass.
+func (inc *Incremental) rebuild() {
+	inc.occ.seat(inc.paths)
+	clear(inc.noiseAcc)
+	inc.conflicts = inc.occ.pass(inc.noiseAcc, nil)
 }
 
 // Result returns the metrics of the current communication set.
@@ -246,8 +224,9 @@ func (inc *Incremental) NumComms() int { return len(inc.comms) }
 
 // ApplyDelta replaces comms[changed[i]] with newComms[i] and returns the
 // metrics of the updated set, patching only the victims that share
-// elements with the changed communications (see the type docs for the
-// complexity). The previous state is retained for one Undo.
+// elements with the changed communications, or rebuilding when more than
+// rebuildNum/rebuildDen of the set changes (see the type docs for the
+// cost). The previous state is retained for one Undo.
 func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Result, error) {
 	if !inc.inited {
 		return Result{}, fmt.Errorf("analysis: ApplyDelta before Init")
@@ -277,87 +256,123 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 		inc.changedMark[ci] = true
 	}
 
-	// Open the undo log; every victim snapshots its accumulators the
-	// moment it is first touched.
-	inc.undoChanged = inc.undoChanged[:0]
+	// Open the undo log.
+	inc.undoChanged = append(inc.undoChanged[:0], changed...)
 	inc.undoComms = inc.undoComms[:0]
 	inc.undoPaths = inc.undoPaths[:0]
 	inc.undoTouched = inc.undoTouched[:0]
 	inc.undoNoise = inc.undoNoise[:0]
-	inc.undoConf = inc.undoConf[:0]
 	inc.undoRes = inc.res
 	for _, ci := range changed {
-		inc.undoChanged = append(inc.undoChanged, ci)
 		inc.undoComms = append(inc.undoComms, inc.comms[ci])
 		inc.undoPaths = append(inc.undoPaths, inc.paths[ci])
-		inc.touch(ci)
+		inc.changedMark[ci] = false
 	}
 
-	// Detach every changed communication from its old path, subtracting
-	// its contributions from the victims it shared elements with.
-	// Changed-changed pairs are skipped: those victims are recomputed
-	// from scratch below.
-	for _, ci := range changed {
-		p := inc.paths[ci]
-		for si := range p.Steps {
-			as := &p.Steps[si]
-			for _, o := range inc.occupants[as.Node] {
-				if inc.changedMark[o.comm] {
-					continue
-				}
-				inc.touch(o.comm)
-				vs := &inc.paths[o.comm].Steps[o.step]
-				conflict, contrib := stepEffect(&inc.leakLin, vs, as)
-				if conflict {
-					inc.conflicts[o.comm]--
-				} else {
-					inc.noiseAcc[o.comm] -= contrib
-				}
-			}
-			inc.removeOccupant(as.Node, ci)
+	inc.undoRebuilt = len(changed)*rebuildDen > len(inc.comms)*rebuildNum
+	if inc.undoRebuilt {
+		inc.undoNoise = append(inc.undoNoise, inc.noiseAcc...)
+		inc.reroute(changed, newComms)
+		inc.rebuild()
+	} else {
+		// Every victim snapshots its accumulator the moment it is first
+		// touched; the changed ones up front, since their accumulators
+		// are rebuilt from zero.
+		for _, ci := range changed {
+			inc.touch(ci)
+		}
+		for _, ci := range changed {
+			inc.detach(ci)
+		}
+		inc.reroute(changed, newComms)
+		for _, ci := range changed {
+			inc.noiseAcc[ci] = 0
+		}
+		for _, ci := range changed {
+			inc.attach(ci)
+		}
+		for _, vi := range inc.undoTouched {
+			inc.touchedMark[vi] = false
 		}
 	}
+	inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
+	inc.undoValid = true
+	return inc.res, nil
+}
 
-	// Re-route, then attach on the new paths, adding the new
-	// contributions to the new sharers.
+// reroute points the changed communications at their new paths.
+func (inc *Incremental) reroute(changed []int, newComms []Communication) {
 	for i, ci := range changed {
 		inc.comms[ci] = newComms[i]
 		inc.paths[ci] = inc.nw.Path(newComms[i].Src, newComms[i].Dst)
 	}
-	for _, ci := range changed {
-		p := inc.paths[ci]
-		for si := range p.Steps {
-			as := &p.Steps[si]
-			for _, o := range inc.occupants[as.Node] {
-				if inc.changedMark[o.comm] {
-					continue
-				}
-				inc.touch(o.comm)
-				vs := &inc.paths[o.comm].Steps[o.step]
-				conflict, contrib := stepEffect(&inc.leakLin, vs, as)
-				if conflict {
-					inc.conflicts[o.comm]++
-				} else {
-					inc.noiseAcc[o.comm] += contrib
-				}
-			}
-			inc.addOccupant(as.Node, occupant{comm: ci, step: si})
-		}
-	}
+}
 
-	// The changed communications see a (partially) new world: rebuild
-	// their own accumulators from scratch, then fold the cached values
-	// into the aggregate trackers.
-	for _, ci := range changed {
-		inc.recomputeVictim(ci)
-		inc.changedMark[ci] = false
+// detach is the first scan of a delta: it removes communication c's
+// entries from the elements of its current path and, in the same pass,
+// takes back what each of those steps contributed to the other
+// occupants. What it takes from another changed communication is
+// discarded when that one's accumulator restarts from zero.
+func (inc *Incremental) detach(c int) {
+	p := inc.paths[c]
+	for si := range p.Steps {
+		s := &p.Steps[si]
+		a := entryOf(c, s)
+		occ := inc.occ.lists[s.Node]
+		w := 0
+		for r := range occ {
+			v := &occ[r]
+			if v.comm == a.comm {
+				continue
+			}
+			switch pairEffect[v.class][a.class&15] {
+			case contends:
+				inc.conflicts -= 2
+			case leaks:
+				inc.touch(int(v.comm))
+				inc.noiseAcc[v.comm] -= inc.occ.noise(v, &a)
+			}
+			if w != r {
+				occ[w] = *v
+			}
+			w++
+		}
+		inc.occ.lists[s.Node] = occ[:w]
 	}
-	for _, vi := range inc.undoTouched {
-		inc.touchedMark[vi] = false
+}
+
+// attach is the second scan of a delta: it enters communication c's new
+// path step by step, adding each step's contribution to the occupants it
+// meets and, in the same pass, theirs to c's own accumulator.
+// Occupants include the changed communications attached before c, so
+// each changed-changed pair is handled here exactly once.
+func (inc *Incremental) attach(c int) {
+	p := inc.paths[c]
+	var own int64
+	for si := range p.Steps {
+		s := &p.Steps[si]
+		a := entryOf(c, s)
+		occ := inc.occ.lists[s.Node]
+		for r := range occ {
+			v := &occ[r]
+			if v.comm == a.comm {
+				continue
+			}
+			switch pairEffect[v.class][a.class&15] {
+			case contends:
+				inc.conflicts += 2
+				continue
+			case leaks:
+				inc.touch(int(v.comm))
+				inc.noiseAcc[v.comm] += inc.occ.noise(v, &a)
+			}
+			if pairEffect[a.class][v.class&15] == leaks {
+				own += inc.occ.noise(&a, v)
+			}
+		}
+		inc.occ.add(s.Node, a)
 	}
-	inc.res = inc.assemble()
-	inc.undoValid = true
-	return inc.res, nil
+	inc.noiseAcc[c] = own
 }
 
 // Undo reverts the last ApplyDelta, restoring paths, occupancy and every
@@ -367,27 +382,31 @@ func (inc *Incremental) Undo() (Result, error) {
 	if !inc.undoValid {
 		return Result{}, fmt.Errorf("analysis: nothing to undo")
 	}
-	// Detach the new paths, re-attach the old ones.
-	for _, ci := range inc.undoChanged {
-		p := inc.paths[ci]
-		for si := range p.Steps {
-			inc.removeOccupant(p.Steps[si].Node, ci)
+	if inc.undoRebuilt {
+		for i, ci := range inc.undoChanged {
+			inc.comms[ci] = inc.undoComms[i]
+			inc.paths[ci] = inc.undoPaths[i]
 		}
-	}
-	for i, ci := range inc.undoChanged {
-		inc.comms[ci] = inc.undoComms[i]
-		inc.paths[ci] = inc.undoPaths[i]
-		for si := range inc.undoPaths[i].Steps {
-			inc.addOccupant(inc.undoPaths[i].Steps[si].Node, occupant{comm: ci, step: si})
+		inc.occ.seat(inc.paths)
+		copy(inc.noiseAcc, inc.undoNoise)
+	} else {
+		// Detach the new paths, re-attach the old ones, and restore the
+		// snapshotted accumulators (no pair work: the stored values are
+		// the previous values).
+		for _, ci := range inc.undoChanged {
+			inc.occ.dropPath(ci, inc.paths[ci])
 		}
-	}
-	// Restore the snapshotted accumulators (no recomputation: the stored
-	// values are the previous values).
-	for i, vi := range inc.undoTouched {
-		inc.noiseAcc[vi] = inc.undoNoise[i]
-		inc.conflicts[vi] = inc.undoConf[i]
+		for i, ci := range inc.undoChanged {
+			inc.comms[ci] = inc.undoComms[i]
+			inc.paths[ci] = inc.undoPaths[i]
+			inc.occ.addPath(ci, inc.paths[ci])
+		}
+		for i, vi := range inc.undoTouched {
+			inc.noiseAcc[vi] = inc.undoNoise[i]
+		}
 	}
 	inc.res = inc.undoRes
+	inc.conflicts = inc.res.Conflicts
 	inc.undoValid = false
 	return inc.res, nil
 }
@@ -400,97 +419,4 @@ func (inc *Incremental) touch(vi int) {
 	inc.touchedMark[vi] = true
 	inc.undoTouched = append(inc.undoTouched, vi)
 	inc.undoNoise = append(inc.undoNoise, inc.noiseAcc[vi])
-	inc.undoConf = append(inc.undoConf, inc.conflicts[vi])
-}
-
-// addOccupant appends an entry to an element's list, tracking ever-used
-// elements for O(touched) resets.
-func (inc *Incremental) addOccupant(g network.GlobalElem, o occupant) {
-	if !inc.inOccupied[g] {
-		inc.inOccupied[g] = true
-		inc.everOccupied = append(inc.everOccupied, g)
-	}
-	inc.occupants[g] = append(inc.occupants[g], o)
-}
-
-// removeOccupant filters one communication's entries out of an element's
-// list, preserving the order of the rest.
-func (inc *Incremental) removeOccupant(g network.GlobalElem, comm int) {
-	occ := inc.occupants[g]
-	kept := occ[:0]
-	for _, o := range occ {
-		if o.comm != comm {
-			kept = append(kept, o)
-		}
-	}
-	inc.occupants[g] = kept
-}
-
-// recomputeVictim rebuilds one victim's accumulators from scratch with
-// the same stepEffect values a full evaluation sums — the integer
-// representation makes the summation order irrelevant.
-func (inc *Incremental) recomputeVictim(vi int) {
-	vp := inc.paths[vi]
-	var acc int64
-	conflicts := 0
-	for si := range vp.Steps {
-		vs := &vp.Steps[si]
-		occ := inc.occupants[vs.Node]
-		if len(occ) < 2 {
-			continue
-		}
-		for _, o := range occ {
-			if o.comm == vi {
-				continue
-			}
-			conflict, contrib := stepEffect(&inc.leakLin, vs, &inc.paths[o.comm].Steps[o.step])
-			if conflict {
-				conflicts++
-			} else {
-				acc += contrib
-			}
-		}
-	}
-	inc.noiseAcc[vi] = acc
-	inc.conflicts[vi] = conflicts
-}
-
-// assemble folds the cached per-victim values into a Result, scanning in
-// communication order with the same comparisons and accumulation order
-// as Evaluator.run — the worst-case indices, tie-breaking, Conflicts
-// total and (weighted) mean therefore match a full evaluation exactly.
-func (inc *Incremental) assemble() Result {
-	res := Result{
-		WorstLossDB:  0,
-		WorstSNRDB:   math.Inf(1),
-		WorstLossIdx: -1,
-		WorstSNRIdx:  -1,
-	}
-	lossSum, weightSum := 0.0, 0.0
-	for vi := range inc.paths {
-		loss := inc.paths[vi].TotalLoss
-		if res.WorstLossIdx < 0 || loss < res.WorstLossDB {
-			res.WorstLossDB = loss
-			res.WorstLossIdx = vi
-		}
-		w := 1.0
-		if inc.weights != nil {
-			w = inc.weights[vi]
-		}
-		lossSum += w * loss
-		weightSum += w
-		snr := math.Inf(1)
-		if inc.noiseAcc[vi] > 0 {
-			snr = loss - photonic.LinearToDB(noiseFromFixed(inc.noiseAcc[vi]))
-		}
-		if res.WorstSNRIdx < 0 || snr < res.WorstSNRDB {
-			res.WorstSNRDB = snr
-			res.WorstSNRIdx = vi
-		}
-		res.Conflicts += inc.conflicts[vi]
-	}
-	if weightSum > 0 {
-		res.AvgLossDB = lossSum / weightSum
-	}
-	return res
 }

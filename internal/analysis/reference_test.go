@@ -1,0 +1,462 @@
+package analysis
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"phonocmap/internal/network"
+	"phonocmap/internal/photonic"
+	"phonocmap/internal/route"
+	"phonocmap/internal/router"
+	"phonocmap/internal/topo"
+)
+
+// The frozen reference: the victim-major evaluation this package ran
+// before the element-major pair kernel. For each victim step it visits
+// every other occupant of the element, found by index into that
+// occupant's path, and classifies the ordered pair with refStepEffect.
+// It shares nothing with kernel.go but fixedNoise and noiseFromFixed, so
+// a fault in the kernel cannot hide behind the Evaluator/Incremental
+// differential tests, which run the kernel on both sides.
+
+type refOccupant struct {
+	comm int
+	step int
+}
+
+func refStepEffect(leakLin *[3][2]float64, vs, as *network.Step) (conflict bool, contrib int64) {
+	if as.In == vs.In || as.Out == vs.Out {
+		return true, 0
+	}
+	if !photonic.LeaksInto(vs.Kind, vs.State, as.In, vs.Out) {
+		return false, 0
+	}
+	return false, fixedNoise(leakLin[vs.Kind][vs.State] * as.LinLossBefore * vs.LinDownstream)
+}
+
+// refEvaluate is the victim-major Evaluator.run: weights and channel may
+// be nil. It also returns the per-communication details.
+func refEvaluate(nw *network.Network, comms []Communication, weights []float64, channel []int) (Result, []Detail) {
+	var leakLin [3][2]float64
+	p := nw.Params()
+	for _, k := range []photonic.Kind{photonic.Crossing, photonic.PPSE, photonic.CPSE} {
+		for _, s := range []photonic.State{photonic.Off, photonic.On} {
+			leakLin[k][s] = photonic.DBToLinear(p.LeakCoeff(k, s))
+		}
+	}
+	paths := make([]*network.Path, len(comms))
+	occupants := make([][]refOccupant, nw.NumElements())
+	for ci, c := range comms {
+		paths[ci] = nw.Path(c.Src, c.Dst)
+		for si := range paths[ci].Steps {
+			g := paths[ci].Steps[si].Node
+			occupants[g] = append(occupants[g], refOccupant{comm: ci, step: si})
+		}
+	}
+
+	details := make([]Detail, len(comms))
+	res := Result{
+		WorstLossDB:  0,
+		WorstSNRDB:   math.Inf(1),
+		WorstLossIdx: -1,
+		WorstSNRIdx:  -1,
+	}
+	lossSum, weightSum := 0.0, 0.0
+	for vi, vp := range paths {
+		var acc int64
+		for si := range vp.Steps {
+			vs := &vp.Steps[si]
+			occ := occupants[vs.Node]
+			if len(occ) < 2 {
+				continue
+			}
+			for _, o := range occ {
+				if o.comm == vi {
+					continue
+				}
+				if channel != nil && channel[o.comm] != channel[vi] {
+					continue
+				}
+				conflict, contrib := refStepEffect(&leakLin, vs, &paths[o.comm].Steps[o.step])
+				if conflict {
+					res.Conflicts++
+					continue
+				}
+				acc += contrib
+			}
+		}
+		loss := vp.TotalLoss
+		if res.WorstLossIdx < 0 || loss < res.WorstLossDB {
+			res.WorstLossDB = loss
+			res.WorstLossIdx = vi
+		}
+		w := 1.0
+		if weights != nil {
+			w = weights[vi]
+		}
+		lossSum += w * loss
+		weightSum += w
+		snr := math.Inf(1)
+		noiseDB := math.Inf(-1)
+		if acc > 0 {
+			noiseDB = photonic.LinearToDB(noiseFromFixed(acc))
+			snr = loss - noiseDB
+		}
+		if res.WorstSNRIdx < 0 || snr < res.WorstSNRDB {
+			res.WorstSNRDB = snr
+			res.WorstSNRIdx = vi
+		}
+		details[vi] = Detail{LossDB: loss, NoiseDB: noiseDB, SNRDB: snr}
+	}
+	if weightSum > 0 {
+		res.AvgLossDB = lossSum / weightSum
+	}
+	return res, details
+}
+
+// requireBitIdentical compares two Results field by field, floats by
+// their bit patterns.
+func requireBitIdentical(t testing.TB, what string, got, want Result) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"WorstLossDB", got.WorstLossDB, want.WorstLossDB},
+		{"WorstSNRDB", got.WorstSNRDB, want.WorstSNRDB},
+		{"AvgLossDB", got.AvgLossDB, want.AvgLossDB},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Fatalf("%s: %s = %v (%#x), reference %v (%#x)", what, f.name, f.got, math.Float64bits(f.got), f.want, math.Float64bits(f.want))
+		}
+	}
+	if got.WorstLossIdx != want.WorstLossIdx || got.WorstSNRIdx != want.WorstSNRIdx || got.Conflicts != want.Conflicts {
+		t.Fatalf("%s: indices/conflicts (%d, %d, %d), reference (%d, %d, %d)", what,
+			got.WorstLossIdx, got.WorstSNRIdx, got.Conflicts, want.WorstLossIdx, want.WorstSNRIdx, want.Conflicts)
+	}
+}
+
+type refNet struct {
+	name string
+	nw   *network.Network
+}
+
+var (
+	refNetsOnce sync.Once
+	refNetsAll  []refNet
+	refNetsErr  error
+)
+
+// refNetworks builds every router on a 4×4 mesh and torus under XY
+// routing, once per test binary.
+func refNetworks(t testing.TB) []refNet {
+	t.Helper()
+	refNetsOnce.Do(func() {
+		for _, rname := range router.Names() {
+			for _, torus := range []bool{false, true} {
+				arch, err := router.ByName(rname)
+				if err != nil {
+					refNetsErr = err
+					return
+				}
+				g, kind := (*topo.Grid)(nil), "mesh"
+				if torus {
+					g, err = topo.NewTorus(4, 4)
+					kind = "torus"
+				} else {
+					g, err = topo.NewMesh(4, 4)
+				}
+				if err != nil {
+					refNetsErr = err
+					return
+				}
+				nw, err := network.New(g, arch, route.XY{}, photonic.DefaultParams())
+				if err != nil {
+					refNetsErr = err
+					return
+				}
+				refNetsAll = append(refNetsAll, refNet{name: rname + "-" + kind, nw: nw})
+			}
+		}
+	})
+	if refNetsErr != nil {
+		t.Fatal(refNetsErr)
+	}
+	return refNetsAll
+}
+
+// TestEvaluatorMatchesReference checks every Evaluator form against the
+// frozen victim-major reference on random communication sets, sparse to
+// dense (repeated pairs included, which contend on every shared step).
+func TestEvaluatorMatchesReference(t *testing.T) {
+	for _, rn := range refNetworks(t) {
+		t.Run(rn.name, func(t *testing.T) {
+			n := rn.nw.NumTiles()
+			rng := rand.New(rand.NewSource(7))
+			ev := NewEvaluator(rn.nw)
+			var details []Detail
+			for trial := 0; trial < 40; trial++ {
+				m := 1 + rng.Intn(60)
+				comms := make([]Communication, m)
+				weights := make([]float64, m)
+				channel := make([]int, m)
+				for i := range comms {
+					comms[i] = randomComm(rng, n)
+					weights[i] = rng.Float64() * 10
+					channel[i] = rng.Intn(3)
+				}
+				weights[0] += 1 // a positive sum
+
+				what := fmt.Sprintf("trial %d (m=%d)", trial, m)
+				want, wantDetails := refEvaluate(rn.nw, comms, nil, nil)
+				got, err := ev.Evaluate(comms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, what+" Evaluate", got, want)
+
+				got, details, err = ev.Detailed(comms, details)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, what+" Detailed", got, want)
+				for i := range details {
+					g, w := details[i], wantDetails[i]
+					if math.Float64bits(g.LossDB) != math.Float64bits(w.LossDB) ||
+						math.Float64bits(g.NoiseDB) != math.Float64bits(w.NoiseDB) ||
+						math.Float64bits(g.SNRDB) != math.Float64bits(w.SNRDB) {
+						t.Fatalf("%s: detail %d = %+v, reference %+v", what, i, g, w)
+					}
+				}
+
+				want, _ = refEvaluate(rn.nw, comms, weights, nil)
+				if got, err = ev.EvaluateWeighted(comms, weights); err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, what+" EvaluateWeighted", got, want)
+
+				want, _ = refEvaluate(rn.nw, comms, nil, channel)
+				if got, err = ev.EvaluateChanneled(comms, channel); err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, what+" EvaluateChanneled", got, want)
+			}
+		})
+	}
+}
+
+// TestIncrementalMatchesReference drives ApplyDelta/Undo sequences whose
+// deltas fall on both sides of the rebuild threshold — single
+// communications, a third, half, most and all of the set — and checks
+// every state against the frozen reference.
+func TestIncrementalMatchesReference(t *testing.T) {
+	for _, rn := range refNetworks(t) {
+		for _, weighted := range []bool{false, true} {
+			name := rn.name
+			if weighted {
+				name += "-weighted"
+			}
+			t.Run(name, func(t *testing.T) {
+				n := rn.nw.NumTiles()
+				rng := rand.New(rand.NewSource(11))
+				const m = 40
+				comms := make([]Communication, m)
+				for i := range comms {
+					comms[i] = randomComm(rng, n)
+				}
+				var weights []float64
+				if weighted {
+					weights = make([]float64, m)
+					for i := range weights {
+						weights[i] = 1 + rng.Float64()*9
+					}
+				}
+				inc := NewIncremental(rn.nw)
+				defer inc.Release()
+				var got Result
+				var err error
+				if weighted {
+					got, err = inc.InitWeighted(comms, weights)
+				} else {
+					got, err = inc.Init(comms)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := refEvaluate(rn.nw, comms, weights, nil)
+				requireBitIdentical(t, "Init", got, want)
+
+				sizes := []int{1, 2, 3, m / 3, m * rebuildNum / rebuildDen, m*rebuildNum/rebuildDen + 1, m / 2, m * 9 / 10, m}
+				for step := 0; step < 120; step++ {
+					k := sizes[step%len(sizes)]
+					changed := rng.Perm(m)[:k]
+					newComms := make([]Communication, k)
+					for i := range newComms {
+						newComms[i] = randomComm(rng, n)
+					}
+					prev := inc.Result()
+					if got, err = inc.ApplyDelta(changed, newComms); err != nil {
+						t.Fatal(err)
+					}
+					next := append([]Communication(nil), comms...)
+					for i, ci := range changed {
+						next[ci] = newComms[i]
+					}
+					what := fmt.Sprintf("step %d (|Δ|=%d)", step, k)
+					want, _ := refEvaluate(rn.nw, next, weights, nil)
+					requireBitIdentical(t, what+" ApplyDelta", got, want)
+					if rng.Intn(3) == 0 {
+						if got, err = inc.Undo(); err != nil {
+							t.Fatal(err)
+						}
+						requireBitIdentical(t, what+" Undo", got, prev)
+						want, _ := refEvaluate(rn.nw, comms, weights, nil)
+						requireBitIdentical(t, what+" Undo", got, want)
+						continue
+					}
+					comms = next
+				}
+			})
+		}
+	}
+}
+
+// FuzzIncrementalMatchesReference runs fuzzer-chosen swap, revert and
+// reseat sequences on a seeded random task graph and mapping, the moves
+// a swap session makes, and checks every state of the incremental engine
+// against the frozen reference. The seed picks the network, the graph,
+// the mapping and the tiles of each move; each op byte picks the move
+// (low two bits) and its size (the rest). The seed corpus lives in
+// testdata/fuzz, so plain go test replays it.
+func FuzzIncrementalMatchesReference(f *testing.F) {
+	f.Add(int64(1), []byte{0, 4, 2, 1, 3, 0, 2})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		nets := refNetworks(t)
+		rn := nets[int(uint64(seed)%uint64(len(nets)))]
+		nw := rn.nw
+		n := nw.NumTiles()
+		rng := rand.New(rand.NewSource(seed))
+
+		// A random task graph: tasks on distinct tiles, edges between
+		// distinct tasks.
+		tasks := 2 + rng.Intn(n-1)
+		type edge struct{ src, dst int }
+		edges := make([]edge, 1+rng.Intn(3*tasks))
+		for i := range edges {
+			s := rng.Intn(tasks)
+			d := rng.Intn(tasks - 1)
+			if d >= s {
+				d++
+			}
+			edges[i] = edge{s, d}
+		}
+		mapping := rng.Perm(n)[:tasks]
+		taskOf := make([]int, n)
+		for i := range taskOf {
+			taskOf[i] = -1
+		}
+		for task, tile := range mapping {
+			taskOf[tile] = task
+		}
+		comms := make([]Communication, len(edges))
+		for i, e := range edges {
+			comms[i] = Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])}
+		}
+		var weights []float64
+		if seed%2 != 0 {
+			weights = make([]float64, len(edges))
+			for i := range weights {
+				weights[i] = 1 + float64(rng.Intn(9))
+			}
+		}
+
+		inc := NewIncremental(nw)
+		defer inc.Release()
+		var got Result
+		var err error
+		if weights != nil {
+			got, err = inc.InitWeighted(comms, weights)
+		} else {
+			got, err = inc.Init(comms)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := refEvaluate(nw, comms, weights, nil)
+		requireBitIdentical(t, rn.name+" Init", got, want)
+
+		swapTiles := func(a, b int) {
+			ta, tb := taskOf[a], taskOf[b]
+			taskOf[a], taskOf[b] = tb, ta
+			if ta >= 0 {
+				mapping[ta] = b
+			}
+			if tb >= 0 {
+				mapping[tb] = a
+			}
+		}
+		var undoMapping []int
+		for i, op := range ops {
+			what := fmt.Sprintf("%s op %d (%d)", rn.name, i, op)
+			if op&3 == 2 {
+				// Revert the last delta, if it is still undoable.
+				if undoMapping == nil {
+					if _, err := inc.Undo(); err == nil {
+						t.Fatalf("%s: Undo succeeded with no delta to undo", what)
+					}
+					continue
+				}
+				if got, err = inc.Undo(); err != nil {
+					t.Fatal(err)
+				}
+				copy(mapping, undoMapping)
+				for tile := range taskOf {
+					taskOf[tile] = -1
+				}
+				for task, tile := range mapping {
+					taskOf[tile] = task
+				}
+				for ei, e := range edges {
+					comms[ei] = Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])}
+				}
+				want, _ := refEvaluate(nw, comms, weights, nil)
+				requireBitIdentical(t, what+" revert", got, want)
+				undoMapping = nil
+				continue
+			}
+			// A swap moves the contents of two tiles; a reseat makes
+			// 1 + op>>2 random swaps at once, up to a fresh mapping.
+			prev := append([]int(nil), mapping...)
+			swaps := 1
+			if op&3 == 3 {
+				swaps += int(op >> 2)
+			}
+			for s := 0; s < swaps; s++ {
+				swapTiles(rng.Intn(n), rng.Intn(n))
+			}
+			var changed []int
+			var newComms []Communication
+			for ei, e := range edges {
+				if mapping[e.src] != prev[e.src] || mapping[e.dst] != prev[e.dst] {
+					changed = append(changed, ei)
+					newComms = append(newComms, Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])})
+				}
+			}
+			if got, err = inc.ApplyDelta(changed, newComms); err != nil {
+				t.Fatal(err)
+			}
+			for j, ei := range changed {
+				comms[ei] = newComms[j]
+			}
+			want, _ := refEvaluate(nw, comms, weights, nil)
+			requireBitIdentical(t, fmt.Sprintf("%s (|Δ|=%d of %d)", what, len(changed), len(edges)), got, want)
+			undoMapping = prev
+		}
+	})
+}

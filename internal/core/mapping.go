@@ -76,12 +76,20 @@ func RandomMapping(rng *rand.Rand, numTasks, numTiles int) (Mapping, error) {
 	if numTasks > numTiles {
 		return nil, fmt.Errorf("core: %d tasks do not fit on %d tiles (Eq. 2)", numTasks, numTiles)
 	}
-	perm := rng.Perm(numTiles)
-	m := make(Mapping, numTasks)
-	for i := range m {
-		m[i] = topo.TileID(perm[i])
+	m := make(Mapping, numTiles)
+	DrawPerm(rng, m)
+	return m[:numTasks:numTasks], nil
+}
+
+// DrawPerm fills buf with the permutation rng.Perm(len(buf)) would
+// return, drawing the same Intn sequence, without allocating. A random
+// mapping is its first numTasks entries.
+func DrawPerm(rng *rand.Rand, buf []topo.TileID) {
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = topo.TileID(i)
 	}
-	return m, nil
 }
 
 // IdentityMapping places task i on tile i — the naive baseline layout.

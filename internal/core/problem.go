@@ -89,6 +89,9 @@ type Problem struct {
 	// endpoint of — the communications a task-level move changes. Built
 	// once; the swap-session delta mapper depends on it.
 	incident [][]int
+	// seenTiles is the mapping-validation scratch of Evaluate and
+	// Details, so a full evaluation allocates nothing.
+	seenTiles []bool
 }
 
 // NewProblem validates Eq. 2 (the application must fit the topology) and
@@ -108,12 +111,13 @@ func NewProblem(app *cg.Graph, nw *network.Network, obj Objective) (*Problem, er
 		return nil, fmt.Errorf("core: invalid objective %d", obj)
 	}
 	p := &Problem{
-		app:   app,
-		nw:    nw,
-		obj:   obj,
-		ev:    analysis.NewEvaluator(nw),
-		edges: app.Edges(),
-		comms: make([]analysis.Communication, app.NumEdges()),
+		app:       app,
+		nw:        nw,
+		obj:       obj,
+		ev:        analysis.NewEvaluator(nw),
+		edges:     app.Edges(),
+		comms:     make([]analysis.Communication, app.NumEdges()),
+		seenTiles: make([]bool, nw.NumTiles()),
 	}
 	p.incident = make([][]int, app.NumTasks())
 	for i, e := range p.edges {
@@ -169,7 +173,7 @@ func (p *Problem) Evaluate(m Mapping) (Score, error) {
 	if len(m) != p.app.NumTasks() {
 		return Score{}, fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), p.app.NumTasks())
 	}
-	if err := m.Validate(p.nw.NumTiles()); err != nil {
+	if err := m.validate(p.nw.NumTiles(), p.seenTiles); err != nil {
 		return Score{}, err
 	}
 	for i, e := range p.edges {
@@ -215,7 +219,7 @@ func (p *Problem) scoreFrom(res analysis.Result) (Score, error) {
 // Details returns the per-communication breakdown of a mapping, in CG
 // edge order, for reporting and plotting.
 func (p *Problem) Details(m Mapping) (analysis.Result, []analysis.Detail, error) {
-	if err := m.Validate(p.nw.NumTiles()); err != nil {
+	if err := m.validate(p.nw.NumTiles(), p.seenTiles); err != nil {
 		return analysis.Result{}, nil, err
 	}
 	if len(m) != p.app.NumTasks() {

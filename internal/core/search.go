@@ -59,6 +59,8 @@ type Context struct {
 	batchPool *SwapSessionPool
 	// batchScores is EvaluateBatch's reusable result slab.
 	batchScores []Score
+	// draw is RandomMapping's buffer, one slot per tile.
+	draw Mapping
 }
 
 // NewContext prepares an optimization run with the given evaluation
@@ -292,14 +294,18 @@ func (c *Context) Best() (Mapping, Score, bool) {
 	return c.best.Clone(), c.bestScore, true
 }
 
-// RandomMapping draws a fresh uniform mapping for this problem.
+// RandomMapping draws a uniform mapping for this problem, consuming the
+// RNG exactly like the package-level RandomMapping. The mapping lives in
+// the context's buffer and is overwritten by the next call: Clone it to
+// retain it. Evaluate, StartSwaps, AttachSwaps and EvaluateVia copy what
+// they keep.
 func (c *Context) RandomMapping() Mapping {
-	m, err := RandomMapping(c.rng, c.prob.NumTasks(), c.prob.NumTiles())
-	if err != nil {
-		// NewProblem verified Eq. 2, so this cannot fail.
-		panic("core: random mapping failed: " + err.Error())
+	if c.draw == nil {
+		c.draw = make(Mapping, c.prob.NumTiles())
 	}
-	return m
+	DrawPerm(c.rng, c.draw)
+	n := c.prob.NumTasks()
+	return c.draw[:n:n]
 }
 
 // InfCost is a sentinel cost worse than any real evaluation.

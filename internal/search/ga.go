@@ -134,9 +134,7 @@ func (g *GA) Search(ctx *core.Context) error {
 	}
 
 	for i := range pop {
-		for j, v := range rng.Perm(numTiles) {
-			pop[i].perm[j] = topo.TileID(v)
-		}
+		core.DrawPerm(rng, pop[i].perm)
 		cands = append(cands, core.Mapping(pop[i].perm[:numTasks]))
 		candIdx = append(candIdx, i)
 	}

@@ -13,7 +13,7 @@ package search
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"phonocmap/internal/core"
 	"phonocmap/internal/topo"
@@ -114,7 +114,7 @@ type move struct {
 // reports the task hosted on a tile (-1 when free) — typically
 // core.SwapSession.TaskAt or a slots view.
 func admittedMoves(taskAt func(topo.TileID) int, numTiles int) []move {
-	var res []move
+	res := make([]move, 0, numTiles*(numTiles-1)/2)
 	for a := 0; a < numTiles; a++ {
 		for b := a + 1; b < numTiles; b++ {
 			if taskAt(topo.TileID(a)) >= 0 || taskAt(topo.TileID(b)) >= 0 {
@@ -140,6 +140,10 @@ type rankedMove struct {
 // one budget unit per move; when the budget runs out midway the evaluated
 // prefix is returned with ok=false.
 func rankMoves(ctx *core.Context, moves []move, buf []rankedMove) ([]rankedMove, bool, error) {
+	// Size the list once for the longest round the budget allows.
+	if n := min(len(moves), ctx.Remaining()); cap(buf) < n {
+		buf = make([]rankedMove, 0, n)
+	}
 	buf = buf[:0]
 	for _, mv := range moves {
 		score, ok, err := ctx.EvaluateSwap(mv.a, mv.b)
@@ -154,6 +158,14 @@ func rankMoves(ctx *core.Context, moves []move, buf []rankedMove) ([]rankedMove,
 		}
 		buf = append(buf, rankedMove{m: mv, score: score})
 	}
-	sort.SliceStable(buf, func(i, j int) bool { return buf[i].score.Better(buf[j].score) })
+	slices.SortStableFunc(buf, func(x, y rankedMove) int {
+		switch {
+		case x.score.Better(y.score):
+			return -1
+		case y.score.Better(x.score):
+			return 1
+		}
+		return 0
+	})
 	return buf, true, nil
 }

@@ -43,7 +43,9 @@ func (t *Tabu) Search(ctx *core.Context) error {
 	}
 	_, bestScore, _ := ctx.Best()
 	moves := admittedMoves(ctx.SwapSession().TaskAt, numTiles)
-	expires := make(map[move]int, len(moves))
+	// One entry per applied move, so no size hint: a ranking round
+	// costs len(moves) evaluations and a run applies few moves.
+	expires := make(map[move]int)
 	var ranked []rankedMove
 
 	for iter := 0; !ctx.Exhausted(); iter++ {
