@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"phonocmap/internal/runner"
+	"phonocmap/internal/scenario"
 	"phonocmap/internal/service"
 	"phonocmap/internal/version"
 )
@@ -309,8 +310,8 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 }
 
 // Apps lists the server's bundled benchmark applications.
-func (c *Client) Apps(ctx context.Context) ([]runner.AppInfo, error) {
-	var out []runner.AppInfo
+func (c *Client) Apps(ctx context.Context) ([]scenario.AppInfo, error) {
+	var out []scenario.AppInfo
 	_, err := c.do(ctx, http.MethodGet, "/v1/apps", nil, &out, http.StatusOK, true)
 	return out, err
 }
@@ -323,8 +324,8 @@ func (c *Client) Algorithms(ctx context.Context) ([]string, error) {
 }
 
 // Routers lists the server's built-in optical routers.
-func (c *Client) Routers(ctx context.Context) ([]runner.RouterInfo, error) {
-	var out []runner.RouterInfo
+func (c *Client) Routers(ctx context.Context) ([]scenario.RouterInfo, error) {
+	var out []scenario.RouterInfo
 	_, err := c.do(ctx, http.MethodGet, "/v1/routers", nil, &out, http.StatusOK, true)
 	return out, err
 }

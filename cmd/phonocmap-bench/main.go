@@ -10,23 +10,28 @@
 //	phonocmap-bench perf [-json] [-out BENCH_2026-01-01.json] [-budget 5000]
 //
 // Defaults reproduce the paper's setup; reduced samples/budgets give
-// quick sanity runs. The grid-shaped experiments run on the sweep
-// engine (internal/sweep) — -workers shards their cells across cores
-// without changing any result (cells are independent seeded runs).
+// quick sanity runs. table2 and ablation declare their grids as sweep
+// specs and run them through a runner.Runner — in-process, or on a
+// phonocmap-serve instance with -server — so -workers shards their cells
+// across cores without changing any result (cells are independent
+// seeded runs).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"phonocmap/client"
-	"phonocmap/internal/experiments"
+	"phonocmap/internal/config"
 	"phonocmap/internal/runner"
+	"phonocmap/internal/search"
 	"phonocmap/internal/stats"
+	"phonocmap/internal/sweep"
 )
 
 func main() {
@@ -37,11 +42,11 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "fig3":
-		err = cmdFig3(os.Args[2:])
+		err = cmdFig3(os.Stdout, os.Args[2:])
 	case "table2":
-		err = cmdTable2(os.Args[2:])
+		err = cmdTable2(os.Stdout, os.Args[2:])
 	case "ablation":
-		err = cmdAblation(os.Args[2:])
+		err = cmdAblation(os.Stdout, os.Args[2:])
 	case "perf":
 		err = cmdPerf(os.Args[2:])
 	case "-json":
@@ -71,6 +76,15 @@ Commands:
   perf      machine-readable perf snapshot (BENCH_<date>.json); -json to stdout`)
 }
 
+// paperApps returns the eight applications of the case studies in the
+// row order of Table II.
+func paperApps() []string {
+	return []string{
+		"263dec_mp3dec", "263enc_mp3enc", "DVOPD", "MPEG-4",
+		"MWD", "PIP", "VOPD", "Wavelet",
+	}
+}
+
 func splitList(s string) []string {
 	if s == "" {
 		return nil
@@ -82,7 +96,7 @@ func splitList(s string) []string {
 	return parts
 }
 
-func cmdFig3(args []string) error {
+func cmdFig3(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("fig3", flag.ExitOnError)
 	samples := fs.Int("samples", 100_000, "random mappings per application (paper: 100000)")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -95,11 +109,11 @@ func cmdFig3(args []string) error {
 	}
 	list := splitList(*apps)
 	if len(list) == 0 {
-		list = experiments.PaperApps()
+		list = paperApps()
 	}
-	fmt.Printf("Figure 3: distribution of worst-case SNR and power loss over %d random mappings\n", *samples)
-	fmt.Printf("architecture: smallest square mesh per app, Crux router, XY routing, Table I parameters\n\n")
-	results, err := experiments.Fig3All(list, experiments.Fig3Options{
+	fmt.Fprintf(w, "Figure 3: distribution of worst-case SNR and power loss over %d random mappings\n", *samples)
+	fmt.Fprintf(w, "architecture: smallest square mesh per app, Crux router, XY routing, Table I parameters\n\n")
+	results, err := Fig3All(list, Fig3Options{
 		Samples: *samples, Seed: *seed, Bins: *bins,
 	}, *workers)
 	if err != nil {
@@ -107,14 +121,14 @@ func cmdFig3(args []string) error {
 	}
 	for i, app := range list {
 		res := results[i]
-		fmt.Printf("== %s ==\n", app)
-		fmt.Printf("SNR  (dB): %s  zero-noise mappings: %d\n", res.SNRSummary.String(), res.SNRSummary.NonFinite())
-		fmt.Printf("loss (dB): %s\n", res.LossSummary.String())
-		fmt.Println("SNR distribution:")
-		fmt.Print(compactHist(res.SNRHist))
-		fmt.Println("loss distribution:")
-		fmt.Print(compactHist(res.LossHist))
-		fmt.Println()
+		fmt.Fprintf(w, "== %s ==\n", app)
+		fmt.Fprintf(w, "SNR  (dB): %s  zero-noise mappings: %d\n", res.SNRSummary.String(), res.SNRSummary.NonFinite())
+		fmt.Fprintf(w, "loss (dB): %s\n", res.LossSummary.String())
+		fmt.Fprintln(w, "SNR distribution:")
+		fmt.Fprint(w, compactHist(res.SNRHist))
+		fmt.Fprintln(w, "loss distribution:")
+		fmt.Fprint(w, compactHist(res.LossHist))
+		fmt.Fprintln(w)
 		if *csvDir != "" {
 			if err := writeHistCSV(filepath.Join(*csvDir, "fig3_"+sanitize(app)+"_snr.csv"), res.SNRHist); err != nil {
 				return err
@@ -179,7 +193,70 @@ func writeHistCSV(path string, h *stats.Histogram) error {
 	return nil
 }
 
-func cmdTable2(args []string) error {
+// table2Grid declares the Table II design-space grid: every app on its
+// smallest square mesh and torus, both objectives, every algorithm, one
+// budget, one seed.
+func table2Grid(apps, algos []string, budget int, seed int64) sweep.Spec {
+	specs := make([]config.AppSpec, 0, len(apps))
+	for _, name := range apps {
+		specs = append(specs, config.AppSpec{Builtin: name})
+	}
+	return sweep.Spec{
+		Apps:       specs,
+		Archs:      []config.ArchSpec{{Topology: "mesh"}, {Topology: "torus"}},
+		Objectives: []string{"snr", "loss"},
+		Algorithms: algos,
+		Budgets:    []int{budget},
+		Seeds:      []int64{seed},
+	}
+}
+
+// budgetAblationGrid sweeps R-PBLA's budget on one application: how
+// result quality scales with the knob behind the paper's "same running
+// time" protocol.
+func budgetAblationGrid(app string, budgets []int, seed int64) sweep.Spec {
+	return sweep.Spec{
+		Apps:       []config.AppSpec{{Builtin: app}},
+		Archs:      []config.ArchSpec{{Topology: "mesh"}},
+		Objectives: []string{"snr"},
+		Algorithms: []string{"rpbla"},
+		Budgets:    budgets,
+		Seeds:      []int64{seed},
+	}
+}
+
+// routerAblationGrid compares the Crux router against the crossbar
+// baseline on one application with the same optimizer and budget.
+func routerAblationGrid(app string, budget int, seed int64) sweep.Spec {
+	return sweep.Spec{
+		Apps: []config.AppSpec{{Builtin: app}},
+		Archs: []config.ArchSpec{
+			{Topology: "mesh", Router: "crux"},
+			{Topology: "mesh", Router: "crossbar"},
+		},
+		Objectives: []string{"snr"},
+		Algorithms: []string{"rpbla"},
+		Budgets:    []int{budget},
+		Seeds:      []int64{seed},
+	}
+}
+
+// runGrid runs a grid through rn and fails on the first failed cell:
+// the tables want every cell.
+func runGrid(rn runner.Runner, grid sweep.Spec, workers int) (runner.SweepResult, error) {
+	res, err := rn.RunSweep(context.Background(), grid, runner.SweepOptions{Workers: workers})
+	if err != nil {
+		return runner.SweepResult{}, err
+	}
+	for _, cell := range res.Cells {
+		if cell.Error != "" {
+			return runner.SweepResult{}, fmt.Errorf("cell %s: %s", cell.Cell.Label(), cell.Error)
+		}
+	}
+	return res, nil
+}
+
+func cmdTable2(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ExitOnError)
 	budget := fs.Int("budget", 20_000, "evaluation budget per run (the equal-time proxy)")
 	seed := fs.Int64("seed", 1, "random seed")
@@ -190,89 +267,81 @@ func cmdTable2(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := experiments.Table2Options{
-		Budget:     *budget,
-		Seed:       *seed,
-		Apps:       splitList(*apps),
-		Algorithms: splitList(*algos),
-		Workers:    *workers,
+	if *budget == 0 {
+		*budget = 20_000
 	}
-	opts.Normalize()
+	if *seed == 0 {
+		*seed = 1
+	}
+	algoList := splitList(*algos)
+	if len(algoList) == 0 {
+		algoList = search.PaperNames()
+	}
+	appList := splitList(*apps)
+	if len(appList) == 0 {
+		appList = paperApps()
+	}
 
-	fmt.Printf("Table II: algorithms comparison (budget %d evaluations per run, seed %d)\n", opts.Budget, opts.Seed)
-	fmt.Printf("smallest square topology per app, Crux router, XY routing; SNR and Loss in dB\n\n")
+	fmt.Fprintf(w, "Table II: algorithms comparison (budget %d evaluations per run, seed %d)\n", *budget, *seed)
+	fmt.Fprintf(w, "smallest square topology per app, Crux router, XY routing; SNR and Loss in dB\n\n")
 	header := fmt.Sprintf("%-15s |", "Application")
 	for _, topoName := range []string{"mesh", "torus"} {
-		for _, a := range opts.Algorithms {
+		for _, a := range algoList {
 			header += fmt.Sprintf(" %-17s|", fmt.Sprintf("%s-%s SNR/Loss", topoName, a))
 		}
 	}
-	fmt.Println(header)
-	fmt.Println(strings.Repeat("-", len(header)))
-	var rows []experiments.Row
+	fmt.Fprintln(w, header)
+	fmt.Fprintln(w, strings.Repeat("-", len(header)))
+	// The same grid runs in-process or on a phonocmap-serve instance;
+	// the two return identical tables (the client's differential suite
+	// pins that equivalence).
+	var rn runner.Runner = runner.NewLocal()
 	if *server != "" {
-		// The Table II protocol is a sweep grid; remote execution submits
-		// the same grid to a phonocmap-serve instance and reads the rows
-		// from its aggregation — identical to the local path for equal
-		// grids (the equivalence pinned by internal/service and the
-		// client's differential suite).
 		c, err := client.New(*server)
 		if err != nil {
 			return err
 		}
-		res, err := c.RunSweep(context.Background(), experiments.Table2Grid(opts), runner.SweepOptions{})
-		if err != nil {
-			return err
-		}
-		for _, cell := range res.Cells {
-			if cell.Error != "" {
-				return fmt.Errorf("cell %s: %s", cell.Cell.Label(), cell.Error)
-			}
-		}
-		rows = res.Table
-	} else {
-		var err error
-		rows, err = experiments.Table2(opts)
-		if err != nil {
-			return err
-		}
+		rn = c
 	}
-	for _, row := range rows {
+	res, err := runGrid(rn, table2Grid(appList, algoList, *budget, *seed), *workers)
+	if err != nil {
+		return err
+	}
+	for _, row := range res.Table {
 		line := fmt.Sprintf("%-15s |", row.App)
-		for _, cells := range []map[string]experiments.Cell{row.Mesh, row.Torus} {
-			for _, a := range opts.Algorithms {
+		for _, cells := range []map[string]sweep.TableCell{row.Mesh, row.Torus} {
+			for _, a := range algoList {
 				c := cells[a]
 				line += fmt.Sprintf(" %9.2f %6.2f |", c.SNRDB, c.LossDB)
 			}
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	return nil
 }
 
-func cmdAblation(args []string) error {
+func cmdAblation(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("ablation", flag.ExitOnError)
 	app := fs.String("app", "VOPD", "application")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Printf("Budget ablation (R-PBLA, SNR objective, %s):\n", *app)
-	budgets := []int{500, 2000, 8000, 20000}
-	bres, err := experiments.BudgetAblation(*app, budgets, *seed)
+	rn := runner.NewLocal()
+	fmt.Fprintf(w, "Budget ablation (R-PBLA, SNR objective, %s):\n", *app)
+	res, err := runGrid(rn, budgetAblationGrid(*app, []int{500, 2000, 8000, 20000}, *seed), 0)
 	if err != nil {
 		return err
 	}
-	for _, r := range bres {
-		fmt.Printf("  %-14s snr %7.2f dB\n", r.Label, r.SNRDB)
+	for _, c := range res.Cells {
+		fmt.Fprintf(w, "  %-14s snr %7.2f dB\n", fmt.Sprintf("budget=%d", c.Cell.Budget), c.Score.WorstSNRDB)
 	}
-	fmt.Printf("\nRouter ablation (R-PBLA, SNR objective, %s, budget 8000):\n", *app)
-	rres, err := experiments.RouterAblation(*app, 8000, *seed)
-	if err != nil {
+	fmt.Fprintf(w, "\nRouter ablation (R-PBLA, SNR objective, %s, budget 8000):\n", *app)
+	if res, err = runGrid(rn, routerAblationGrid(*app, 8000, *seed), 0); err != nil {
 		return err
 	}
-	for _, r := range rres {
-		fmt.Printf("  %-14s snr %7.2f dB\n", r.Label, r.SNRDB)
+	for _, c := range res.Cells {
+		fmt.Fprintf(w, "  %-14s snr %7.2f dB\n", c.Cell.Arch.Router, c.Score.WorstSNRDB)
 	}
 	return nil
 }

@@ -1,17 +1,70 @@
-package experiments
+package main
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"phonocmap/internal/core"
+	"phonocmap/internal/runner"
 	"phonocmap/internal/search"
+	"phonocmap/internal/sweep"
 )
 
+// TestGoldenOutputs pins the printed output of table2, ablation and fig3
+// byte for byte at small settings, so any change to a printed figure or
+// to the layout fails here.
+func TestGoldenOutputs(t *testing.T) {
+	cases := []struct {
+		golden string
+		cmd    func(w *bytes.Buffer) error
+	}{
+		{"table2.golden", func(w *bytes.Buffer) error {
+			return cmdTable2(w, []string{"-budget", "200", "-apps", "PIP,MWD", "-algos", "rs,rpbla"})
+		}},
+		{"ablation.golden", func(w *bytes.Buffer) error {
+			return cmdAblation(w, []string{"-app", "PIP"})
+		}},
+		{"fig3.golden", func(w *bytes.Buffer) error {
+			return cmdFig3(w, []string{"-samples", "2000", "-apps", "PIP,MWD"})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			var got bytes.Buffer
+			if err := tc.cmd(&got); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("output diverges from testdata/%s:\n got:\n%s\n want:\n%s", tc.golden, got.Bytes(), want)
+			}
+		})
+	}
+}
+
+// table2Row runs the Table II grid for one application in-process.
+func table2Row(t *testing.T, app string, algos []string, budget int, seed int64) sweep.TableRow {
+	t.Helper()
+	res, err := runGrid(runner.NewLocal(), table2Grid([]string{app}, algos, budget, seed), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Table) != 1 {
+		t.Fatalf("table2 %s: %d rows", app, len(res.Table))
+	}
+	return res.Table[0]
+}
+
 func TestPaperAppsMatchesTableII(t *testing.T) {
-	apps := PaperApps()
+	apps := paperApps()
 	if len(apps) != 8 {
-		t.Fatalf("PaperApps = %d entries, want 8", len(apps))
+		t.Fatalf("paperApps = %d entries, want 8", len(apps))
 	}
 	want := map[string]bool{
 		"263dec_mp3dec": true, "263enc_mp3enc": true, "DVOPD": true,
@@ -20,15 +73,6 @@ func TestPaperAppsMatchesTableII(t *testing.T) {
 	for _, a := range apps {
 		if !want[a] {
 			t.Errorf("unexpected app %q", a)
-		}
-	}
-}
-
-func TestSquareFor(t *testing.T) {
-	cases := map[int]int{1: 1, 4: 2, 8: 3, 9: 3, 12: 4, 14: 4, 16: 4, 22: 5, 32: 6}
-	for n, want := range cases {
-		if got := SquareFor(n); got != want {
-			t.Errorf("SquareFor(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -89,15 +133,12 @@ func TestFig3UnknownApp(t *testing.T) {
 }
 
 func TestTable2RowShape(t *testing.T) {
-	row, err := Table2Row("PIP", Table2Options{Budget: 300, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := table2Row(t, "PIP", search.PaperNames(), 300, 2)
 	if row.App != "PIP" {
 		t.Errorf("App = %q", row.App)
 	}
 	for _, algo := range []string{"rs", "ga", "rpbla"} {
-		for name, cells := range map[string]map[string]Cell{"mesh": row.Mesh, "torus": row.Torus} {
+		for name, cells := range map[string]map[string]sweep.TableCell{"mesh": row.Mesh, "torus": row.Torus} {
 			cell, ok := cells[algo]
 			if !ok {
 				t.Fatalf("missing %s/%s cell", name, algo)
@@ -119,10 +160,7 @@ func TestTable2QualitativeClaims(t *testing.T) {
 	// The comparison claims of the paper, on a reduced budget to keep the
 	// test fast: on VOPD (a mid-size app where RS struggles), both GA and
 	// R-PBLA beat RS for the SNR objective on the mesh.
-	row, err := Table2Row("VOPD", Table2Options{Budget: 4000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := table2Row(t, "VOPD", search.PaperNames(), 4000, 1)
 	rs := row.Mesh["rs"].SNRDB
 	ga := row.Mesh["ga"].SNRDB
 	rpbla := row.Mesh["rpbla"].SNRDB
@@ -137,14 +175,8 @@ func TestTable2QualitativeClaims(t *testing.T) {
 func TestTable2ScalesWithNetworkSize(t *testing.T) {
 	// "both the crosstalk noise and the power loss scale up with the
 	// network size: the worst-case values are reached ... DVOPD".
-	small, err := Table2Row("PIP", Table2Options{Budget: 500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Table2Row("DVOPD", Table2Options{Budget: 500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := table2Row(t, "PIP", search.PaperNames(), 500, 1)
+	big := table2Row(t, "DVOPD", search.PaperNames(), 500, 1)
 	if big.Mesh["rs"].LossDB >= small.Mesh["rs"].LossDB {
 		t.Errorf("DVOPD loss %v not worse than PIP %v", big.Mesh["rs"].LossDB, small.Mesh["rs"].LossDB)
 	}
@@ -154,32 +186,32 @@ func TestTable2ScalesWithNetworkSize(t *testing.T) {
 }
 
 func TestBudgetAblationMonotoneish(t *testing.T) {
-	res, err := BudgetAblation("MWD", []int{200, 2000}, 1)
+	res, err := runGrid(runner.NewLocal(), budgetAblationGrid("MWD", []int{200, 2000}, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 {
-		t.Fatalf("results = %d", len(res))
+	if len(res.Cells) != 2 {
+		t.Fatalf("results = %d", len(res.Cells))
 	}
 	// More budget must not yield a worse SNR for the same seed (the
 	// incumbent only improves as evaluations accumulate and the larger
 	// budget replays the smaller run's prefix).
-	if res[1].SNRDB < res[0].SNRDB {
-		t.Errorf("budget 2000 snr %v worse than budget 200 %v", res[1].SNRDB, res[0].SNRDB)
+	if res.Cells[1].Score.WorstSNRDB < res.Cells[0].Score.WorstSNRDB {
+		t.Errorf("budget 2000 snr %v worse than budget 200 %v", res.Cells[1].Score.WorstSNRDB, res.Cells[0].Score.WorstSNRDB)
 	}
 }
 
 func TestRouterAblation(t *testing.T) {
-	res, err := RouterAblation("PIP", 400, 1)
+	res, err := runGrid(runner.NewLocal(), routerAblationGrid("PIP", 400, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 || res[0].Label != "crux" || res[1].Label != "crossbar" {
-		t.Fatalf("results = %+v", res)
+	if len(res.Cells) != 2 || res.Cells[0].Cell.Arch.Router != "crux" || res.Cells[1].Cell.Arch.Router != "crossbar" {
+		t.Fatalf("results = %+v", res.Cells)
 	}
-	for _, r := range res {
-		if r.LossDB >= 0 {
-			t.Errorf("%s loss %v not negative", r.Label, r.LossDB)
+	for _, c := range res.Cells {
+		if c.Score.WorstLossDB >= 0 {
+			t.Errorf("%s loss %v not negative", c.Cell.Arch.Router, c.Score.WorstLossDB)
 		}
 	}
 }
@@ -212,27 +244,25 @@ func TestFig3AllMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTable2MatchesDirectExplorationLoop pins the sweep-engine refactor
-// to the original hand-rolled Table II loop: for every cell, one
-// core.NewExploration run per (topology, algorithm, objective) with the
-// option seed. If the sweep engine's normalization or seed derivation
+// TestTable2MatchesDirectExplorationLoop pins the Table II grid run
+// through the runner to the original hand-rolled Table II loop: for
+// every cell, one core.NewExploration run per (topology, algorithm,
+// objective) with the grid's seed. If normalization or seed derivation
 // ever drifts, the values diverge here.
 func TestTable2MatchesDirectExplorationLoop(t *testing.T) {
 	const (
 		app    = "PIP"
 		budget = 250
+		seed   = 6
 	)
-	opts := Table2Options{Budget: budget, Seed: 6, Algorithms: []string{"rs", "rpbla"}}
-	row, err := Table2Row(app, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	algos := []string{"rs", "rpbla"}
+	row := table2Row(t, app, algos, budget, seed)
 	for _, torus := range []bool{false, true} {
 		cells := row.Mesh
 		if torus {
 			cells = row.Torus
 		}
-		for _, algo := range opts.Algorithms {
+		for _, algo := range algos {
 			for _, obj := range []core.Objective{core.MaximizeSNR, core.MinimizeLoss} {
 				prob, err := problemFor(app, torus, obj)
 				if err != nil {
@@ -242,7 +272,7 @@ func TestTable2MatchesDirectExplorationLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ex, err := core.NewExploration(prob, core.Options{Budget: budget, Seed: opts.Seed})
+				ex, err := core.NewExploration(prob, core.Options{Budget: budget, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -263,21 +293,16 @@ func TestTable2MatchesDirectExplorationLoop(t *testing.T) {
 }
 
 func TestTable2FullDriver(t *testing.T) {
-	// The full-table driver at a tiny budget with a restricted app and
-	// algorithm set: exercises the same code path as the CLI.
-	rows, err := Table2(Table2Options{
-		Budget:     100,
-		Seed:       4,
-		Apps:       []string{"PIP", "MWD"},
-		Algorithms: []string{"rs", "rpbla"},
-	})
+	// The full-table grid at a tiny budget with a restricted app and
+	// algorithm set, through the same runGrid path as the command.
+	res, err := runGrid(runner.NewLocal(), table2Grid([]string{"PIP", "MWD"}, []string{"rs", "rpbla"}, 100, 4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(res.Table) != 2 {
+		t.Fatalf("rows = %d", len(res.Table))
 	}
-	for _, row := range rows {
+	for _, row := range res.Table {
 		for _, algo := range []string{"rs", "rpbla"} {
 			if _, ok := row.Mesh[algo]; !ok {
 				t.Errorf("%s missing mesh cell for %s", row.App, algo)
@@ -287,7 +312,7 @@ func TestTable2FullDriver(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Table2(Table2Options{Budget: 10, Apps: []string{"nope"}}); err == nil {
-		t.Error("Table2 accepted unknown app")
+	if _, err := runGrid(runner.NewLocal(), table2Grid([]string{"nope"}, search.PaperNames(), 10, 1), 0); err == nil {
+		t.Error("table2 grid accepted unknown app")
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -68,7 +69,9 @@ func parseLevel(s string) (slog.Level, error) {
 
 // parseSize parses a -cache-disk-max value: plain bytes or a KiB, MiB or
 // GiB suffix (KB/MB/GB accepted as the same power-of-two units). Empty
-// means unbounded.
+// means unbounded. A size past math.MaxInt64 bytes is rejected rather
+// than wrapped, since a wrapped value reads as a small cap or as
+// unbounded.
 func parseSize(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -92,7 +95,7 @@ func parseSize(s string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q (want e.g. 1073741824, 512MiB, 2GiB)", s)
 	}
 	return n * mult, nil

@@ -11,6 +11,7 @@ import (
 
 	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
+	"phonocmap/internal/search"
 )
 
 func TestParseMapCommandHelp(t *testing.T) {
@@ -255,11 +256,11 @@ func TestParseMapCommandFailedLinksAndAnalyses(t *testing.T) {
 
 // TestCmdMapMatchesScenarioPipeline pins the CLI execution path to the
 // shared pipeline: what cmdMap computes for a degraded spec — via the
-// Runner backend newRunner selects — is exactly scenario.Run of the
-// parsed spec, the same computation the service and a 1-cell sweep
-// perform for this spec (their equivalence is pinned in
-// internal/service, and local/remote Runner equivalence in package
-// client).
+// Runner backend newRunner selects — is exactly one seeded exploration
+// of the compiled spec plus Compiled.Analyze, the same computation the
+// service and a 1-cell sweep perform for this spec (their equivalence is
+// pinned in internal/service, and local/remote Runner equivalence in
+// package client).
 func TestCmdMapMatchesScenarioPipeline(t *testing.T) {
 	args := []string{
 		"-app", "PIP", "-router", "cygnus", "-routing", "bfs",
@@ -281,14 +282,30 @@ func TestCmdMapMatchesScenarioPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scenario.Run(context.Background(), spec)
+	comp, err := scenario.Compile(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Mapping.Equal(want.Run.Mapping) || res.Score != want.Run.Score || res.Evals != want.Run.Evals {
-		t.Errorf("CLI path diverges from pipeline:\n cli %+v\n lib %+v", res, want.Run)
+	alg, err := search.New(comp.Spec.Algorithm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Report, want.Report) {
+	ex, err := core.NewExploration(comp.Problem, core.Options{Budget: comp.Spec.Budget, Seed: comp.Spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ex.Run(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReport, err := comp.Analyze(want.Mapping, want.Score)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Mapping.Equal(want.Mapping) || res.Score != want.Score || res.Evals != want.Evals {
+		t.Errorf("CLI path diverges from pipeline:\n cli %+v\n lib %+v", res, want)
+	}
+	if !reflect.DeepEqual(res.Report, wantReport) {
 		t.Errorf("CLI report diverges from pipeline")
 	}
 }

@@ -420,8 +420,8 @@ func toSweepResult(i int, c sweep.Cell, res runner.ScenarioResult, err error) sw
 
 // Apps lists the bundled benchmark applications from the first node
 // that answers (discovery is identical on every node).
-func (r *Runner) Apps(ctx context.Context) ([]runner.AppInfo, error) {
-	return discover(ctx, r, func(ctx context.Context, c *client.Client) ([]runner.AppInfo, error) {
+func (r *Runner) Apps(ctx context.Context) ([]scenario.AppInfo, error) {
+	return discover(ctx, r, func(ctx context.Context, c *client.Client) ([]scenario.AppInfo, error) {
 		return c.Apps(ctx)
 	})
 }
@@ -434,8 +434,8 @@ func (r *Runner) Algorithms(ctx context.Context) ([]string, error) {
 }
 
 // Routers lists the built-in optical routers.
-func (r *Runner) Routers(ctx context.Context) ([]runner.RouterInfo, error) {
-	return discover(ctx, r, func(ctx context.Context, c *client.Client) ([]runner.RouterInfo, error) {
+func (r *Runner) Routers(ctx context.Context) ([]scenario.RouterInfo, error) {
+	return discover(ctx, r, func(ctx context.Context, c *client.Client) ([]scenario.RouterInfo, error) {
 		return c.Routers(ctx)
 	})
 }

@@ -4,20 +4,16 @@ import (
 	"context"
 	"time"
 
-	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
 	"phonocmap/internal/search"
-	"phonocmap/internal/service"
 	"phonocmap/internal/sweep"
 	"phonocmap/internal/topo"
 )
 
 // Local executes scenarios and sweeps in-process through the scenario
-// compiler and the sweep engine — the same pipeline phonocmap-serve
-// workers run, with the same seed derivation and the same
-// skip-analyses-on-cancellation policy, so Local and the remote client
-// return identical results for equal specs. The zero value is ready to
-// use.
+// compiler and executor — the pipeline phonocmap-serve workers run, so
+// Local and the remote client return identical results for equal specs.
+// The zero value is ready to use.
 type Local struct{}
 
 // NewLocal returns the in-process backend.
@@ -25,81 +21,35 @@ func NewLocal() *Local { return &Local{} }
 
 var _ Runner = (*Local)(nil)
 
-// RunScenario compiles and executes the scenario on this machine. The
-// per-island evaluation breakdown is collected through the same
-// progress callbacks the service uses, so IslandEvals matches a remote
-// run entry for entry.
+// RunScenario compiles and executes the scenario on this machine.
 func (l *Local) RunScenario(ctx context.Context, spec scenario.Spec) (ScenarioResult, error) {
 	comp, err := scenario.Compile(spec)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-
-	// The tracer keeps the same per-island counters the service worker
-	// does (so IslandEvals matches a remote run entry for entry) and
-	// collects the improvement timeline into the run's span record.
-	tracer := scenario.NewTracer(comp.Spec.Seeds)
-	start := time.Now()
-	run, err := comp.OptimizeObserved(ctx, tracer.Observers())
+	out, err := comp.Execute(ctx, nil)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-
-	out := ScenarioResult{
+	run := out.Run
+	return ScenarioResult{
 		Spec:        comp.Spec,
 		Algorithm:   run.Algorithm,
 		Objective:   run.Objective.String(),
 		Mapping:     run.Mapping,
 		Score:       run.Score,
 		Evals:       run.Evals,
-		IslandEvals: tracer.IslandEvals(),
+		IslandEvals: out.IslandEvals,
 		Seed:        run.Seed,
-		DurationMs:  float64(time.Since(start)) / float64(time.Millisecond),
+		DurationMs:  float64(run.Duration) / float64(time.Millisecond),
 		Cancelled:   run.Cancelled,
-		// The trace's duration is the optimizer's own wall clock — the
-		// same source the service worker's result carries, so a remote
-		// trace reads identically.
-		Trace: tracer.Trace(run.Duration),
-	}
-	if !run.Cancelled {
-		// Cancelled runs ship without a report, exactly like the
-		// service: analyses take no cancellation context, so running
-		// them would keep working long after the stop was requested.
-		rep, err := comp.Analyze(run.Mapping, run.Score)
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		out.Report = rep
-	}
-	return out, nil
-}
-
-// runCell executes one sweep cell with the service worker's exact
-// policy: optimize under the sweep context, then analyses only for
-// uncancelled runs.
-func runCell(ctx context.Context, c sweep.Cell) (core.RunResult, *scenario.Report, error) {
-	comp, err := c.Compile()
-	if err != nil {
-		return core.RunResult{}, nil, err
-	}
-	run, err := comp.Optimize(ctx)
-	if err != nil {
-		return core.RunResult{}, nil, err
-	}
-	if run.Cancelled {
-		return run, nil, nil
-	}
-	rep, err := comp.Analyze(run.Mapping, run.Score)
-	if err != nil {
-		return core.RunResult{}, nil, err
-	}
-	return run, rep, nil
+		Report:      out.Report,
+		Trace:       out.Trace(),
+	}, nil
 }
 
 // RunSweep expands the grid and executes every cell on a bounded local
-// worker pool, then folds the successful cells through the sweep
-// engine's aggregators — the same aggregation path the service's sweep
-// result endpoint runs.
+// worker pool through sweep.RunCell, then assembles the result.
 func (l *Local) RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions) (SweepResult, error) {
 	cells, err := sweep.Expand(spec)
 	if err != nil {
@@ -109,7 +59,7 @@ func (l *Local) RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions
 	if opts.OnCellDone != nil {
 		onCell = func(r sweep.Result) { opts.OnCellDone(CellResult(r)) }
 	}
-	results, err := sweep.Run(cells, runCell, sweep.Options{
+	results, err := sweep.Run(cells, sweep.RunCell, sweep.Options{
 		Workers:    opts.Workers,
 		Context:    ctx,
 		OnCellDone: onCell,
@@ -117,29 +67,24 @@ func (l *Local) RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions
 	if err != nil {
 		return SweepResult{}, err
 	}
-
 	return AssembleSweep(results), nil
 }
 
 // AssembleSweep folds per-cell engine results (in cell-index order) into
-// the interface's SweepResult: every cell converted, successful
-// uncancelled cells aggregated through the sweep engine — the single
-// assembly path every backend shares, so Local, the remote client's
-// server and a fleet of servers produce byte-identical sweeps from equal
-// per-cell results.
+// the interface's SweepResult: every cell converted, the aggregations
+// from sweep.Aggregate (which leaves failed and cancelled cells out) —
+// so Local and a fleet of servers produce byte-identical sweeps from
+// equal per-cell results, and match the service's own sweep assembly.
 func AssembleSweep(results []sweep.Result) SweepResult {
 	out := SweepResult{Cells: make([]SweepCellResult, 0, len(results))}
-	agg := make([]sweep.Result, 0, len(results))
 	for _, r := range results {
 		out.Cells = append(out.Cells, CellResult(r))
-		if r.Err == nil && !r.Run.Cancelled {
-			agg = append(agg, r)
-		}
 	}
-	out.Table = sweep.Table(agg)
-	out.BudgetCurves = sweep.BudgetCurves(agg)
-	out.Pareto = sweep.AnnotatedParetoFronts(agg)
-	out.Analysis = sweep.AnalysisSummary(agg)
+	agg := sweep.Aggregate(results)
+	out.Table = agg.Table
+	out.BudgetCurves = agg.BudgetCurves
+	out.Pareto = agg.Pareto
+	out.Analysis = agg.Analysis
 	return out
 }
 
@@ -158,13 +103,15 @@ func CellResult(r sweep.Result) SweepCellResult {
 }
 
 // Apps lists the bundled benchmark applications.
-func (l *Local) Apps(context.Context) ([]AppInfo, error) { return service.Apps(), nil }
+func (l *Local) Apps(context.Context) ([]scenario.AppInfo, error) { return scenario.Apps(), nil }
 
 // Algorithms lists the available mapping-optimization algorithms.
 func (l *Local) Algorithms(context.Context) ([]string, error) { return search.Names(), nil }
 
 // Routers lists the built-in optical routers.
-func (l *Local) Routers(context.Context) ([]RouterInfo, error) { return service.Routers(), nil }
+func (l *Local) Routers(context.Context) ([]scenario.RouterInfo, error) {
+	return scenario.Routers(), nil
+}
 
 // Topologies lists the built-in topology kinds.
 func (l *Local) Topologies(context.Context) ([]string, error) { return topo.Kinds(), nil }

@@ -6,13 +6,53 @@ import (
 	"testing"
 
 	"phonocmap/internal/config"
+	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
+	"phonocmap/internal/search"
 	"phonocmap/internal/sweep"
 )
 
+// referenceRun executes spec without the scenario executor: the search
+// straight through core (one exploration, or islands) and the analyses
+// through Compiled.Analyze, so Local is checked against an independent
+// composition of the pipeline.
+func referenceRun(t *testing.T, spec scenario.Spec) (core.RunResult, *scenario.Report) {
+	t.Helper()
+	comp, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := comp.Spec
+	var run core.RunResult
+	if sp.Seeds > 1 {
+		factory := func() (core.Searcher, error) { return search.New(sp.Algorithm) }
+		run, _, err = core.RunParallel(comp.Problem, factory, core.ParallelOptions{
+			Budget: sp.Budget, Seeds: core.SeedSequence(sp.Seed, sp.Seeds),
+		})
+	} else {
+		var alg core.Searcher
+		if alg, err = search.New(sp.Algorithm); err != nil {
+			t.Fatal(err)
+		}
+		var ex *core.Exploration
+		if ex, err = core.NewExploration(comp.Problem, core.Options{Budget: sp.Budget, Seed: sp.Seed}); err != nil {
+			t.Fatal(err)
+		}
+		run, err = ex.Run(alg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := comp.Analyze(run.Mapping, run.Score)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run, rep
+}
+
 // TestLocalMatchesScenarioRun: the Local backend is a repackaging of
 // the scenario pipeline — same mapping, score, evaluation count and
-// report as scenario.Run for an equal spec.
+// report as the reference composition for an equal spec.
 func TestLocalMatchesScenarioRun(t *testing.T) {
 	spec := scenario.Spec{
 		App:       config.AppSpec{Builtin: "PIP"},
@@ -29,18 +69,15 @@ func TestLocalMatchesScenarioRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scenario.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	wantRun, wantReport := referenceRun(t, spec)
+	if !got.Mapping.Equal(wantRun.Mapping) || got.Score != wantRun.Score || got.Evals != wantRun.Evals {
+		t.Errorf("Local diverges from the reference:\n got  %+v\n want %+v", got, wantRun)
 	}
-	if !got.Mapping.Equal(want.Run.Mapping) || got.Score != want.Run.Score || got.Evals != want.Run.Evals {
-		t.Errorf("Local diverges from scenario.Run:\n got  %+v\n want %+v", got, want.Run)
+	if got.Seed != wantRun.Seed || got.Algorithm != wantRun.Algorithm {
+		t.Errorf("run identity diverges: %+v vs %+v", got, wantRun)
 	}
-	if got.Seed != want.Run.Seed || got.Algorithm != want.Run.Algorithm {
-		t.Errorf("run identity diverges: %+v vs %+v", got, want.Run)
-	}
-	if !reflect.DeepEqual(got.Report, want.Report) {
-		t.Errorf("report diverges from scenario.Run")
+	if !reflect.DeepEqual(got.Report, wantReport) {
+		t.Errorf("report diverges from the reference")
 	}
 	if len(got.IslandEvals) != 1 || got.IslandEvals[0] != got.Evals {
 		t.Errorf("single-seed island breakdown %v, want [%d]", got.IslandEvals, got.Evals)
@@ -51,7 +88,7 @@ func TestLocalMatchesScenarioRun(t *testing.T) {
 }
 
 // TestLocalIslands: islands mode reports one breakdown entry per seed
-// and the same winner as the scenario pipeline.
+// and the same winner as the reference islands run.
 func TestLocalIslands(t *testing.T) {
 	spec := scenario.Spec{
 		App:       config.AppSpec{Builtin: "PIP"},
@@ -64,12 +101,9 @@ func TestLocalIslands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := scenario.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Score != want.Run.Score || got.Seed != want.Run.Seed {
-		t.Errorf("islands winner diverges: %+v vs %+v", got.Score, want.Run.Score)
+	want, _ := referenceRun(t, spec)
+	if got.Score != want.Score || got.Seed != want.Seed {
+		t.Errorf("islands winner diverges: %+v vs %+v", got.Score, want.Score)
 	}
 	if len(got.IslandEvals) != 2 {
 		t.Fatalf("island breakdown %v, want 2 entries", got.IslandEvals)
@@ -113,8 +147,7 @@ func TestLocalCancelledScenarioSkipsAnalyses(t *testing.T) {
 }
 
 // TestLocalSweepMatchesEngine: per-cell sweep outcomes equal the
-// scenario pipeline run cell by cell, and the aggregations cover the
-// grid.
+// reference run cell by cell, and the aggregations cover the grid.
 func TestLocalSweepMatchesEngine(t *testing.T) {
 	grid := sweep.Spec{
 		Apps:       []config.AppSpec{{Builtin: "PIP"}},
@@ -138,12 +171,9 @@ func TestLocalSweepMatchesEngine(t *testing.T) {
 		if cr.Error != "" {
 			t.Fatalf("cell %d failed: %s", i, cr.Error)
 		}
-		want, err := scenario.Run(context.Background(), cells[i].Scenario())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cr.Mapping.Equal(want.Run.Mapping) || cr.Score != want.Run.Score || cr.Evals != want.Run.Evals {
-			t.Errorf("cell %d diverges from the scenario pipeline", i)
+		want, _ := referenceRun(t, cells[i].Scenario())
+		if !cr.Mapping.Equal(want.Mapping) || cr.Score != want.Score || cr.Evals != want.Evals {
+			t.Errorf("cell %d diverges from the reference", i)
 		}
 	}
 	if len(res.Table) != 1 || res.Table[0].App != "PIP" {

@@ -2,10 +2,11 @@
 // PhoNoCMap's backends: one typed API — run a scenario, run a design-
 // space sweep, discover what the backend offers — with interchangeable
 // implementations. Local (in-process optimization on this machine's
-// worker pool) and the phonocmap-serve client SDK (package client)
-// implement the same interface and are contractually equivalent: equal
-// specs produce identical results, including analysis reports and
-// per-island evaluation breakdowns, whichever backend executes them.
+// worker pool, through the scenario executor a service worker runs too)
+// and the phonocmap-serve client SDK (package client) implement the
+// same interface and are contractually equivalent: equal specs produce
+// identical results, including analysis reports and per-island
+// evaluation breakdowns, whichever backend executes them.
 // Front ends (the CLI, the examples, library callers) program against
 // Runner and pick the backend with a flag.
 package runner
@@ -15,17 +16,7 @@ import (
 
 	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
-	"phonocmap/internal/service"
 	"phonocmap/internal/sweep"
-)
-
-// Discovery re-exports the service's discovery shapes so both backends
-// answer discovery calls with identical types.
-type (
-	// AppInfo describes one bundled benchmark application.
-	AppInfo = service.AppInfo
-	// RouterInfo describes one built-in optical router architecture.
-	RouterInfo = service.RouterInfo
 )
 
 // ScenarioResult is one executed scenario, shaped so that local and
@@ -50,9 +41,10 @@ type ScenarioResult struct {
 	IslandEvals []int `json:"island_evals,omitempty"`
 	// Seed is the winning run's seed.
 	Seed int64 `json:"seed"`
-	// DurationMs is wall-clock execution time. It is the one field
-	// outside the local/remote equivalence contract (and a cache replay
-	// reports the original run's duration).
+	// DurationMs is the winning run's wall-clock search time
+	// (core.RunResult.Duration). It is the one field outside the
+	// local/remote equivalence contract (and a cache replay reports the
+	// original run's duration).
 	DurationMs float64 `json:"duration_ms"`
 	// Cancelled marks a run stopped early through its context; Mapping
 	// and Score then hold the best point reached before the stop and
@@ -133,11 +125,11 @@ type Runner interface {
 	RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions) (SweepResult, error)
 
 	// Apps lists the backend's bundled benchmark applications.
-	Apps(ctx context.Context) ([]AppInfo, error)
+	Apps(ctx context.Context) ([]scenario.AppInfo, error)
 	// Algorithms lists the backend's mapping-optimization algorithms.
 	Algorithms(ctx context.Context) ([]string, error)
 	// Routers lists the backend's built-in optical routers.
-	Routers(ctx context.Context) ([]RouterInfo, error)
+	Routers(ctx context.Context) ([]scenario.RouterInfo, error)
 	// Topologies lists the backend's built-in topology kinds.
 	Topologies(ctx context.Context) ([]string, error)
 }

@@ -1,13 +1,11 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"phonocmap/internal/core"
 	"phonocmap/internal/robust"
-	"phonocmap/internal/search"
 	"phonocmap/internal/sim"
 	"phonocmap/internal/wdm"
 )
@@ -227,94 +225,4 @@ func finiteOr(v, fallback float64) float64 {
 		return fallback
 	}
 	return v
-}
-
-// Result is one executed scenario: the optimization run plus the
-// analysis report its spec requested (nil when none).
-type Result struct {
-	Run    core.RunResult
-	Report *Report
-}
-
-// Observers hooks a caller into an optimization run's progress: both
-// callbacks receive the island index (always 0 for single-seed runs),
-// the island's evaluation count and its incumbent. Calls may arrive
-// concurrently from all islands. Either field may be nil.
-type Observers struct {
-	// OnImprove fires on every incumbent improvement.
-	OnImprove func(island, evals int, best core.Score)
-	// OnProgress is a periodic heartbeat, firing once more when an
-	// island completes with its final evaluation count.
-	OnProgress func(island, evals int, best core.Score)
-}
-
-// Optimize runs the compiled scenario's search — a single seeded
-// exploration, or islands mode when Seeds > 1 — with the exact seed
-// derivation the optimization service uses, so equal specs produce
-// bit-identical results through every front end. ctx cancels the search
-// (the best point reached so far is returned with Cancelled set).
-func (c *Compiled) Optimize(ctx context.Context) (core.RunResult, error) {
-	return c.OptimizeObserved(ctx, Observers{})
-}
-
-// OptimizeObserved is Optimize with progress observation. It is the one
-// islands/single-seed dispatch shared by every execution backend (the
-// service worker, the local runner, plain Optimize callers), so the
-// seed derivation cannot drift between them. Observers never change the
-// result.
-func (c *Compiled) OptimizeObserved(ctx context.Context, obs Observers) (core.RunResult, error) {
-	if c.Spec.Seeds > 1 {
-		factory := func() (core.Searcher, error) { return search.New(c.Spec.Algorithm) }
-		best, _, err := core.RunParallel(c.Problem, factory, core.ParallelOptions{
-			Budget:     c.Spec.Budget,
-			Seeds:      core.SeedSequence(c.Spec.Seed, c.Spec.Seeds),
-			Workers:    0, // one scenario's islands may use the whole machine
-			Context:    ctx,
-			OnImprove:  obs.OnImprove,
-			OnProgress: obs.OnProgress,
-		})
-		return best, err
-	}
-	alg, err := search.New(c.Spec.Algorithm)
-	if err != nil {
-		return core.RunResult{}, err
-	}
-	opts := core.Options{
-		Budget:  c.Spec.Budget,
-		Seed:    c.Spec.Seed,
-		Context: ctx,
-	}
-	if obs.OnImprove != nil {
-		onImprove := obs.OnImprove
-		opts.OnImprove = func(evals int, best core.Score) { onImprove(0, evals, best) }
-	}
-	if obs.OnProgress != nil {
-		onProgress := obs.OnProgress
-		opts.OnProgress = func(evals int, best core.Score) { onProgress(0, evals, best) }
-	}
-	ex, err := core.NewExploration(c.Problem, opts)
-	if err != nil {
-		return core.RunResult{}, err
-	}
-	return ex.Run(alg)
-}
-
-// Run compiles and executes a scenario end to end: optimize, then run
-// the requested analyses on the winning mapping. A cancelled
-// optimization still reports its best-so-far mapping, with the analyses
-// run against it.
-func Run(ctx context.Context, spec Spec) (Result, error) {
-	c, err := Compile(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	run, err := c.Optimize(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	rep, err := c.Analyze(run.Mapping, run.Score)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Run: run, Report: rep}, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -30,7 +29,7 @@ func TestAnalyzeFullReport(t *testing.T) {
 		Budget:    200,
 		Analyses:  fullAnalyses(),
 	}
-	res, err := Run(context.Background(), spec)
+	res, err := execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestAnalyzeFullReport(t *testing.T) {
 
 	// The pipeline is deterministic: a second run reproduces the report
 	// bit for bit.
-	res2, err := Run(context.Background(), spec)
+	res2, err := execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +83,7 @@ func TestAnalyzeFullReport(t *testing.T) {
 }
 
 func TestAnalyzeSubsetLeavesOthersNil(t *testing.T) {
-	res, err := Run(context.Background(), Spec{
+	res, err := execute(Spec{
 		App:       config.AppSpec{Builtin: "PIP"},
 		Algorithm: "rs",
 		Budget:    150,
@@ -105,7 +104,7 @@ func TestAnalyzeSubsetLeavesOthersNil(t *testing.T) {
 // TestSimSaturationDetection drives the simulator far past saturation
 // and checks the report notices.
 func TestSimSaturationDetection(t *testing.T) {
-	res, err := Run(context.Background(), Spec{
+	res, err := execute(Spec{
 		App:       config.AppSpec{Builtin: "PIP"},
 		Algorithm: "rs",
 		Budget:    100,
@@ -138,14 +137,14 @@ func TestRunDegradedScenario(t *testing.T) {
 		Algorithm: "rs",
 		Budget:    200,
 	}
-	res, err := Run(context.Background(), spec)
+	res, err := execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	healthy := spec
 	healthy.Arch.FailedLinks = nil
-	hres, err := Run(context.Background(), healthy)
+	hres, err := execute(healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestRunDegradedScenario(t *testing.T) {
 	}
 
 	// Determinism across invocations.
-	res2, err := Run(context.Background(), spec)
+	res2, err := execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

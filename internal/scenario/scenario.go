@@ -8,11 +8,14 @@
 // feasibility, parameter-variation robustness, link-failure tolerance,
 // traffic simulation) on the winning mapping.
 //
-// Every front end builds problems through this package — the phonocmap
-// CLI, the optimization service, the sweep engine and the experiment
-// drivers — so spec resolution, validation and seeding cannot drift
-// between layers, and a spec's canonical JSON (Key) is a content address
-// shared by all of them.
+// Every front end builds problems through this package and runs them
+// through its one executor, Compiled.Execute — the phonocmap CLI, the
+// runners, the optimization service, the sweep engine and
+// phonocmap-bench — so spec resolution, validation, seeding and the
+// cancellation policy cannot drift between layers, and a spec's
+// canonical JSON (Key) is a content address shared by all of them. The
+// package also answers discovery (Apps, Routers): the names a spec may
+// use.
 package scenario
 
 import (
@@ -368,7 +371,7 @@ type Compiled struct {
 // Compile normalizes the spec (on a copy; the argument is not modified)
 // and builds the runtime problem it describes, including the Eq. 2 fit
 // check. This is the single spec-to-problem path shared by the CLI, the
-// optimization service, the sweep engine and the experiment drivers.
+// runners, the optimization service and the sweep engine.
 // Normalization is idempotent and cheap next to any optimization run,
 // so callers that normalized earlier (the service, sweep expansion) pay
 // only a redundant graph build here — a deliberate trade for one

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -77,7 +76,7 @@ func TestCompileMatchesDirectConstruction(t *testing.T) {
 					Seed:      7,
 				}
 				want := preRefactorRun(t, exp)
-				got, err := Run(context.Background(), Spec{
+				got, err := execute(Spec{
 					App:       exp.App,
 					Arch:      arch,
 					Objective: "snr",

@@ -50,10 +50,10 @@ type RunTrace struct {
 
 // AssembleTrace builds the span record from an improvement timeline (in
 // arrival order), the per-island evaluation breakdown and the run's
-// duration — the one assembly path shared by the service worker and the
-// local runner, so the trace cannot drift between backends. Events are
-// returned sorted by (island, evals), which is deterministic in the
-// spec; TimeToBestMs is computed from the arrival order before sorting.
+// duration — the one assembly path behind every backend's trace, so it
+// cannot drift between them. Events are returned sorted by (island,
+// evals), which is deterministic in the spec; TimeToBestMs is computed
+// from the arrival order before sorting.
 func AssembleTrace(events []TraceEvent, islandEvals []int, durationMs float64) *RunTrace {
 	t := &RunTrace{DurationMs: durationMs}
 
@@ -97,15 +97,17 @@ func AssembleTrace(events []TraceEvent, islandEvals []int, durationMs float64) *
 	return t
 }
 
-// Tracer collects Observers callbacks into the material for a RunTrace —
-// the local runner's counterpart of the service worker's per-job
-// bookkeeping. Safe for concurrent use by all islands.
+// Tracer records one run's progress for Execute: the improvement
+// timeline, each island's evaluation count and the best score so far.
+// It is safe for concurrent use by all islands and readable while the
+// run is in flight, which is how the service reports live progress.
 type Tracer struct {
 	start time.Time
 
 	mu          sync.Mutex
 	events      []TraceEvent
 	islandEvals []int
+	best        core.Score
 }
 
 // NewTracer returns a tracer for a run with the given island count
@@ -113,11 +115,6 @@ type Tracer struct {
 func NewTracer(islands int) *Tracer {
 	//phonocmap:wallclock the tracer's epoch only feeds TraceEvent.AtMs, which is stripped (with all wall-clock fields) before differential comparison
 	return &Tracer{start: time.Now(), islandEvals: make([]int, max(islands, 1))}
-}
-
-// Observers returns the callbacks that feed the tracer.
-func (t *Tracer) Observers() Observers {
-	return Observers{OnImprove: t.onImprove, OnProgress: t.onProgress}
 }
 
 func (t *Tracer) onProgress(island, evals int, _ core.Score) {
@@ -136,6 +133,9 @@ func (t *Tracer) onImprove(island, evals int, best core.Score) {
 	if island >= 0 && island < len(t.islandEvals) {
 		t.islandEvals[island] = evals
 	}
+	if len(t.events) == 0 || best.Better(t.best) {
+		t.best = best
+	}
 	t.events = append(t.events, TraceEvent{Island: island, Evals: evals, Score: best, AtMs: at})
 }
 
@@ -143,16 +143,24 @@ func (t *Tracer) onImprove(island, evals int, best core.Score) {
 func (t *Tracer) IslandEvals() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]int, len(t.islandEvals))
-	copy(out, t.islandEvals)
-	return out
+	return append([]int(nil), t.islandEvals...)
 }
 
-// Trace assembles the run's span record for the given run duration.
-func (t *Tracer) Trace(duration time.Duration) *RunTrace {
+// Events copies the improvements recorded so far, in arrival order.
+func (t *Tracer) Events() []TraceEvent {
 	t.mu.Lock()
-	events := append([]TraceEvent(nil), t.events...)
-	islands := append([]int(nil), t.islandEvals...)
-	t.mu.Unlock()
-	return AssembleTrace(events, islands, float64(duration)/float64(time.Millisecond))
+	defer t.mu.Unlock()
+	return append([]TraceEvent(nil), t.events...)
+}
+
+// Best returns the best score any island has reached so far, nil before
+// the first improvement.
+func (t *Tracer) Best() *core.Score {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.events) == 0 {
+		return nil
+	}
+	b := t.best
+	return &b
 }

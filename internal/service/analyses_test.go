@@ -1,16 +1,45 @@
 package service
 
 import (
-	"context"
 	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
 	"phonocmap/internal/config"
+	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
+	"phonocmap/internal/search"
 	"phonocmap/internal/sweep"
 )
+
+// referenceRun executes a single-seed spec without the scenario
+// executor: one core exploration plus Compiled.Analyze, so the service
+// is checked against an independent composition of the pipeline.
+func referenceRun(t *testing.T, spec scenario.Spec) (core.RunResult, *scenario.Report) {
+	t.Helper()
+	comp, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg, err := search.New(comp.Spec.Algorithm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := core.NewExploration(comp.Problem, core.Options{Budget: comp.Spec.Budget, Seed: comp.Spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := ex.Run(alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := comp.Analyze(run.Mapping, run.Score)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run, rep
+}
 
 // TestJobAnalysesReportAndCacheReplay covers the analysis pipeline end
 // to end through the service: a job requesting analyses returns the
@@ -79,18 +108,15 @@ func TestJobAnalysesReportAndCacheReplay(t *testing.T) {
 
 	// The local pipeline produces the same report for the same spec —
 	// service and library fronts share one computation.
-	local, err := scenario.Run(context.Background(), scenario.Spec{
+	_, localReport := referenceRun(t, scenario.Spec{
 		App:       req.App,
 		Algorithm: req.Algorithm,
 		Budget:    req.Budget,
 		Seed:      req.Seed,
 		Analyses:  req.Analyses,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(local.Report, res.Report) {
-		t.Errorf("local report diverges from service report:\n local   %+v\n service %+v", local.Report, res.Report)
+	if !reflect.DeepEqual(localReport, res.Report) {
+		t.Errorf("local report diverges from service report:\n local   %+v\n service %+v", localReport, res.Report)
 	}
 }
 
@@ -151,12 +177,9 @@ func TestDegradedSpecBitIdenticalAcrossPaths(t *testing.T) {
 	analyses := &scenario.AnalysesSpec{Power: &scenario.PowerSpec{}}
 
 	// Local pipeline (what phonocmap map executes).
-	local, err := scenario.Run(context.Background(), scenario.Spec{
+	localRun, localReport := referenceRun(t, scenario.Spec{
 		App: app, Arch: arch, Algorithm: "rs", Budget: 250, Seed: 11, Analyses: analyses,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL
@@ -172,11 +195,11 @@ func TestDegradedSpecBitIdenticalAcrossPaths(t *testing.T) {
 	}
 	var jres JobResult
 	doJSON(t, http.MethodGet, base+"/v1/jobs/"+jst.ID+"/result", nil, &jres)
-	if !jres.Mapping.Equal(local.Run.Mapping) || jres.Score != local.Run.Score || jres.Evals != local.Run.Evals {
+	if !jres.Mapping.Equal(localRun.Mapping) || jres.Score != localRun.Score || jres.Evals != localRun.Evals {
 		t.Errorf("service job diverges from local pipeline:\n local   %+v %+v\n service %+v %+v",
-			local.Run.Mapping, local.Run.Score, jres.Mapping, jres.Score)
+			localRun.Mapping, localRun.Score, jres.Mapping, jres.Score)
 	}
-	if !reflect.DeepEqual(jres.Report, local.Report) {
+	if !reflect.DeepEqual(jres.Report, localReport) {
 		t.Errorf("service report diverges from local report")
 	}
 
@@ -204,11 +227,11 @@ func TestDegradedSpecBitIdenticalAcrossPaths(t *testing.T) {
 	var sres SweepResult
 	doJSON(t, http.MethodGet, base+"/v1/sweeps/"+sst.ID+"/result", nil, &sres)
 	cell := sres.Cells[0]
-	if !cell.Mapping.Equal(local.Run.Mapping) || cell.Score != local.Run.Score || cell.Evals != local.Run.Evals {
+	if !cell.Mapping.Equal(localRun.Mapping) || cell.Score != localRun.Score || cell.Evals != localRun.Evals {
 		t.Errorf("sweep cell diverges from local pipeline:\n local %+v %+v\n sweep %+v %+v",
-			local.Run.Mapping, local.Run.Score, cell.Mapping, cell.Score)
+			localRun.Mapping, localRun.Score, cell.Mapping, cell.Score)
 	}
-	if !reflect.DeepEqual(cell.Report, local.Report) {
+	if !reflect.DeepEqual(cell.Report, localReport) {
 		t.Errorf("sweep cell report diverges from local report")
 	}
 }
@@ -284,14 +307,14 @@ func TestDiscoveryRoutersAndTopologies(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL
 
-	var routers []RouterInfo
+	var routers []scenario.RouterInfo
 	if code := doJSON(t, http.MethodGet, base+"/v1/routers", nil, &routers); code != http.StatusOK {
 		t.Fatalf("routers returned %d", code)
 	}
 	if len(routers) != 3 {
 		t.Fatalf("%d routers, want 3", len(routers))
 	}
-	byName := make(map[string]RouterInfo)
+	byName := make(map[string]scenario.RouterInfo)
 	for _, r := range routers {
 		byName[r.Name] = r
 	}

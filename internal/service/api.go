@@ -17,9 +17,9 @@
 //	GET    /v1/sweeps/{id}        live per-cell progress -> SweepStatus
 //	GET    /v1/sweeps/{id}/result aggregated results     -> SweepResult
 //	DELETE /v1/sweeps/{id}        cancel                 -> SweepStatus
-//	GET    /v1/apps            bundled applications   -> []AppInfo
+//	GET    /v1/apps            bundled applications   -> []scenario.AppInfo
 //	GET    /v1/algorithms      available algorithms   -> []string
-//	GET    /v1/routers         built-in optical routers -> []RouterInfo
+//	GET    /v1/routers         built-in optical routers -> []scenario.RouterInfo
 //	GET    /v1/topologies      built-in topology kinds  -> []string
 //	GET    /v1/cache           cache + store statistics -> CacheStats
 //	DELETE /v1/cache           empty both cache tiers   -> CacheClearResult
@@ -40,10 +40,8 @@ package service
 import (
 	"fmt"
 
-	"phonocmap/internal/cg"
 	"phonocmap/internal/config"
 	"phonocmap/internal/core"
-	"phonocmap/internal/router"
 	"phonocmap/internal/scenario"
 	"phonocmap/internal/topo"
 )
@@ -173,58 +171,6 @@ type JobTrace struct {
 	ID    string       `json:"id"`
 	State State        `json:"state"`
 	Trace []TraceEvent `json:"trace"`
-}
-
-// AppInfo describes one bundled benchmark application.
-type AppInfo struct {
-	Name  string `json:"name"`
-	Tasks int    `json:"tasks"`
-	Edges int    `json:"edges"`
-}
-
-// Apps lists the bundled applications for the discovery endpoint.
-func Apps() []AppInfo {
-	names := cg.AppNames()
-	out := make([]AppInfo, 0, len(names))
-	for _, name := range names {
-		g := cg.MustApp(name)
-		out = append(out, AppInfo{Name: name, Tasks: g.NumTasks(), Edges: g.NumEdges()})
-	}
-	return out
-}
-
-// RouterInfo describes one built-in optical router architecture for the
-// discovery endpoint.
-type RouterInfo struct {
-	Name      string `json:"name"`
-	Rings     int    `json:"rings"`
-	Crossings int    `json:"crossings"`
-	Turns     int    `json:"turns"`
-	// AllTurn reports whether the router supports every input/output turn
-	// — the prerequisite for BFS rerouting and link-failure analysis.
-	AllTurn bool `json:"all_turn"`
-}
-
-// Routers lists the built-in optical routers for GET /v1/routers —
-// discovery parity with the CLI's 'phonocmap routers'.
-func Routers() []RouterInfo {
-	names := router.Names()
-	out := make([]RouterInfo, 0, len(names))
-	for _, name := range names {
-		a, err := router.ByName(name)
-		if err != nil {
-			// Names and ByName are the same table; a mismatch is a bug.
-			panic("service: router table inconsistent: " + err.Error())
-		}
-		out = append(out, RouterInfo{
-			Name:      name,
-			Rings:     a.RingCount(),
-			Crossings: a.CrossingCount(),
-			Turns:     len(a.SupportedTurns()),
-			AllTurn:   router.CheckTurns(a, router.RequiredTurnsAll()) == nil,
-		})
-	}
-	return out
 }
 
 // Topologies lists the built-in topology kinds for GET /v1/topologies.

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"phonocmap/internal/core"
 	"phonocmap/internal/obs"
-	"phonocmap/internal/scenario"
 	"phonocmap/internal/store"
 )
 
@@ -42,21 +40,6 @@ type StoreStats struct {
 	Quarantined uint64 `json:"quarantined"`
 	Pending     int64  `json:"pending_writes"`
 	Warmed      int    `json:"warmed"`
-}
-
-// cacheEntry is one cached computation: the winning run, its convergence
-// trace, the per-island evaluation breakdown of the live run, and the
-// analysis report (nil when the spec requested none), keyed by the
-// spec's content address. Everything is preserved verbatim so a cache
-// hit replays exactly what the live run reported — the analyses block is
-// part of the key, so a report can never be served to a spec that asked
-// for different (or no) analyses.
-type cacheEntry struct {
-	key         string
-	res         core.RunResult
-	trace       []TraceEvent
-	islandEvals []int
-	report      *scenario.Report
 }
 
 // resultCache is the service's two-tier result cache: a bounded
@@ -92,7 +75,7 @@ type resultCache struct {
 	pending atomic.Int64 // write-behind backlog (queued + in flight)
 	warmed  atomic.Int64 // entries preloaded by boot-time warming
 
-	writes chan *cacheEntry
+	writes chan *store.Entry
 	quit   chan struct{}
 	writer sync.WaitGroup
 	closed atomic.Bool
@@ -120,7 +103,7 @@ func newResultCache(capacity int, st store.Store) *resultCache {
 		storeHits:   obs.NewCounter(),
 		storePuts:   obs.NewCounter(),
 		storeErrors: obs.NewCounter(),
-		writes:      make(chan *cacheEntry, writeBacklog),
+		writes:      make(chan *store.Entry, writeBacklog),
 		quit:        make(chan struct{}),
 	}
 	if c.hasStore {
@@ -130,87 +113,72 @@ func newResultCache(capacity int, st store.Store) *resultCache {
 	return c
 }
 
-// get returns the cached result for key, refreshing its recency. An LRU
+// get returns the cached entry for key, refreshing its recency. An LRU
 // miss consults the persistent store (read-through) and promotes a disk
 // hit into the LRU, so a restarted node answers repeated specs from disk
-// without recomputing.
-func (c *resultCache) get(key string) (core.RunResult, []TraceEvent, []int, *scenario.Report, bool) {
+// without recomputing. The entry's slices are shared with the cache:
+// callers must not modify them.
+func (c *resultCache) get(key string) (store.Entry, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.hits.Inc()
 		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		res, trace, islands, report := e.res, e.trace, e.islandEvals, e.report
+		e := *el.Value.(*store.Entry)
 		c.mu.Unlock()
-		return res, trace, islands, report, true
+		return e, true
 	}
 	c.mu.Unlock()
 
 	if c.hasStore {
 		c.storeGets.Inc()
-		se, ok, err := c.store.Get(key)
+		e, ok, err := c.store.Get(key)
 		if err != nil {
 			c.storeErrors.Inc()
 		}
 		if ok {
 			c.storeHits.Inc()
 			c.hits.Inc()
-			e := &cacheEntry{key: key, res: se.Result, trace: se.Trace, islandEvals: se.IslandEvals, report: se.Report}
-			c.insert(e)
-			return e.res, e.trace, e.islandEvals, e.report, true
+			c.insert(&e)
+			return e, true
 		}
 	}
 	c.misses.Inc()
-	return core.RunResult{}, nil, nil, nil, false
+	return store.Entry{}, false
 }
 
-// put stores a completed result in both tiers: the LRU immediately
+// put stores a completed run's entry in both tiers: the LRU immediately
 // (evicting the least recently used entry when full), the persistent
 // store asynchronously off the request path. A zero-or-negative LRU
 // capacity disables only the memory tier — with a store attached the
 // result still writes through to disk and the put still counts, so a
-// disk-only cache configuration is not a silent drop.
-func (c *resultCache) put(key string, res core.RunResult, trace []TraceEvent, islandEvals []int, report *scenario.Report) {
-	e := &cacheEntry{key: key, res: res, trace: trace, islandEvals: islandEvals, report: report}
-	if c.cap > 0 {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			el.Value = e
-		} else {
-			c.items[key] = c.ll.PushFront(e)
-			for c.ll.Len() > c.cap {
-				oldest := c.ll.Back()
-				c.ll.Remove(oldest)
-				delete(c.items, oldest.Value.(*cacheEntry).key)
-				c.evictions.Inc()
-			}
-		}
-		c.mu.Unlock()
-	}
+// disk-only cache configuration is not a silent drop. The cache shares
+// e's slices: the caller must not modify them afterwards.
+func (c *resultCache) put(e store.Entry) {
+	c.insert(&e)
 	if c.hasStore {
-		c.enqueueWrite(e)
+		c.enqueueWrite(&e)
 	}
 }
 
-// insert adds an entry to the LRU without touching the hit/miss/put
-// counters — the promotion path of read-through gets and boot warming.
-func (c *resultCache) insert(e *cacheEntry) {
+// insert adds an entry to the LRU without touching the hit/miss
+// counters — the memory tier of put, and the promotion path of
+// read-through gets and boot warming.
+func (c *resultCache) insert(e *store.Entry) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[e.key]; ok {
+	if el, ok := c.items[e.Key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value = e
 		return
 	}
-	c.items[e.key] = c.ll.PushFront(e)
+	c.items[e.Key] = c.ll.PushFront(e)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
+		delete(c.items, oldest.Value.(*store.Entry).Key)
 		c.evictions.Inc()
 	}
 }
@@ -218,7 +186,7 @@ func (c *resultCache) insert(e *cacheEntry) {
 // enqueueWrite hands an entry to the background writer. When the
 // backlog is full (or the cache is closing) the write happens
 // synchronously on the caller — persistence is never silently dropped.
-func (c *resultCache) enqueueWrite(e *cacheEntry) {
+func (c *resultCache) enqueueWrite(e *store.Entry) {
 	c.pending.Add(1)
 	if c.closed.Load() {
 		c.persist(e)
@@ -253,16 +221,9 @@ func (c *resultCache) writeLoop() {
 }
 
 // persist writes one entry to the store and settles its pending slot.
-func (c *resultCache) persist(e *cacheEntry) {
+func (c *resultCache) persist(e *store.Entry) {
 	defer c.pending.Add(-1)
-	err := c.store.Put(e.key, store.Entry{
-		Key:         e.key,
-		Result:      e.res,
-		Trace:       e.trace,
-		IslandEvals: e.islandEvals,
-		Report:      e.report,
-	})
-	if err != nil {
+	if err := c.store.Put(e.Key, *e); err != nil {
 		c.storeErrors.Inc()
 		return
 	}
@@ -315,7 +276,7 @@ func (c *resultCache) warm(ctx context.Context, limit, workers int) int {
 		workers = 4
 	}
 
-	loaded := make([]*cacheEntry, len(keys))
+	loaded := make([]*store.Entry, len(keys))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i, key := range keys {
@@ -328,7 +289,7 @@ func (c *resultCache) warm(ctx context.Context, limit, workers int) int {
 			defer wg.Done()
 			defer func() { <-sem }()
 			c.storeGets.Inc()
-			se, ok, err := c.store.Get(key)
+			e, ok, err := c.store.Get(key)
 			if err != nil {
 				c.storeErrors.Inc()
 			}
@@ -336,7 +297,7 @@ func (c *resultCache) warm(ctx context.Context, limit, workers int) int {
 				return
 			}
 			c.storeHits.Inc()
-			loaded[i] = &cacheEntry{key: key, res: se.Result, trace: se.Trace, islandEvals: se.IslandEvals, report: se.Report}
+			loaded[i] = &e
 		}(i, key)
 	}
 	wg.Wait()

@@ -14,8 +14,9 @@ import (
 	"phonocmap/internal/topo"
 )
 
-// cacheSample fabricates a realistic cached computation for key i.
-func cacheSample(i int) (core.RunResult, []TraceEvent, []int, *scenario.Report) {
+// cacheSample fabricates a realistic cached computation for sample i
+// under key.
+func cacheSample(key string, i int) store.Entry {
 	res := core.RunResult{
 		Algorithm: "rs",
 		Mapping:   core.Mapping{topo.TileID(i), topo.TileID(i + 1)},
@@ -27,7 +28,7 @@ func cacheSample(i int) (core.RunResult, []TraceEvent, []int, *scenario.Report) 
 	trace := []TraceEvent{{Island: 0, Evals: i, Score: res.Score}}
 	islands := []int{i, i * 2}
 	rep := &scenario.Report{Power: &scenario.PowerReport{Feasible: i%2 == 0}}
-	return res, trace, islands, rep
+	return store.Entry{Key: key, Result: res, Trace: trace, IslandEvals: islands, Report: rep}
 }
 
 func mustOpenFileStore(t *testing.T, dir string) *store.File {
@@ -44,20 +45,20 @@ func mustOpenFileStore(t *testing.T, dir string) *store.File {
 func TestCacheWriteBehindPersists(t *testing.T) {
 	dir := t.TempDir()
 	c := newResultCache(4, mustOpenFileStore(t, dir))
-	res, trace, islands, rep := cacheSample(7)
-	c.put("k7", res, trace, islands, rep)
+	want := cacheSample("k7", 7)
+	c.put(want)
 	c.close()
 
 	c2 := newResultCache(4, mustOpenFileStore(t, dir))
 	defer c2.close()
-	gr, gt, gi, grep, ok := c2.get("k7")
+	got, ok := c2.get("k7")
 	if !ok {
 		t.Fatal("entry did not survive the cache restart")
 	}
-	assertJSONEqual(t, "result", gr, res)
-	assertJSONEqual(t, "trace", gt, trace)
-	assertJSONEqual(t, "islands", gi, islands)
-	assertJSONEqual(t, "report", grep, rep)
+	assertJSONEqual(t, "result", got.Result, want.Result)
+	assertJSONEqual(t, "trace", got.Trace, want.Trace)
+	assertJSONEqual(t, "islands", got.IslandEvals, want.IslandEvals)
+	assertJSONEqual(t, "report", got.Report, want.Report)
 	st := c2.stats()
 	if st.Store == nil || st.Store.Hits != 1 || st.Store.Gets != 1 {
 		t.Errorf("store stats = %+v, want 1 get / 1 hit", st.Store)
@@ -74,8 +75,8 @@ func TestCacheZeroCapWritesThrough(t *testing.T) {
 			dir := t.TempDir()
 			c := newResultCache(capacity, mustOpenFileStore(t, dir))
 			defer c.close()
-			res, trace, islands, rep := cacheSample(3)
-			c.put("k3", res, trace, islands, rep)
+			want := cacheSample("k3", 3)
+			c.put(want)
 			c.flush()
 			if got := c.storePuts.Value(); got != 1 {
 				t.Errorf("store puts = %d, want 1", got)
@@ -87,8 +88,8 @@ func TestCacheZeroCapWritesThrough(t *testing.T) {
 				t.Errorf("memory tier held %d entries with capacity %d", c.size(), capacity)
 			}
 			// Disk-only reads serve straight from the store.
-			gr, _, _, _, ok := c.get("k3")
-			if !ok || gr.Score.Cost != res.Score.Cost {
+			got, ok := c.get("k3")
+			if !ok || got.Result.Score.Cost != want.Result.Score.Cost {
 				t.Error("disk-only read-through failed")
 			}
 			if c.size() != 0 {
@@ -105,8 +106,7 @@ func TestCacheClearEmptiesBothTiers(t *testing.T) {
 	c := newResultCache(8, mustOpenFileStore(t, dir))
 	defer c.close()
 	for i := 0; i < 5; i++ {
-		res, trace, islands, rep := cacheSample(i)
-		c.put(fmt.Sprintf("k%d", i), res, trace, islands, rep)
+		c.put(cacheSample(fmt.Sprintf("k%d", i), i))
 	}
 	memory, persisted := c.clear()
 	if memory != 5 || persisted != 5 {
@@ -115,7 +115,7 @@ func TestCacheClearEmptiesBothTiers(t *testing.T) {
 	if c.size() != 0 || c.store.Len() != 0 {
 		t.Errorf("tiers not empty after clear: memory=%d store=%d", c.size(), c.store.Len())
 	}
-	if _, _, _, _, ok := c.get("k0"); ok {
+	if _, ok := c.get("k0"); ok {
 		t.Error("cleared key still served")
 	}
 }
@@ -129,10 +129,7 @@ func seedStore(t *testing.T, n int) string {
 	base := time.Now().Add(-24 * time.Hour)
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%04d", i)
-		res, trace, islands, rep := cacheSample(i)
-		if err := st.Put(key, store.Entry{
-			Key: key, Result: res, Trace: trace, IslandEvals: islands, Report: rep,
-		}); err != nil {
+		if err := st.Put(key, cacheSample(key, i)); err != nil {
 			t.Fatal(err)
 		}
 		// Age each entry explicitly: entry i is i seconds newer than entry
@@ -204,9 +201,8 @@ func TestCacheWarmingRespectsContext(t *testing.T) {
 func TestCacheWarmedHitByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	c := newResultCache(4, mustOpenFileStore(t, dir))
-	res, trace, islands, rep := cacheSample(42)
-	c.put("answer", res, trace, islands, rep)
-	gr, gt, gi, grep, ok := c.get("answer")
+	c.put(cacheSample("answer", 42))
+	got, ok := c.get("answer")
 	if !ok {
 		t.Fatal("live entry missing")
 	}
@@ -215,7 +211,7 @@ func TestCacheWarmedHitByteIdentical(t *testing.T) {
 		T []TraceEvent
 		I []int
 		P *scenario.Report
-	}{gr, gt, gi, grep})
+	}{got.Result, got.Trace, got.IslandEvals, got.Report})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +222,7 @@ func TestCacheWarmedHitByteIdentical(t *testing.T) {
 	if warmed := c2.warm(context.Background(), 4, 2); warmed != 1 {
 		t.Fatalf("warmed = %d, want 1", warmed)
 	}
-	wr, wt, wi, wrep, ok := c2.get("answer")
+	warm, ok := c2.get("answer")
 	if !ok {
 		t.Fatal("warmed entry missing")
 	}
@@ -238,7 +234,7 @@ func TestCacheWarmedHitByteIdentical(t *testing.T) {
 		T []TraceEvent
 		I []int
 		P *scenario.Report
-	}{wr, wt, wi, wrep})
+	}{warm.Result, warm.Trace, warm.IslandEvals, warm.Report})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,26 +7,27 @@ import (
 
 	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
+	"phonocmap/internal/store"
 )
 
 func TestResultCacheLRU(t *testing.T) {
 	c := newResultCache(2, nil)
-	res := func(cost float64) core.RunResult {
-		return core.RunResult{Score: core.Score{Cost: cost}}
+	entry := func(key string, cost float64, islands ...int) store.Entry {
+		return store.Entry{Key: key, Result: core.RunResult{Score: core.Score{Cost: cost}}, IslandEvals: islands}
 	}
-	c.put("a", res(1), nil, []int{10}, nil)
-	c.put("b", res(2), nil, []int{20}, nil)
-	if _, _, _, _, ok := c.get("a"); !ok {
+	c.put(entry("a", 1, 10))
+	c.put(entry("b", 2, 20))
+	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", res(3), nil, []int{30}, nil) // evicts b (a was just touched)
-	if _, _, _, _, ok := c.get("b"); ok {
+	c.put(entry("c", 3, 30)) // evicts b (a was just touched)
+	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if r, _, _, _, ok := c.get("a"); !ok || r.Score.Cost != 1 {
+	if e, ok := c.get("a"); !ok || e.Result.Score.Cost != 1 {
 		t.Error("a lost or corrupted")
 	}
-	if r, _, _, _, ok := c.get("c"); !ok || r.Score.Cost != 3 {
+	if e, ok := c.get("c"); !ok || e.Result.Score.Cost != 3 {
 		t.Error("c lost or corrupted")
 	}
 	st := c.stats()
@@ -38,10 +39,13 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 
 	// Overwriting an existing key must not grow the cache.
-	c.put("a", res(10), []TraceEvent{{Evals: 1}}, []int{99, 101}, &scenario.Report{Power: &scenario.PowerReport{Feasible: true}})
-	if r, tr, ev, rep, ok := c.get("a"); !ok || r.Score.Cost != 10 || len(tr) != 1 ||
-		len(ev) != 2 || ev[0] != 99 || ev[1] != 101 ||
-		rep == nil || rep.Power == nil || !rep.Power.Feasible {
+	over := entry("a", 10, 99, 101)
+	over.Trace = []TraceEvent{{Evals: 1}}
+	over.Report = &scenario.Report{Power: &scenario.PowerReport{Feasible: true}}
+	c.put(over)
+	if e, ok := c.get("a"); !ok || e.Result.Score.Cost != 10 || len(e.Trace) != 1 ||
+		len(e.IslandEvals) != 2 || e.IslandEvals[0] != 99 || e.IslandEvals[1] != 101 ||
+		e.Report == nil || e.Report.Power == nil || !e.Report.Power.Feasible {
 		t.Error("overwrite lost data")
 	}
 	if c.stats().Size != 2 {
@@ -51,8 +55,8 @@ func TestResultCacheLRU(t *testing.T) {
 
 func TestResultCacheDisabled(t *testing.T) {
 	c := newResultCache(-1, nil)
-	c.put("a", core.RunResult{}, nil, []int{1}, nil)
-	if _, _, _, _, ok := c.get("a"); ok {
+	c.put(store.Entry{Key: "a", IslandEvals: []int{1}})
+	if _, ok := c.get("a"); ok {
 		t.Error("disabled cache stored an entry")
 	}
 }
@@ -79,24 +83,27 @@ func TestResultCacheConcurrentHammer(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g*31+i)%keySpace)
 				switch i % 4 {
 				case 0:
-					c.put(key, core.RunResult{Score: core.Score{Cost: float64(i)}},
-						[]TraceEvent{{Evals: i}}, []int{i, i + 1}, &scenario.Report{})
+					c.put(store.Entry{
+						Key: key, Result: core.RunResult{Score: core.Score{Cost: float64(i)}},
+						Trace: []TraceEvent{{Evals: i}}, IslandEvals: []int{i, i + 1}, Report: &scenario.Report{},
+					})
 				case 1:
-					if res, trace, islands, rep, ok := c.get(key); ok {
+					if e, ok := c.get(key); ok {
 						// An entry must always be read back whole: case 0
 						// writes (trace len 1, islands len 2, a report),
 						// case 2 writes (no trace, islands len 1, nil
 						// report). Any other combination means a torn entry.
+						trace, islands, rep := e.Trace, e.IslandEvals, e.Report
 						if len(islands) == 0 ||
 							(len(trace) == 1) != (len(islands) == 2) ||
 							(len(trace) == 1) != (rep != nil) {
 							t.Errorf("torn cache entry: res=%+v trace=%d islands=%v report=%v",
-								res.Score, len(trace), islands, rep != nil)
+								e.Result.Score, len(trace), islands, rep != nil)
 							return
 						}
 					}
 				case 2:
-					c.put(key, core.RunResult{}, nil, []int{i}, nil)
+					c.put(store.Entry{Key: key, IslandEvals: []int{i}})
 					c.get(fmt.Sprintf("k%d", i%keySpace))
 				default:
 					c.stats()

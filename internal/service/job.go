@@ -2,11 +2,12 @@ package service
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
-	"sync"
+	"phonocmap/internal/store"
 )
 
 // State is a job lifecycle state.
@@ -45,72 +46,63 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu          sync.Mutex
-	state       State
-	cached      bool
-	folded      bool // evals folded into the server's lifetime counter
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
-	islandEvals []int
-	best        *core.Score
-	result      *core.RunResult
-	report      *scenario.Report
-	trace       []TraceEvent
-	errMsg      string
+	mu        sync.Mutex
+	state     State
+	cached    bool
+	folded    bool // evals folded into the server's lifetime counter
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	// tracer records the run from the moment the job starts running;
+	// status, the event stream and the trace endpoint read it until the
+	// job settles with an entry.
+	tracer *scenario.Tracer
+	// entry is the settled run — the executor's outcome, or the cache
+	// entry a hit replays. Nil until then, and for jobs that end without
+	// a result.
+	entry  *store.Entry
+	errMsg string
 }
 
 func newJob(id string, spec Spec, key string, comp *scenario.Compiled, noCache bool, parent context.Context) *Job {
 	ctx, cancel := context.WithCancel(parent)
 	return &Job{
-		id:          id,
-		spec:        spec,
-		key:         key,
-		comp:        comp,
-		noCache:     noCache,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       StateQueued,
-		submitted:   time.Now(),
-		islandEvals: make([]int, spec.Seeds),
+		id:        id,
+		spec:      spec,
+		key:       key,
+		comp:      comp,
+		noCache:   noCache,
+		ctx:       ctx,
+		cancel:    cancel,
+		done:      make(chan struct{}),
+		state:     StateQueued,
+		submitted: time.Now(),
 	}
 }
 
 // newCachedJob materializes a cache hit as an already-finished job so
-// hits and misses share one lifecycle and API shape. islandEvals is the
-// original job's per-island breakdown, replayed verbatim so a hit for a
-// multi-seed spec reports the same number of islands — and the same
-// totals — the live run ended with, and clients diffing status across
-// hit and miss see one shape.
-func newCachedJob(id string, spec Spec, key string, res core.RunResult, trace []TraceEvent, islandEvals []int, report *scenario.Report) *Job {
+// hits and misses share one lifecycle and API shape. The entry is the
+// original run's full payload — result, trace, per-island breakdown and
+// report — replayed verbatim, so a hit reports exactly what the live run
+// ended with and clients diffing status or results across hit and miss
+// see one shape.
+func newCachedJob(id string, spec Spec, e store.Entry) *Job {
 	now := time.Now()
-	// Every cache entry is written from a finished job's snapshot, whose
-	// breakdown has exactly spec.Seeds (>= 1) entries — copy it so the
-	// replayed job cannot alias the cache's slice.
-	evals := make([]int, len(islandEvals))
-	copy(evals, islandEvals)
 	j := &Job{
 		id:     id,
 		spec:   spec,
-		key:    key,
+		key:    e.Key,
 		done:   make(chan struct{}),
 		state:  StateDone,
 		cached: true,
 		// A replay performs no evaluations; the originals were folded
 		// into the server's throughput counter by the job that ran.
-		folded:      true,
-		submitted:   now,
-		started:     now,
-		finished:    now,
-		islandEvals: evals,
-		result:      &res,
-		// The report is deterministic in the spec, so the cached one is
-		// replayed verbatim — hits and misses return identical payloads.
-		report: report,
-		trace:  trace,
+		folded:    true,
+		submitted: now,
+		started:   now,
+		finished:  now,
+		entry:     &e,
 	}
-	j.best = &res.Score
 	close(j.done)
 	return j
 }
@@ -133,51 +125,24 @@ func (j *Job) Cancel() {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// markRunning transitions queued -> running; false means the job was
-// cancelled while waiting in the queue and must not run.
-func (j *Job) markRunning() bool {
+// markRunning transitions queued -> running and starts the run's
+// tracer; false means the job was cancelled while waiting in the queue
+// and must not run.
+func (j *Job) markRunning() (*scenario.Tracer, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil, false
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	return true
+	j.tracer = scenario.NewTracer(j.spec.Seeds)
+	return j.tracer, true
 }
 
-// observe folds a progress callback into the job's counters.
-func (j *Job) observe(island, evals int, best core.Score) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if island >= 0 && island < len(j.islandEvals) {
-		j.islandEvals[island] = evals
-	}
-	if j.best == nil || best.Better(*j.best) {
-		b := best
-		j.best = &b
-	}
-}
-
-// improve records an incumbent improvement in the trace and counters.
-func (j *Job) improve(island, evals int, best core.Score) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if island >= 0 && island < len(j.islandEvals) {
-		j.islandEvals[island] = evals
-	}
-	if j.best == nil || best.Better(*j.best) {
-		b := best
-		j.best = &b
-	}
-	j.trace = append(j.trace, TraceEvent{
-		Island: island, Evals: evals, Score: best,
-		AtMs: float64(time.Since(j.started)) / float64(time.Millisecond),
-	})
-}
-
-// finish records the terminal state of an executed job.
-func (j *Job) finish(state State, res *core.RunResult, report *scenario.Report, err error) {
+// finish records the terminal state of an executed job: its settled
+// entry (nil when the job ends without a result) or its error.
+func (j *Job) finish(state State, e *store.Entry, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -185,14 +150,14 @@ func (j *Job) finish(state State, res *core.RunResult, report *scenario.Report, 
 	}
 	j.state = state
 	j.finished = time.Now()
-	j.result = res
-	j.report = report
 	// The worker was the compiled scenario's only user; release the
 	// network/path tables now so finished jobs in the registry do not pin
 	// them.
 	j.comp = nil
-	if res != nil {
-		j.best = &res.Score
+	if e != nil {
+		// The entry carries everything the tracer recorded.
+		j.entry = e
+		j.tracer = nil
 	}
 	if err != nil {
 		j.errMsg = err.Error()
@@ -200,8 +165,23 @@ func (j *Job) finish(state State, res *core.RunResult, report *scenario.Report, 
 	j.closeDoneLocked()
 }
 
+// progressLocked returns the per-island evaluation counts and the best
+// score so far: the settled entry's, the tracer's while the job runs,
+// zeros before it starts.
+func (j *Job) progressLocked() ([]int, *core.Score) {
+	switch {
+	case j.entry != nil:
+		best := j.entry.Result.Score
+		return append([]int(nil), j.entry.IslandEvals...), &best
+	case j.tracer != nil:
+		return j.tracer.IslandEvals(), j.tracer.Best()
+	default:
+		return make([]int, j.spec.Seeds), nil
+	}
+}
+
 // totalEvals sums the per-island counters (falling back to the final
-// result for jobs without progress callbacks).
+// result when it counts more).
 func (j *Job) totalEvals() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -209,12 +189,18 @@ func (j *Job) totalEvals() int {
 }
 
 func (j *Job) totalEvalsLocked() int {
+	islands, _ := j.progressLocked()
+	return j.evalsLocked(islands)
+}
+
+// evalsLocked totals a per-island breakdown of the job.
+func (j *Job) evalsLocked(islands []int) int {
 	evals := 0
-	for _, e := range j.islandEvals {
+	for _, e := range islands {
 		evals += e
 	}
-	if j.result != nil && j.result.Evals > evals {
-		evals = j.result.Evals
+	if j.entry != nil && j.entry.Result.Evals > evals {
+		evals = j.entry.Result.Evals
 	}
 	return evals
 }
@@ -233,16 +219,6 @@ func (j *Job) foldEvals() int {
 	}
 	j.folded = true
 	return j.totalEvalsLocked()
-}
-
-// snapshotIslandEvals copies the per-island evaluation counters under
-// the lock — the breakdown a cache entry preserves for replay.
-func (j *Job) snapshotIslandEvals() []int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]int, len(j.islandEvals))
-	copy(out, j.islandEvals)
-	return out
 }
 
 func (j *Job) unfoldedEvals() int {
@@ -269,31 +245,34 @@ func (j *Job) currentState() State {
 	return j.state
 }
 
-// snapshotTrace returns a copy of the trace under the lock.
+// snapshotTrace returns a copy of the improvement timeline in arrival
+// order: the tracer's while the job runs, the settled entry's after.
 func (j *Job) snapshotTrace() (State, []TraceEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]TraceEvent, len(j.trace))
-	copy(out, j.trace)
-	return j.state, out
+	var events []TraceEvent
+	switch {
+	case j.entry != nil:
+		events = j.entry.Trace
+	case j.tracer != nil:
+		events = j.tracer.Events()
+	}
+	return j.state, append(make([]TraceEvent, 0, len(events)), events...)
 }
 
 // result snapshot; ok is false when the job has no result (yet).
 func (j *Job) snapshotResult() (JobResult, State, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.result == nil {
+	e := j.entry
+	if e == nil {
 		return JobResult{}, j.state, false
 	}
-	r := *j.result
-	// Assemble the span record from the job's improvement timeline. The
-	// inputs are replayed verbatim on a cache hit (events with their
-	// original AtMs, the live run's island breakdown and duration), so
-	// hit and miss return identical traces.
-	trace := make([]TraceEvent, len(j.trace))
-	copy(trace, j.trace)
-	islands := make([]int, len(j.islandEvals))
-	copy(islands, j.islandEvals)
+	r := e.Result
+	// The span record is assembled from the entry, which a cache hit
+	// replays verbatim (events with their original AtMs, the live run's
+	// island breakdown and duration), so hit and miss return identical
+	// traces.
 	durationMs := float64(r.Duration) / float64(time.Millisecond)
 	return JobResult{
 		ID:         j.id,
@@ -307,8 +286,8 @@ func (j *Job) snapshotResult() (JobResult, State, bool) {
 		DurationMs: durationMs,
 		Seed:       r.Seed,
 		Cancelled:  r.Cancelled,
-		Report:     j.report,
-		Trace:      scenario.AssembleTrace(trace, islands, durationMs),
+		Report:     e.Report,
+		Trace:      scenario.AssembleTrace(e.Trace, e.IslandEvals, durationMs),
 	}, j.state, true
 }
 
@@ -316,16 +295,8 @@ func (j *Job) snapshotResult() (JobResult, State, bool) {
 func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	evals := 0
-	for _, e := range j.islandEvals {
-		evals += e
-	}
-	if j.result != nil && j.result.Evals > evals {
-		evals = j.result.Evals
-	}
-	islands := make([]int, len(j.islandEvals))
-	copy(islands, j.islandEvals)
-	st := JobStatus{
+	islands, best := j.progressLocked()
+	return JobStatus{
 		ID:          j.id,
 		State:       j.state,
 		Cached:      j.cached,
@@ -333,16 +304,12 @@ func (j *Job) status() JobStatus {
 		Submitted:   rfc3339(j.submitted),
 		Started:     rfc3339(j.started),
 		Finished:    rfc3339(j.finished),
-		Evals:       evals,
+		Evals:       j.evalsLocked(islands),
 		IslandEvals: islands,
 		Budget:      j.spec.Budget * max(j.spec.Seeds, 1),
+		Best:        best,
 		Error:       j.errMsg,
 	}
-	if j.best != nil {
-		b := *j.best
-		st.Best = &b
-	}
-	return st
 }
 
 func rfc3339(t time.Time) string {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -290,10 +291,11 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one dequeued job end to end: the optimization run,
-// then the spec's post-optimization analyses on the winning mapping.
+// runJob executes one dequeued job through the scenario executor, with
+// the job's tracer feeding live progress to status readers.
 func (s *Server) runJob(j *Job) {
-	if !j.markRunning() {
+	tracer, ok := j.markRunning()
+	if !ok {
 		return // cancelled while queued
 	}
 	defer j.cancel() // release the job context resources
@@ -307,42 +309,36 @@ func (s *Server) runJob(j *Job) {
 	}()
 	s.logger.Debug("job started", "job", j.id, "algorithm", j.spec.Algorithm, "budget", j.spec.Budget)
 
-	var trace []TraceEvent
-	// The one islands/single-seed dispatch every backend shares; the
-	// job's counters and trace feed off its observers.
-	res, err := j.comp.OptimizeObserved(j.ctx, scenario.Observers{
-		OnImprove:  j.improve,
-		OnProgress: j.observe,
-	})
+	out, err := j.comp.Execute(j.ctx, tracer)
 	switch {
-	case err != nil && j.ctx.Err() != nil:
-		j.finish(StateCancelled, nil, nil, err)
+	case errors.Is(err, context.Canceled):
+		// Cancelled before the first evaluation: nothing to report.
+		j.finish(StateCancelled, nil, err)
 	case err != nil:
-		j.finish(StateFailed, nil, nil, err)
-	case res.Cancelled:
-		// Truncated by cancellation (res.Cancelled is false for runs that
-		// spent their whole budget even if the cancel landed late, so
-		// complete results are never mislabelled or lost from the cache).
-		// The analyses are skipped: they take no cancellation context, so
-		// running them here would keep the worker busy long after the
-		// DELETE (or shutdown) that asked it to stop. The partial result
-		// ships without a report and is never cached.
-		r := res
-		j.finish(StateCancelled, &r, nil, nil)
+		// A failed search, or an analysis that could not run after the
+		// optimization spent its budget: a failed job, not a silent
+		// success with a missing report.
+		j.finish(StateFailed, nil, err)
 	default:
-		rep, aerr := j.comp.Analyze(res.Mapping, res.Score)
-		if aerr != nil {
-			// The optimization spent its budget but the requested analysis
-			// could not run; that is a failed job, not a silent success
-			// with a missing report.
-			j.finish(StateFailed, nil, nil, aerr)
+		e := &store.Entry{
+			Key:         j.key,
+			Result:      out.Run,
+			Trace:       out.Events,
+			IslandEvals: out.IslandEvals,
+			Report:      out.Report,
+		}
+		if out.Run.Cancelled {
+			// Truncated by cancellation (Run.Cancelled is false for runs
+			// that spent their whole budget even if the cancel landed
+			// late, so complete results are never mislabelled or lost
+			// from the cache). The partial result carries no report and
+			// is never cached.
+			j.finish(StateCancelled, e, nil)
 			return
 		}
-		r := res
-		j.finish(StateDone, &r, rep, nil)
+		j.finish(StateDone, e, nil)
 		if !j.noCache {
-			_, trace = j.snapshotTrace()
-			s.cache.put(j.key, res, trace, j.snapshotIslandEvals(), rep)
+			s.cache.put(*e)
 		}
 	}
 }
@@ -469,8 +465,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id := s.newJobID()
 
 	if !req.NoCache {
-		if res, trace, islandEvals, report, ok := s.cache.get(key); ok {
-			j := newCachedJob(id, spec, key, res, trace, islandEvals, report)
+		if e, ok := s.cache.get(key); ok {
+			j := newCachedJob(id, spec, e)
 			s.register(j)
 			s.logger.Info("job replayed from cache", "job", id)
 			writeJSON(w, http.StatusOK, j.status())
@@ -776,7 +772,7 @@ func (s *Server) handleCacheClear(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Apps())
+	writeJSON(w, http.StatusOK, scenario.Apps())
 }
 
 func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
@@ -784,7 +780,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleRouters(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Routers())
+	writeJSON(w, http.StatusOK, scenario.Routers())
 }
 
 func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {

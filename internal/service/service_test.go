@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"phonocmap/internal/scenario"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -386,7 +388,7 @@ func TestDiscoveryAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueSize: 7})
 	base := ts.URL
 
-	var apps []AppInfo
+	var apps []scenario.AppInfo
 	if code := doJSON(t, http.MethodGet, base+"/v1/apps", nil, &apps); code != http.StatusOK {
 		t.Fatalf("apps returned %d", code)
 	}

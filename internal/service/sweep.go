@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -322,8 +323,9 @@ func (sw *Sweep) summary() SweepStatus {
 	return st
 }
 
-// result builds the terminal result payload with the sweep engine's
-// aggregations over the successful cells.
+// result builds the terminal result payload: every cell's outcome, and
+// the aggregations from sweep.Aggregate, which leaves failed and
+// cancelled cells out.
 func (sw *Sweep) result() SweepResult {
 	sw.mu.Lock()
 	state := sw.state
@@ -336,51 +338,57 @@ func (sw *Sweep) result() SweepResult {
 		State: state,
 		Cells: make([]SweepCellResult, 0, len(sw.cells)),
 	}
-	agg := make([]sweep.Result, 0, len(sw.cells))
-	for i, sc := range sw.cells {
-		cr := SweepCellResult{Index: i, Cell: sc.cell}
-		j := jobs[i]
-		if j == nil {
-			cr.Error = "cancelled before submission"
-			out.Cells = append(out.Cells, cr)
-			continue
-		}
-		res, jState, ok := j.snapshotResult()
-		cr.JobID = j.id
-		if !ok {
-			cr.Error = j.status().Error
-			if cr.Error == "" {
-				cr.Error = string(jState)
-			}
-			out.Cells = append(out.Cells, cr)
-			continue
-		}
-		cr.Cached = res.Cached
-		cr.Score = res.Score
-		cr.Mapping = res.Mapping
-		cr.Evals = res.Evals
-		cr.Report = res.Report
+	results := make([]sweep.Result, 0, len(sw.cells))
+	for i, j := range jobs {
+		cr, r := sw.cellResult(i, j)
 		out.Cells = append(out.Cells, cr)
-		if jState == StateDone {
-			agg = append(agg, sweep.Result{
-				Index: i,
-				Cell:  sc.cell,
-				Run: core.RunResult{
-					Algorithm: res.Algorithm,
-					Mapping:   res.Mapping,
-					Score:     res.Score,
-					Evals:     res.Evals,
-					Seed:      res.Seed,
-				},
-				Report: res.Report,
-			})
-		}
+		results = append(results, r)
 	}
-	out.Table = sweep.Table(agg)
-	out.BudgetCurves = sweep.BudgetCurves(agg)
-	out.Pareto = sweep.AnnotatedParetoFronts(agg)
-	out.Analysis = sweep.AnalysisSummary(agg)
+	agg := sweep.Aggregate(results)
+	out.Table = agg.Table
+	out.BudgetCurves = agg.BudgetCurves
+	out.Pareto = agg.Pareto
+	out.Analysis = agg.Analysis
 	return out
+}
+
+// cellResult reports cell i, backed by job j (nil when never submitted),
+// both on the wire and in the sweep engine's shape. A cell without a
+// result carries its error in both.
+func (sw *Sweep) cellResult(i int, j *Job) (SweepCellResult, sweep.Result) {
+	sc := sw.cells[i]
+	cr := SweepCellResult{Index: i, Cell: sc.cell}
+	r := sweep.Result{Index: i, Cell: sc.cell}
+	if j == nil {
+		cr.Error = "cancelled before submission"
+		r.Err = errors.New(cr.Error)
+		return cr, r
+	}
+	cr.JobID = j.id
+	res, state, ok := j.snapshotResult()
+	if !ok {
+		cr.Error = j.status().Error
+		if cr.Error == "" {
+			cr.Error = string(state)
+		}
+		r.Err = errors.New(cr.Error)
+		return cr, r
+	}
+	cr.Cached = res.Cached
+	cr.Score = res.Score
+	cr.Mapping = res.Mapping
+	cr.Evals = res.Evals
+	cr.Report = res.Report
+	r.Run = core.RunResult{
+		Algorithm: res.Algorithm,
+		Mapping:   res.Mapping,
+		Score:     res.Score,
+		Evals:     res.Evals,
+		Seed:      res.Seed,
+		Cancelled: res.Cancelled,
+	}
+	r.Report = res.Report
+	return cr, r
 }
 
 // runSweep feeds the sweep's cells to the shared worker pool and waits
@@ -411,8 +419,8 @@ func (s *Server) runSweep(sw *Sweep) {
 				sw.setJob(i, j)
 				continue
 			}
-			if res, trace, islandEvals, report, ok := s.cache.get(sc.key); ok {
-				j := newCachedJob(s.newJobID(), sc.spec, sc.key, res, trace, islandEvals, report)
+			if e, ok := s.cache.get(sc.key); ok {
+				j := newCachedJob(s.newJobID(), sc.spec, e)
 				s.register(j)
 				sw.setJob(i, j)
 				byKey[sc.key] = j
@@ -425,7 +433,7 @@ func (s *Server) runSweep(sw *Sweep) {
 			// exotic (e.g. pathological custom photonic parameters); it
 			// fails this cell, not the sweep.
 			j := newJob(s.newJobID(), sc.spec, sc.key, nil, sw.noCache, sw.ctx)
-			j.finish(StateFailed, nil, nil, err)
+			j.finish(StateFailed, nil, err)
 			s.register(j)
 			sw.setJob(i, j)
 			continue

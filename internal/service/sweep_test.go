@@ -1,13 +1,15 @@
 package service
 
 import (
+	"context"
 	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
 	"phonocmap/internal/config"
-	"phonocmap/internal/experiments"
+	"phonocmap/internal/runner"
+	"phonocmap/internal/sweep"
 )
 
 // pollSweep polls the sweep status until pred is satisfied or the
@@ -31,25 +33,28 @@ func pollSweep(t *testing.T, base, id string, timeout time.Duration, pred func(S
 }
 
 // TestSweepMatchesTable2 is the sweep engine's unification proof: the
-// same grid submitted through POST /v1/sweeps and driven through
-// internal/experiments.Table2 must produce identical comparison rows —
-// one shared engine (expansion, normalization, seed derivation,
-// aggregation) behind both fronts.
+// same Table II grid submitted through POST /v1/sweeps and run in-process
+// through runner.Local must produce identical comparison rows — one
+// shared engine (expansion, normalization, seed derivation, aggregation)
+// behind both fronts.
 func TestSweepMatchesTable2(t *testing.T) {
-	opts := experiments.Table2Options{
-		Budget:     250,
-		Seed:       6,
-		Apps:       []string{"PIP"},
+	const budget = 250
+	grid := sweep.Spec{
+		Apps:       []config.AppSpec{{Builtin: "PIP"}},
+		Archs:      []config.ArchSpec{{Topology: "mesh"}, {Topology: "torus"}},
+		Objectives: []string{"snr", "loss"},
 		Algorithms: []string{"rs", "rpbla"},
+		Budgets:    []int{budget},
+		Seeds:      []int64{6},
 	}
-	want, err := experiments.Table2(opts)
+	local, err := runner.NewLocal().RunSweep(context.Background(), grid, runner.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := local.Table
 
 	_, ts := newTestServer(t, Config{Workers: 2})
 	base := ts.URL
-	grid := experiments.Table2Grid(opts)
 	req := SweepRequest{
 		Apps:       grid.Apps,
 		Archs:      grid.Archs,
@@ -76,8 +81,8 @@ func TestSweepMatchesTable2(t *testing.T) {
 		if cs.State != StateDone {
 			t.Errorf("cell %d finished %q (%s)", cs.Index, cs.State, cs.Error)
 		}
-		if cs.Evals != opts.Budget {
-			t.Errorf("cell %d spent %d evals, want %d", cs.Index, cs.Evals, opts.Budget)
+		if cs.Evals != budget {
+			t.Errorf("cell %d spent %d evals, want %d", cs.Index, cs.Evals, budget)
 		}
 	}
 
@@ -86,7 +91,7 @@ func TestSweepMatchesTable2(t *testing.T) {
 		t.Fatalf("sweep result returned %d", code)
 	}
 	if !reflect.DeepEqual(res.Table, want) {
-		t.Errorf("sweep table diverges from experiments.Table2:\n service: %+v\n experiments: %+v", res.Table, want)
+		t.Errorf("sweep table diverges from runner.Local:\n service: %+v\n local: %+v", res.Table, want)
 	}
 	if len(res.Pareto["PIP"]) == 0 {
 		t.Error("sweep result has no Pareto front")

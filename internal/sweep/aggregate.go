@@ -8,6 +8,31 @@ import (
 	"phonocmap/internal/scenario"
 )
 
+// counted reports whether a result enters the aggregations: failed cells
+// and cancelled runs are left out, so a partial run can never stand in
+// for a cell that spent its budget.
+func (r Result) counted() bool { return r.Err == nil && !r.Run.Cancelled }
+
+// Aggregates is the standard set of sweep aggregations.
+type Aggregates struct {
+	Table        []TableRow
+	BudgetCurves []BudgetPoint
+	Pareto       map[string][]ParetoEntry
+	Analysis     []AnalysisRow
+}
+
+// Aggregate folds results through the four standard aggregators — the
+// one sweep assembly every backend shares, so equal per-cell results
+// aggregate identically wherever the cells ran.
+func Aggregate(results []Result) Aggregates {
+	return Aggregates{
+		Table:        Table(results),
+		BudgetCurves: BudgetCurves(results),
+		Pareto:       AnnotatedParetoFronts(results),
+		Analysis:     AnalysisSummary(results),
+	}
+}
+
 // TableCell is one algorithm/topology cell of a comparison table: the
 // best worst-case SNR found under the "snr" objective and the best
 // worst-case loss found under the "loss" objective, à la Table II.
@@ -32,14 +57,14 @@ type TableRow struct {
 // spans several budgets or seeds, each column reports the best score any
 // of those cells found (ties keep the earlier cell), honoring the
 // "best ... found" semantics of TableCell. Results from topologies other
-// than mesh/torus, and failed cells, are skipped.
+// than mesh/torus, failed cells and cancelled runs are skipped.
 func Table(results []Result) []TableRow {
 	type slot struct{ app, topo, algo, obj string }
 	bestCost := make(map[slot]float64)
 	byApp := make(map[string]*TableRow)
 	var order []string
 	for _, r := range results {
-		if r.Err != nil {
+		if !r.counted() {
 			continue
 		}
 		switch r.Cell.Arch.Topology {
@@ -107,11 +132,11 @@ type BudgetPoint struct {
 // — how result quality scales with the evaluation budget, the knob
 // behind the paper's "same running time" protocol. Both score columns
 // come from each cell's single run (a Score carries both metrics
-// regardless of objective).
+// regardless of objective). Failed cells and cancelled runs are skipped.
 func BudgetCurves(results []Result) []BudgetPoint {
 	var pts []BudgetPoint
 	for _, r := range results {
-		if r.Err != nil {
+		if !r.counted() {
 			continue
 		}
 		pts = append(pts, BudgetPoint{
@@ -145,12 +170,12 @@ func BudgetCurves(results []Result) []BudgetPoint {
 
 // ParetoFronts builds, per application, the Pareto front of
 // (worst-case loss, worst-case SNR) over the best mappings of every
-// successful cell — the multi-objective view of a sweep whose cells
-// optimized different single objectives.
+// successful, uncancelled cell — the multi-objective view of a sweep
+// whose cells optimized different single objectives.
 func ParetoFronts(results []Result) map[string][]core.ParetoPoint {
 	fronts := make(map[string]*core.ParetoFront)
 	for _, r := range results {
-		if r.Err != nil || r.Run.Mapping == nil {
+		if !r.counted() || r.Run.Mapping == nil {
 			continue
 		}
 		app := r.Cell.AppName()
@@ -199,14 +224,15 @@ type AnalysisRow struct {
 // AnalysisSummary folds the per-cell analysis reports into one row per
 // application (in order of first appearance, like Table): power-feasible
 // fraction, worst SNR under parameter variation, worst simulated
-// saturation point and peak WDM channel demand. Failed cells and cells
-// without reports are skipped (but counted in Cells when successful).
+// saturation point and peak WDM channel demand. Failed cells and
+// cancelled runs are skipped; cells without reports are skipped too but
+// counted in Cells.
 func AnalysisSummary(results []Result) []AnalysisRow {
 	byApp := make(map[string]*AnalysisRow)
 	var order []string
 	feasible := make(map[string]int)
 	for _, r := range results {
-		if r.Err != nil {
+		if !r.counted() {
 			continue
 		}
 		app := r.Cell.AppName()
@@ -292,7 +318,7 @@ func AnnotatedParetoFronts(results []Result) map[string][]ParetoEntry {
 		for _, p := range pts {
 			e := ParetoEntry{ParetoPoint: p, CellIndex: -1}
 			for _, r := range results {
-				if r.Err != nil || r.Cell.AppName() != app {
+				if !r.counted() || r.Cell.AppName() != app {
 					continue
 				}
 				if r.Run.Score.WorstLossDB == p.WorstLossDB && r.Run.Score.WorstSNRDB == p.WorstSNRDB {
@@ -306,23 +332,4 @@ func AnnotatedParetoFronts(results []Result) map[string][]ParetoEntry {
 		out[app] = entries
 	}
 	return out
-}
-
-// BestCells returns the best result per (application, objective) pair —
-// cost comparisons are only meaningful within one objective. Keys are
-// "app/objective". Ties break toward the lower cell index (results
-// arrive in cell order), so the selection is deterministic regardless of
-// execution scheduling.
-func BestCells(results []Result) map[string]Result {
-	best := make(map[string]Result)
-	for _, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		key := r.Cell.AppName() + "/" + r.Cell.Objective
-		if cur, ok := best[key]; !ok || r.Run.Score.Better(cur.Run.Score) {
-			best[key] = r
-		}
-	}
-	return best
 }

@@ -160,25 +160,20 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return ctx.Err()
 }
 
-// RunCell is the local Runner: it compiles and executes the cell
-// in-process through the scenario pipeline — a single seeded
-// exploration, or islands mode when Cell.Islands > 1, followed by the
-// cell's analyses on the winning mapping. The seed derivation is
-// identical to the service's job execution (core.NewExploration with the
-// cell seed), so local sweeps, internal/experiments drivers and service
-// sweeps produce bit-identical results for equal cells.
+// RunCell is the in-process Runner and the one cell adapter every local
+// front end uses: it compiles the cell through the scenario compiler and
+// runs it through the scenario executor — the same seed derivation and
+// cancellation policy as a service job, so local and service sweeps
+// produce bit-identical results for equal cells. A cancelled cell keeps
+// its best-so-far run (Run.Cancelled set) without a report.
 func RunCell(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, error) {
 	comp, err := c.Compile()
 	if err != nil {
 		return core.RunResult{}, nil, err
 	}
-	run, err := comp.Optimize(ctx)
+	out, err := comp.Execute(ctx, nil)
 	if err != nil {
 		return core.RunResult{}, nil, err
 	}
-	rep, err := comp.Analyze(run.Mapping, run.Score)
-	if err != nil {
-		return core.RunResult{}, nil, err
-	}
-	return run, rep, nil
+	return out.Run, out.Report, nil
 }

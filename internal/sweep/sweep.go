@@ -8,10 +8,11 @@
 // Each cell is exactly one job specification as the optimization service
 // understands it: the same application/architecture normalization
 // (config.ArchSpec.Normalize + config.Experiment.Normalize) and the same
-// seed derivation (core.NewExploration with the cell's seed), so a cell
-// run locally, through internal/experiments, or through the service's
+// scenario executor (scenario.Compiled.Execute, through RunCell), so a
+// cell run locally, by phonocmap-bench, or through the service's
 // /v1/sweeps endpoint produces bit-identical results and shares one
-// content-addressed cache identity.
+// content-addressed cache identity. The aggregators leave failed cells
+// and cancelled runs out, so every backend reports a sweep the same way.
 package sweep
 
 import (

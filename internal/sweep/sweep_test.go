@@ -362,11 +362,6 @@ func TestAggregators(t *testing.T) {
 	if len(fronts["PIP"]) == 0 {
 		t.Error("empty Pareto front")
 	}
-
-	best := BestCells(results)
-	if b := best["PIP/snr"]; b.Run.Score.WorstSNRDB != 25 {
-		t.Errorf("best PIP/snr = %+v", b.Run.Score)
-	}
 }
 
 func TestCellLabelAndBuildProblem(t *testing.T) {

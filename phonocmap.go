@@ -139,9 +139,10 @@ type (
 	SimSpec          = scenario.SimSpec
 	// Report is the typed outcome of the analysis pipeline.
 	Report = scenario.Report
-	// ScenarioResult is one executed scenario: the optimization run plus
-	// its analysis report.
-	ScenarioResult = scenario.Result
+	// ScenarioResult is one executed scenario: the optimization run, its
+	// analysis report (nil for a cancelled run), and the run's
+	// improvement events and per-island evaluation counts.
+	ScenarioResult = scenario.Outcome
 	// Runner is the unified execution interface over PhoNoCMap's
 	// backends: run a scenario, run a design-space sweep, discover what
 	// the backend offers. NewLocalRunner executes in-process; NewClient
@@ -164,8 +165,8 @@ type (
 	SweepRunOptions = runner.SweepOptions
 	// AppInfo and RouterInfo are the discovery shapes shared by every
 	// backend.
-	AppInfo    = runner.AppInfo
-	RouterInfo = runner.RouterInfo
+	AppInfo    = scenario.AppInfo
+	RouterInfo = scenario.RouterInfo
 	// Client is the typed phonocmap-serve SDK (package client); it
 	// implements Runner and adds server-specific calls (Health,
 	// CancelJob, CancelSweep).
@@ -361,7 +362,9 @@ func ExpandSweep(spec SweepSpec) ([]SweepCell, error) { return sweep.Expand(spec
 // cell in grid order. Cells are independent seeded runs, so the results
 // are identical at any worker count; ctx cancels the whole sweep.
 // Individual cell failures are recorded in their result, not returned.
-// Aggregate the results with SweepTable, SweepBudgetCurves or
+// A cell whose run ctx cancelled keeps its best-so-far point with
+// Run.Cancelled set and no report, and the Sweep* aggregators leave it
+// out. Aggregate the results with SweepTable, SweepBudgetCurves or
 // SweepParetoFronts — or submit the same grid to a phonocmap-serve
 // instance via POST /v1/sweeps, which executes identical cells remotely.
 func RunSweep(ctx context.Context, spec SweepSpec, workers int) ([]SweepCellResult, error) {
@@ -402,9 +405,15 @@ func CompileScenario(spec Scenario) (*CompiledScenario, error) {
 // (single seed or islands when spec.Seeds > 1), then run the requested
 // analyses on the winning mapping. Equal specs produce bit-identical
 // results through RunScenario, the CLI 'map' command, a 1-cell sweep and
-// the service's /v1/jobs endpoint.
+// the service's /v1/jobs endpoint. When ctx cancels the search, the
+// result keeps the best-so-far mapping with Run.Cancelled set and a nil
+// Report: analyses run only on complete searches.
 func RunScenario(ctx context.Context, spec Scenario) (ScenarioResult, error) {
-	return scenario.Run(ctx, spec)
+	comp, err := scenario.Compile(spec)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	return comp.Execute(ctx, nil)
 }
 
 // NewLocalRunner returns the in-process execution backend: scenarios
@@ -442,7 +451,7 @@ func OpenFileStore(dir string, opts FileStoreOptions) (*FileStore, error) {
 // RunExperiment executes a declarative experiment description end to end
 // through the scenario compiler.
 func RunExperiment(exp Experiment) (RunResult, error) {
-	res, err := scenario.Run(context.Background(), Scenario{
+	res, err := RunScenario(context.Background(), Scenario{
 		App:       exp.App,
 		Arch:      exp.Arch,
 		Objective: exp.Objective,

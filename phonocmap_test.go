@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"phonocmap"
 )
@@ -418,6 +419,63 @@ func TestSweepFacade(t *testing.T) {
 	}
 	if fronts := phonocmap.SweepParetoFronts(results); len(fronts["PIP"]) == 0 {
 		t.Error("empty Pareto front")
+	}
+}
+
+// TestFacadeCancelledRunsCarryNoReport pins the one cancellation policy
+// on the facade: a search its context stopped keeps its best-so-far
+// mapping but no analysis report, and the sweep aggregators leave it out.
+// The budgets cannot finish, and the cancel lands well after compile, so
+// every run is a real truncated one.
+func TestFacadeCancelledRunsCarryNoReport(t *testing.T) {
+	const budget = 50_000_000
+	analyses := &phonocmap.AnalysesSpec{WDM: &phonocmap.WDMSpec{}}
+	afterCompile := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 300*time.Millisecond)
+	}
+
+	ctx, cancel := afterCompile()
+	res, err := phonocmap.RunScenario(ctx, phonocmap.Scenario{
+		App: phonocmap.AppSpec{Builtin: "VOPD"}, Algorithm: "rs", Budget: budget, Analyses: analyses,
+	})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Run.Cancelled {
+		t.Fatalf("run spent %d of %d evaluations without being cancelled", res.Run.Evals, budget)
+	}
+	if res.Report != nil {
+		t.Errorf("cancelled RunScenario carries a report: %+v", res.Report)
+	}
+
+	ctx, cancel = afterCompile()
+	results, err := phonocmap.RunSweep(ctx, phonocmap.SweepSpec{
+		Apps:       []phonocmap.AppSpec{{Builtin: "VOPD"}},
+		Archs:      []phonocmap.ArchSpec{{Topology: "mesh"}, {Topology: "torus"}},
+		Algorithms: []string{"rs"},
+		Budgets:    []int{budget},
+		Analyses:   analyses,
+	}, 2)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled := 0
+	for _, r := range results {
+		if r.Err != nil || !r.Run.Cancelled {
+			continue
+		}
+		cancelled++
+		if r.Report != nil {
+			t.Errorf("cancelled cell %s carries a report", r.Cell.Label())
+		}
+	}
+	if cancelled == 0 {
+		t.Fatalf("no cell ended as a cancelled run: %+v", results)
+	}
+	if rows := phonocmap.SweepTable(results); len(rows) != 0 {
+		t.Errorf("SweepTable reports cancelled runs: %+v", rows)
 	}
 }
 
