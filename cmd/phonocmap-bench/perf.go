@@ -1,9 +1,9 @@
 package main
 
 // The perf subcommand is the tracked performance trajectory: a
-// machine-readable snapshot of the two throughput numbers the project
-// optimizes for — raw evaluation speed (full re-evaluation vs the
-// incremental delta engine on the swap hot path) and end-to-end
+// machine-readable snapshot of the numbers the project optimizes for —
+// the cost of a network build, raw evaluation speed (full re-evaluation
+// vs the incremental delta engine on the swap hot path) and end-to-end
 // optimizer throughput per algorithm. CI runs it on every push and
 // uploads the JSON as an artifact; committed BENCH_<date>.json files
 // pin the trajectory across PRs.
@@ -39,6 +39,9 @@ type perfReport struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
+	// NetworkBuild is the cost of one network build on Crux/XY meshes:
+	// every ordered tile pair expanded into its element-level path.
+	NetworkBuild []networkBuildPerf `json:"network_build"`
 	// SwapEval compares full re-evaluation against the incremental
 	// delta engine on the swap-and-score hot path.
 	SwapEval []swapEvalPerf `json:"swap_eval"`
@@ -59,6 +62,19 @@ type perfReport struct {
 	// Algorithms is end-to-end optimizer throughput, one full run per
 	// algorithm at the same budget and seed.
 	Algorithms []algoPerf `json:"algorithms"`
+}
+
+// networkBuildPerf is one network-build case: wall time, heap
+// allocations and heap bytes per build, averaged over BuildsMeasured
+// builds after one warm-up build.
+type networkBuildPerf struct {
+	Case           string  `json:"case"`
+	Method         string  `json:"method"`
+	Tiles          int     `json:"tiles"`
+	BuildsMeasured int     `json:"builds_measured"`
+	MsPerOp        float64 `json:"ms_per_op"`
+	AllocsPerOp    float64 `json:"allocs_per_op"`
+	BytesPerOp     float64 `json:"bytes_per_op"`
 }
 
 // swapEvalPerf is one full-vs-incremental case on a dense random CG
@@ -140,6 +156,14 @@ func cmdPerf(args []string) error {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
+	}
+
+	for _, side := range []int{3, 4, 6, 8} {
+		r, err := measureNetworkBuild(side, *minTime)
+		if err != nil {
+			return fmt.Errorf("network build %dx%d: %w", side, side, err)
+		}
+		rep.NetworkBuild = append(rep.NetworkBuild, r)
 	}
 
 	swapCases := []struct {
@@ -225,8 +249,48 @@ func cmdPerf(args []string) error {
 	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d swap-eval cases, %d algorithms)\n", path, len(rep.SwapEval), len(rep.Algorithms))
+	fmt.Printf("wrote %s (%d network-build cases, %d swap-eval cases, %d algorithms)\n",
+		path, len(rep.NetworkBuild), len(rep.SwapEval), len(rep.Algorithms))
 	return nil
+}
+
+// minBuildsPerCase is the floor on measured builds per network-build
+// case, so a window that one 8x8 build nearly fills still averages
+// several.
+const minBuildsPerCase = 8
+
+// measureNetworkBuild times phonocmap.NewMeshNetwork(side, side) — the
+// topology, then network.New with the Crux router, XY routing and Table I
+// parameters — until the measurement window fills and at least
+// minBuildsPerCase builds ran. Allocations and bytes come from the
+// runtime's cumulative heap counters read around the window.
+func measureNetworkBuild(side int, minTime time.Duration) (networkBuildPerf, error) {
+	nw, err := phonocmap.NewMeshNetwork(side, side)
+	if err != nil {
+		return networkBuildPerf{}, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	builds := 0
+	start := time.Now()
+	for builds < minBuildsPerCase || time.Since(start) < minTime {
+		if _, err := phonocmap.NewMeshNetwork(side, side); err != nil {
+			return networkBuildPerf{}, err
+		}
+		builds++
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	n := float64(builds)
+	return networkBuildPerf{
+		Case:           fmt.Sprintf("mesh-%dx%d", side, side),
+		Method:         "phonocmap.NewMeshNetwork (crux, xy, Table I) in a loop; runtime.MemStats Mallocs and TotalAlloc deltas",
+		Tiles:          nw.NumTiles(),
+		BuildsMeasured: builds,
+		MsPerOp:        float64(elapsed) / float64(time.Millisecond) / n,
+		AllocsPerOp:    float64(after.Mallocs-before.Mallocs) / n,
+		BytesPerOp:     float64(after.TotalAlloc-before.TotalAlloc) / n,
+	}, nil
 }
 
 // minSwapsPerCase is the floor on measured swaps per case and path.

@@ -12,7 +12,10 @@ package network
 
 import (
 	"fmt"
+	"math"
+	"time"
 
+	"phonocmap/internal/obs"
 	"phonocmap/internal/photonic"
 	"phonocmap/internal/route"
 	"phonocmap/internal/router"
@@ -78,10 +81,35 @@ type Network struct {
 	paths  [][]*Path // [src][dst]; nil on the diagonal
 }
 
+// builds and buildNanos count completed builds and the wall time they
+// took, process-wide; the service exposes them as
+// phonocmap_network_builds_total and phonocmap_network_build_seconds_total.
+var (
+	builds     = obs.NewCounter()
+	buildNanos = obs.NewCounter()
+)
+
+// BuildsTotal returns the number of networks New has built since process
+// start.
+func BuildsTotal() int64 { return builds.Value() }
+
+// BuildSecondsTotal returns the wall time New spent on those builds, in
+// seconds.
+func BuildSecondsTotal() float64 { return time.Duration(buildNanos.Value()).Seconds() }
+
 // New builds the network and eagerly expands every ordered tile pair into
 // its element-level path, validating on the way that the router
 // architecture supports every turn the routing algorithm produces.
+//
+// A first pass routes every pair in src-major order, checking each hop's
+// turn and then the ejection turn, so a rejected build reports the first
+// failing pair; it also counts the steps. A second pass carves every
+// path's steps from one exactly-sized slab (each Path.Steps has
+// len == cap, so an append by a caller reallocates instead of writing
+// into the next path) and converts each distinct dB value to linear once.
 func New(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p photonic.Params) (*Network, error) {
+	//phonocmap:wallclock feeds only the process-wide build-time counter, never a path or a score
+	start := time.Now()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,21 +118,174 @@ func New(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p pho
 	}
 	n := t.NumTiles()
 	nw := &Network{top: t, arch: arch, algo: algo, params: p}
-	nw.paths = make([][]*Path, n)
-	for src := 0; src < n; src++ {
-		nw.paths[src] = make([]*Path, n)
-		for dst := 0; dst < n; dst++ {
+
+	// Resolve every turn the router supports once; a nil entry is an
+	// unsupported turn.
+	var turns [router.NumPorts][router.NumPorts][]router.Step
+	for in := router.Port(0); in < router.NumPorts; in++ {
+		for out := router.Port(0); out < router.NumPorts; out++ {
+			turns[in][out], _ = arch.Steps(p, in, out)
+		}
+	}
+	turnSteps := func(tile topo.TileID, in, out router.Port) ([]router.Step, error) {
+		if s := turns[in][out]; s != nil {
+			return s, nil
+		}
+		return nil, fmt.Errorf("network: router %s at tile %d does not support turn %v->%v required by %s routing",
+			arch.Name(), tile, in, out, algo.Name())
+	}
+
+	routes := make([][]topo.Link, n*n)
+	total := 0
+	for src := topo.TileID(0); int(src) < n; src++ {
+		for dst := topo.TileID(0); int(dst) < n; dst++ {
 			if src == dst {
 				continue
 			}
-			path, err := nw.expand(topo.TileID(src), topo.TileID(dst))
+			links, err := algo.Route(t, src, dst)
+			if err != nil {
+				return nil, fmt.Errorf("network: routing %d->%d: %w", src, dst, err)
+			}
+			if err := route.Check(src, dst, links); err != nil {
+				return nil, fmt.Errorf("network: %s produced a broken path: %w", algo.Name(), err)
+			}
+			// Check guarantees at least one link, so the ejection turn
+			// always exists.
+			in := router.Local
+			for _, l := range links {
+				s, err := turnSteps(l.From, in, dirToPort(l.Dir))
+				if err != nil {
+					return nil, err
+				}
+				total += len(s)
+				in = entryPort(l.Dir)
+			}
+			s, err := turnSteps(dst, in, router.Local)
 			if err != nil {
 				return nil, err
 			}
-			nw.paths[src][dst] = path
+			total += len(s)
+			routes[int(src)*n+int(dst)] = links
 		}
 	}
+
+	slab := make([]Step, 0, total)
+	pathSlab := make([]Path, 0, n*(n-1))
+	rows := make([]*Path, n*n)
+	nw.paths = make([][]*Path, n)
+	lin := newLinearMemo()
+	numElems := arch.NumElements()
+	for src := topo.TileID(0); int(src) < n; src++ {
+		row := rows[int(src)*n : int(src+1)*n : int(src+1)*n]
+		nw.paths[src] = row
+		for dst := topo.TileID(0); int(dst) < n; dst++ {
+			if src == dst {
+				continue
+			}
+			links := routes[int(src)*n+int(dst)]
+			first := len(slab)
+			acc := 0.0
+			appendTurn := func(tile topo.TileID, steps []router.Step) {
+				for _, s := range steps {
+					slab = append(slab, Step{
+						Node:       GlobalElem(int(tile)*numElems + int(s.Elem)),
+						Tile:       tile,
+						Kind:       s.Kind,
+						In:         s.In,
+						Out:        s.Out,
+						State:      s.State,
+						Loss:       s.Loss,
+						LossBefore: acc,
+					})
+					acc += s.Loss
+				}
+			}
+			in := router.Local
+			for _, l := range links {
+				appendTurn(l.From, turns[in][dirToPort(l.Dir)])
+				acc += linkLoss(p, l)
+				in = entryPort(l.Dir)
+			}
+			appendTurn(dst, turns[in][router.Local])
+			steps := slab[first:len(slab):len(slab)]
+			for i := range steps {
+				s := &steps[i]
+				s.LinLossBefore = lin.of(s.LossBefore)
+				s.LinDownstream = lin.of(acc - s.LossBefore - s.Loss)
+			}
+			pathSlab = append(pathSlab, Path{Src: src, Dst: dst, Steps: steps, TotalLoss: acc, Hops: len(links)})
+			row[dst] = &pathSlab[len(pathSlab)-1]
+		}
+	}
+	builds.Inc()
+	//phonocmap:wallclock the elapsed time only feeds the build-time counter
+	buildNanos.Add(int64(time.Since(start)))
 	return nw, nil
+}
+
+// linkLoss is the dB loss of one inter-router link: waveguide
+// propagation plus any layout crossings assigned to it.
+func linkLoss(p photonic.Params, l topo.Link) float64 {
+	return p.PropagationLoss(l.LengthCm) + float64(l.Crossings)*p.CrossingLoss
+}
+
+// linearMemo converts dB values to linear factors through
+// photonic.DBToLinear, once per distinct value of one build. It is an
+// open-addressing table keyed by the exact bits of the dB value, so every
+// factor is the one DBToLinear returns. A zero factor marks an empty
+// slot: a value whose factor underflows to zero is recomputed each time.
+type linearMemo struct {
+	slots []memoSlot // 1<<(64-shift) slots, at most half full
+	shift uint
+	used  int
+}
+
+type memoSlot struct {
+	db  uint64
+	lin float64
+}
+
+func newLinearMemo() *linearMemo {
+	return &linearMemo{slots: make([]memoSlot, 1<<8), shift: 64 - 8}
+}
+
+func (m *linearMemo) of(db float64) float64 {
+	k := math.Float64bits(db)
+	i := m.find(k)
+	if lin := m.slots[i].lin; lin != 0 {
+		return lin
+	}
+	lin := photonic.DBToLinear(db)
+	if lin != 0 {
+		m.slots[i] = memoSlot{k, lin}
+		if m.used++; 2*m.used > len(m.slots) {
+			m.grow()
+		}
+	}
+	return lin
+}
+
+// find returns the slot holding key k, or the empty slot where it
+// belongs. The home slot is the top bits of a Fibonacci hash, which
+// depend on every bit of the key.
+func (m *linearMemo) find(k uint64) uint64 {
+	mask := uint64(len(m.slots) - 1)
+	i := (k * 0x9E3779B97F4A7C15) >> m.shift
+	for m.slots[i].lin != 0 && m.slots[i].db != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the table and reinserts every entry.
+func (m *linearMemo) grow() {
+	old := m.slots
+	m.slots, m.shift = make([]memoSlot, 2*len(old)), m.shift-1
+	for _, s := range old {
+		if s.lin != 0 {
+			m.slots[m.find(s.db)] = s
+		}
+	}
 }
 
 // dirToPort maps a link direction to the router port a signal leaves
@@ -126,67 +307,6 @@ func dirToPort(d topo.Direction) router.Port {
 // link in direction d: the opposite side of the receiving router.
 func entryPort(d topo.Direction) router.Port {
 	return dirToPort(d.Opposite())
-}
-
-// expand builds the element-level path from src to dst.
-func (nw *Network) expand(src, dst topo.TileID) (*Path, error) {
-	links, err := nw.algo.Route(nw.top, src, dst)
-	if err != nil {
-		return nil, fmt.Errorf("network: routing %d->%d: %w", src, dst, err)
-	}
-	if err := route.Check(src, dst, links); err != nil {
-		return nil, fmt.Errorf("network: %s produced a broken path: %w", nw.algo.Name(), err)
-	}
-	path := &Path{Src: src, Dst: dst, Hops: len(links)}
-	acc := 0.0
-	numElems := nw.arch.NumElements()
-
-	appendTurn := func(tile topo.TileID, in, out router.Port) error {
-		steps, ok := nw.arch.Steps(nw.params, in, out)
-		if !ok {
-			return fmt.Errorf("network: router %s at tile %d does not support turn %v->%v required by %s routing",
-				nw.arch.Name(), tile, in, out, nw.algo.Name())
-		}
-		for _, s := range steps {
-			path.Steps = append(path.Steps, Step{
-				Node:       GlobalElem(int(tile)*numElems + int(s.Elem)),
-				Tile:       tile,
-				Kind:       s.Kind,
-				In:         s.In,
-				Out:        s.Out,
-				State:      s.State,
-				Loss:       s.Loss,
-				LossBefore: acc,
-			})
-			acc += s.Loss
-		}
-		return nil
-	}
-	linkLoss := func(l topo.Link) float64 {
-		return nw.params.PropagationLoss(l.LengthCm) +
-			float64(l.Crossings)*nw.params.CrossingLoss
-	}
-
-	in := router.Local
-	for _, l := range links {
-		if err := appendTurn(l.From, in, dirToPort(l.Dir)); err != nil {
-			return nil, err
-		}
-		acc += linkLoss(l)
-		in = entryPort(l.Dir)
-	}
-	if len(links) > 0 {
-		if err := appendTurn(dst, in, router.Local); err != nil {
-			return nil, err
-		}
-	}
-	path.TotalLoss = acc
-	for i := range path.Steps {
-		s := &path.Steps[i]
-		s.LinLossBefore = photonic.DBToLinear(s.LossBefore)
-		s.LinDownstream = photonic.DBToLinear(path.TotalLoss - s.LossBefore - s.Loss)
-	}
-	return path, nil
 }
 
 // NumTiles returns the tile count of the underlying topology.

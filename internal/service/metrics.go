@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"phonocmap/internal/core"
+	"phonocmap/internal/network"
 	"phonocmap/internal/obs"
 	"phonocmap/internal/store"
 )
@@ -78,6 +79,12 @@ func (s *Server) initMetrics() {
 	reg.CounterFn("phonocmap_batch_evals_total",
 		"Mapping evaluations committed through the batch evaluation path.",
 		func() float64 { return float64(core.BatchEvalsTotal()) })
+	reg.CounterFn("phonocmap_network_builds_total",
+		"Photonic networks built (scenario compiles, robustness samples, link cuts), process-wide.",
+		func() float64 { return float64(network.BuildsTotal()) })
+	reg.CounterFn("phonocmap_network_build_seconds_total",
+		"Wall time spent building photonic networks, process-wide.",
+		network.BuildSecondsTotal)
 	reg.GaugeFn("phonocmap_worker_utilization",
 		"Fraction of the worker pool currently executing jobs (0..1).",
 		func() float64 { return m.workersBusy.Value() / float64(s.cfg.Workers) })

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"phonocmap/internal/scenario"
 	"phonocmap/internal/store"
 )
 
@@ -45,6 +46,9 @@ var metricFamilies = map[string]string{
 	"phonocmap_store_evictions_total":  "counter",
 	"phonocmap_store_entries":          "gauge",
 	"phonocmap_store_bytes":            "gauge",
+
+	"phonocmap_network_builds_total":        "counter",
+	"phonocmap_network_build_seconds_total": "counter",
 }
 
 // scrapeMetrics fetches /metrics and parses the exposition strictly:
@@ -222,6 +226,52 @@ func TestMetricsEndpoint(t *testing.T) {
 	for series, v := range samples {
 		if strings.HasPrefix(series, `phonocmap_http_request_seconds_bucket{endpoint="POST /v1/jobs"`) && v > count {
 			t.Errorf("bucket %s = %v exceeds count %v", series, v, count)
+		}
+	}
+}
+
+// TestMetricsNetworkBuilds checks the network build counters against
+// the builds each job must do: one for the compile plus one per link cut
+// or robustness sample, and none for a cache replay. The counters are
+// process-wide, so this test must not run in parallel with others.
+func TestMetricsNetworkBuilds(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	base := ts.URL
+	counters := func() (builds, seconds float64) {
+		_, samples := scrapeMetrics(t, base)
+		return samples["phonocmap_network_builds_total"], samples["phonocmap_network_build_seconds_total"]
+	}
+
+	cuts := Request{Algorithm: "rs", Budget: 100, Seed: 1,
+		Analyses: &scenario.AnalysesSpec{LinkFailures: &scenario.LinkFailuresSpec{}}}
+	cuts.App.Builtin = "PIP"
+	cuts.Arch.Router = "cygnus"
+	samples := Request{Algorithm: "rs", Budget: 100, Seed: 1,
+		Analyses: &scenario.AnalysesSpec{Robustness: &scenario.RobustnessSpec{Samples: 8}}}
+	samples.App.Builtin = "MWD"
+
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want float64
+	}{
+		{"link_failures on the 3x3 mesh: compile + 12 cuts", cuts, 13},
+		{"robustness, 8 samples: compile + 8 samples", samples, 9},
+		{"cached repeat", cuts, 0},
+	} {
+		builds, seconds := counters()
+		var st JobStatus
+		doJSON(t, http.MethodPost, base+"/v1/jobs", tc.req, &st)
+		final, _ := pollUntil(t, base, st.ID, 60*time.Second, func(s JobStatus) bool { return s.State.Terminal() })
+		if final.State != StateDone {
+			t.Fatalf("%s: job finished %q (%s)", tc.name, final.State, final.Error)
+		}
+		afterBuilds, afterSeconds := counters()
+		if got := afterBuilds - builds; got != tc.want {
+			t.Errorf("%s: %v builds, want %v", tc.name, got, tc.want)
+		}
+		if grew := afterSeconds > seconds; grew != (tc.want > 0) {
+			t.Errorf("%s: build seconds %v -> %v", tc.name, seconds, afterSeconds)
 		}
 	}
 }

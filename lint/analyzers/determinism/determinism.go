@@ -21,8 +21,8 @@ var Analyzer = &analysis.Analyzer{
 	Name: "phonodeterminism",
 	Doc: `enforce the bit-identical-results contract in phonocmap's contract packages
 
-In internal/core, internal/search, internal/scenario, internal/sweep and
-internal/analysis:
+In internal/core, internal/search, internal/scenario, internal/sweep,
+internal/analysis and internal/network:
 
   - time.Now / time.Since calls must carry a //phonocmap:wallclock
     justification: the only sanctioned wall-clock reads are the ones
@@ -46,6 +46,7 @@ var contractPackages = []string{
 	"internal/scenario",
 	"internal/sweep",
 	"internal/analysis",
+	"internal/network",
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -8,7 +8,8 @@ import (
 
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer,
-		"phonocmap/internal/core", // contract package: all checks active
-		"phonocmap/internal/util", // non-contract package: no diagnostics
+		"phonocmap/internal/core",    // contract package: all checks active
+		"phonocmap/internal/network", // contract package: its paths feed every score
+		"phonocmap/internal/util",    // non-contract package: no diagnostics
 	)
 }
