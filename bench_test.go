@@ -119,6 +119,51 @@ func BenchmarkNetworkBuild4x4(b *testing.B) { benchNetworkBuild(b, 4) }
 func BenchmarkNetworkBuild6x6(b *testing.B) { benchNetworkBuild(b, 6) }
 func BenchmarkNetworkBuild8x8(b *testing.B) { benchNetworkBuild(b, 8) }
 
+// BenchmarkAnalyses measures the two post-optimization analyses that
+// rebuild paths, in the shapes the service's analysed jobs request, on a
+// fixed (identity) mapping: the link-failure study of PIP on a 3x3 Cygnus
+// mesh (12 cuts) and the 8-sample robustness study of MWD on a 4x4
+// Crux/XY mesh. Each cut and each sample builds only the mapped
+// communications' paths, so allocs/op tracks their count, not the
+// network's pair count.
+func BenchmarkAnalyses(b *testing.B) {
+	identity := func(n int) phonocmap.Mapping {
+		m := make(phonocmap.Mapping, n)
+		for i := range m {
+			m[i] = phonocmap.TileID(i)
+		}
+		return m
+	}
+	pip := phonocmap.MustApp("PIP")
+	cygnus, err := phonocmap.NewNetwork(phonocmap.ArchSpec{Topology: "mesh", Width: 3, Height: 3, Router: "cygnus", Routing: "xy"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("link_failures", func(b *testing.B) {
+		m := identity(pip.NumTasks())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := phonocmap.AssessLinkFailures(cygnus, pip, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	mwd := phonocmap.MustApp("MWD")
+	crux, err := phonocmap.NewMeshNetwork(4, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("robustness", func(b *testing.B) {
+		m := identity(mwd.NumTasks())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := phonocmap.AssessVariation(crux, mwd, m, 8, 0.1, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkAblationObjective compares the cost of the two objectives on
 // the same instance: SNR evaluation aggregates crosstalk over shared
 // elements, loss evaluation only accumulates path losses — the paper's

@@ -99,6 +99,12 @@ const noiseScale = 1 << 52
 // zero — deterministic, shared by every evaluation path).
 func fixedNoise(x float64) int64 { return int64(x * noiseScale) }
 
+// noPath reports a communication on a pair the network holds no path
+// for: one that a pair-restricted build (network.NewForPairs) left out.
+func noPath(i int, c Communication) error {
+	return fmt.Errorf("analysis: communication %d: the network holds no path %d->%d", i, c.Src, c.Dst)
+}
+
 // noiseFromFixed converts an accumulated fixed-point noise back to the
 // linear domain.
 func noiseFromFixed(a int64) float64 { return float64(a) / noiseScale }
@@ -203,7 +209,9 @@ func (e *Evaluator) run(comms []Communication, details []Detail, channel []int) 
 		if c.Src == c.Dst {
 			return Result{}, fmt.Errorf("analysis: communication %d: source and destination coincide at tile %d", i, c.Src)
 		}
-		e.paths[i] = e.nw.Path(c.Src, c.Dst)
+		if e.paths[i] = e.nw.Path(c.Src, c.Dst); e.paths[i] == nil {
+			return Result{}, noPath(i, c)
+		}
 	}
 
 	e.occ.seat(e.paths)

@@ -536,3 +536,48 @@ func TestEvaluateChanneledInputValidation(t *testing.T) {
 		t.Errorf("evaluator state corrupted by rejected inputs: %+v != %+v", again, dense)
 	}
 }
+
+// TestAbsentPairIsAnError: a pair-restricted network holds paths only for
+// the pairs it was built for. Evaluating a communication on any other
+// pair is an error, in the evaluator, in Incremental.Init and in
+// Incremental.ApplyDelta, and a rejected delta leaves the seated set as
+// it was.
+func TestAbsentPairIsAnError(t *testing.T) {
+	nw, err := network.NewForPairs(mustMesh4(t), router.Crux(), route.XY{}, photonic.DefaultParams(),
+		[][2]topo.TileID{{0, 5}, {5, 10}, {3, 12}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := []Communication{{Src: 0, Dst: 5}, {Src: 5, Dst: 10}, {Src: 3, Dst: 12}}
+	absent := []Communication{{Src: 0, Dst: 5}, {Src: 10, Dst: 5}}
+	const want = "analysis: communication 1: the network holds no path 10->5"
+
+	ev := NewEvaluator(nw)
+	res, err := ev.Evaluate(built)
+	if err != nil {
+		t.Fatalf("built pairs: %v", err)
+	}
+	if _, err := ev.Evaluate(absent); err == nil || err.Error() != want {
+		t.Errorf("Evaluate: error %v, want %q", err, want)
+	}
+
+	inc := NewIncremental(nw)
+	if _, err := inc.Init(absent); err == nil || err.Error() != want {
+		t.Errorf("Init: error %v, want %q", err, want)
+	}
+	if got, err := inc.Init(built); err != nil || got != res {
+		t.Fatalf("Init(built) = %+v, %v; want %+v", got, err, res)
+	}
+	if _, err := inc.ApplyDelta([]int{0, 1}, []Communication{{Src: 3, Dst: 12}, {Src: 12, Dst: 3}}); err == nil ||
+		err.Error() != "analysis: communication 1: the network holds no path 12->3" {
+		t.Errorf("ApplyDelta: error %v", err)
+	}
+	if inc.Result() != res {
+		t.Errorf("a rejected delta changed the result: %+v, want %+v", inc.Result(), res)
+	}
+	if got, err := inc.ApplyDelta([]int{1}, []Communication{{Src: 0, Dst: 5}}); err != nil {
+		t.Errorf("ApplyDelta onto a built pair: %v", err)
+	} else if want, _ := ev.Evaluate([]Communication{{Src: 0, Dst: 5}, {Src: 0, Dst: 5}, {Src: 3, Dst: 12}}); got != want {
+		t.Errorf("ApplyDelta after a rejected delta = %+v, want %+v", got, want)
+	}
+}

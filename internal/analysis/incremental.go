@@ -69,9 +69,11 @@ type Incremental struct {
 
 	// Per-delta scratch: changedMark flags the communications being
 	// replaced (catches duplicates); touchedMark flags every victim whose
-	// accumulator was snapshotted for undo.
+	// accumulator was snapshotted for undo; resolved holds the paths of
+	// the incoming communications, looked up while they are validated.
 	changedMark []bool
 	touchedMark []bool
+	resolved    []*network.Path
 
 	// Single-level undo log for the last ApplyDelta. After a rebuild,
 	// undoNoise holds every accumulator and undoTouched is empty.
@@ -174,6 +176,7 @@ func (inc *Incremental) init(comms []Communication, weights []float64) (Result, 
 		return Result{}, fmt.Errorf("analysis: no communications to evaluate")
 	}
 	n := inc.nw.NumTiles()
+	inc.resolved = inc.resolved[:0]
 	for i, c := range comms {
 		if c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n {
 			return Result{}, fmt.Errorf("analysis: communication %d: tile out of range (%d->%d)", i, c.Src, c.Dst)
@@ -181,6 +184,11 @@ func (inc *Incremental) init(comms []Communication, weights []float64) (Result, 
 		if c.Src == c.Dst {
 			return Result{}, fmt.Errorf("analysis: communication %d: source and destination coincide at tile %d", i, c.Src)
 		}
+		p := inc.nw.Path(c.Src, c.Dst)
+		if p == nil {
+			return Result{}, noPath(i, c)
+		}
+		inc.resolved = append(inc.resolved, p)
 	}
 
 	m := len(comms)
@@ -198,9 +206,7 @@ func (inc *Incremental) init(comms []Communication, weights []float64) (Result, 
 	inc.touchedMark = inc.touchedMark[:m]
 	clear(inc.changedMark)
 	clear(inc.touchedMark)
-	for i, c := range inc.comms {
-		inc.paths[i] = inc.nw.Path(c.Src, c.Dst)
-	}
+	copy(inc.paths, inc.resolved)
 	inc.rebuild()
 	inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
 	inc.inited = true
@@ -235,23 +241,28 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 		return Result{}, fmt.Errorf("analysis: %d indices for %d communications", len(changed), len(newComms))
 	}
 	n := inc.nw.NumTiles()
+	inc.resolved = inc.resolved[:0]
 	for i, ci := range changed {
-		bad := ""
-		switch {
+		var err error
+		switch c := newComms[i]; {
 		case ci < 0 || ci >= len(inc.comms):
-			bad = fmt.Sprintf("changed index %d out of range [0,%d)", ci, len(inc.comms))
+			err = fmt.Errorf("analysis: changed index %d out of range [0,%d)", ci, len(inc.comms))
 		case inc.changedMark[ci]:
-			bad = fmt.Sprintf("changed index %d listed twice", ci)
-		case newComms[i].Src < 0 || int(newComms[i].Src) >= n ||
-			newComms[i].Dst < 0 || int(newComms[i].Dst) >= n ||
-			newComms[i].Src == newComms[i].Dst:
-			bad = fmt.Sprintf("communication %d: invalid replacement (%d->%d)", ci, newComms[i].Src, newComms[i].Dst)
+			err = fmt.Errorf("analysis: changed index %d listed twice", ci)
+		case c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n || c.Src == c.Dst:
+			err = fmt.Errorf("analysis: communication %d: invalid replacement (%d->%d)", ci, c.Src, c.Dst)
+		default:
+			p := inc.nw.Path(c.Src, c.Dst)
+			if p == nil {
+				err = noPath(ci, c)
+			}
+			inc.resolved = append(inc.resolved, p)
 		}
-		if bad != "" {
+		if err != nil {
 			for _, cj := range changed[:i] {
 				inc.changedMark[cj] = false
 			}
-			return Result{}, fmt.Errorf("analysis: %s", bad)
+			return Result{}, err
 		}
 		inc.changedMark[ci] = true
 	}
@@ -304,7 +315,7 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 func (inc *Incremental) reroute(changed []int, newComms []Communication) {
 	for i, ci := range changed {
 		inc.comms[ci] = newComms[i]
-		inc.paths[ci] = inc.nw.Path(newComms[i].Src, newComms[i].Dst)
+		inc.paths[ci] = inc.resolved[i]
 	}
 }
 

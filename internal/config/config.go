@@ -229,6 +229,18 @@ func (s ArchSpec) Build() (*network.Network, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Name an isolated tile, rather than the first pair the full
+		// build below would fail to route to it.
+		degree := make([]int, t.NumTiles())
+		for _, l := range t.Links() {
+			degree[l.From]++
+			degree[l.To]++
+		}
+		for tile, deg := range degree {
+			if deg == 0 {
+				return nil, fmt.Errorf("topo: failing %d link(s) isolates tile %d", len(failures), tile)
+			}
+		}
 	}
 	arch, err := router.ByName(s.Router)
 	if err != nil {

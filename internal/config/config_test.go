@@ -133,11 +133,13 @@ func TestArchSpecFailedLinks(t *testing.T) {
 		t.Error("nonexistent failed link accepted")
 	}
 
-	// Cutting every link of a tile is rejected (tile isolated).
+	// Cutting every link of a tile is rejected, naming the isolated
+	// tile (topo.Degrade itself accepts such a cut set).
 	isolating := s
 	isolating.FailedLinks = [][2]int{{0, 1}, {0, 3}}
-	if _, err := isolating.Build(); err == nil {
-		t.Error("isolating cut accepted")
+	const want = "topo: failing 4 link(s) isolates tile 0"
+	if _, err := isolating.Build(); err == nil || err.Error() != want {
+		t.Errorf("isolating cut: error %v, want %q", err, want)
 	}
 }
 

@@ -71,14 +71,15 @@ type Path struct {
 	Hops int
 }
 
-// Network is an immutable photonic NoC instance with all tile-pair paths
-// precomputed.
+// Network is an immutable photonic NoC instance with its tile-pair paths
+// precomputed: every ordered pair for New, the requested ones for
+// NewForPairs.
 type Network struct {
 	top    topo.Topology
 	arch   *router.Architecture
 	algo   route.Algorithm
 	params photonic.Params
-	paths  [][]*Path // [src][dst]; nil on the diagonal
+	paths  [][]*Path // [src][dst]; nil on the diagonal and for pairs left out
 }
 
 // builds and buildNanos count completed builds and the wall time they
@@ -89,25 +90,53 @@ var (
 	buildNanos = obs.NewCounter()
 )
 
-// BuildsTotal returns the number of networks New has built since process
-// start.
+// BuildsTotal returns the number of networks New and NewForPairs have
+// built since process start.
 func BuildsTotal() int64 { return builds.Value() }
 
-// BuildSecondsTotal returns the wall time New spent on those builds, in
+// BuildSecondsTotal returns the wall time spent on those builds, in
 // seconds.
 func BuildSecondsTotal() float64 { return time.Duration(buildNanos.Value()).Seconds() }
 
 // New builds the network and eagerly expands every ordered tile pair into
 // its element-level path, validating on the way that the router
 // architecture supports every turn the routing algorithm produces.
+func New(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p photonic.Params) (*Network, error) {
+	return build(t, arch, algo, p, nil)
+}
+
+// NewForPairs is New restricted to the given ordered (src, dst) tile
+// pairs: it routes and expands only those, for a caller that evaluates
+// one fixed set of communications, such as the robustness and
+// link-failure analyses of one mapping. Each requested pair gets the path
+// New gives it; a pair that cannot be routed, or needs a turn the router
+// lacks, fails the build with New's error for that pair, the first such
+// pair in src-major order. Path returns nil for every pair left out, and
+// the analysis evaluators report a communication on such a pair as an
+// error. Pairs with src == dst need no path and are ignored; duplicates
+// are allowed.
+func NewForPairs(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p photonic.Params, pairs [][2]topo.TileID) (*Network, error) {
+	n := t.NumTiles()
+	want := make([]bool, n*n)
+	for _, pr := range pairs {
+		if pr[0] < 0 || int(pr[0]) >= n || pr[1] < 0 || int(pr[1]) >= n {
+			return nil, fmt.Errorf("network: pair %d->%d out of range for %d tiles", pr[0], pr[1], n)
+		}
+		want[int(pr[0])*n+int(pr[1])] = true
+	}
+	return build(t, arch, algo, p, want)
+}
+
+// build is New and NewForPairs: it expands the ordered pairs want marks
+// (want[src*n+dst]), or every pair when want is nil.
 //
-// A first pass routes every pair in src-major order, checking each hop's
-// turn and then the ejection turn, so a rejected build reports the first
-// failing pair; it also counts the steps. A second pass carves every
+// A first pass routes every wanted pair in src-major order, checking each
+// hop's turn and then the ejection turn, so a rejected build reports the
+// first failing pair; it also counts the steps. A second pass carves every
 // path's steps from one exactly-sized slab (each Path.Steps has
 // len == cap, so an append by a caller reallocates instead of writing
 // into the next path) and converts each distinct dB value to linear once.
-func New(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p photonic.Params) (*Network, error) {
+func build(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p photonic.Params, want []bool) (*Network, error) {
 	//phonocmap:wallclock feeds only the process-wide build-time counter, never a path or a score
 	start := time.Now()
 	if err := p.Validate(); err != nil {
@@ -134,12 +163,15 @@ func New(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p pho
 		return nil, fmt.Errorf("network: router %s at tile %d does not support turn %v->%v required by %s routing",
 			arch.Name(), tile, in, out, algo.Name())
 	}
+	wanted := func(src, dst topo.TileID) bool {
+		return src != dst && (want == nil || want[int(src)*n+int(dst)])
+	}
 
 	routes := make([][]topo.Link, n*n)
-	total := 0
+	total, numPaths := 0, 0
 	for src := topo.TileID(0); int(src) < n; src++ {
 		for dst := topo.TileID(0); int(dst) < n; dst++ {
-			if src == dst {
+			if !wanted(src, dst) {
 				continue
 			}
 			links, err := algo.Route(t, src, dst)
@@ -166,11 +198,12 @@ func New(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p pho
 			}
 			total += len(s)
 			routes[int(src)*n+int(dst)] = links
+			numPaths++
 		}
 	}
 
 	slab := make([]Step, 0, total)
-	pathSlab := make([]Path, 0, n*(n-1))
+	pathSlab := make([]Path, 0, numPaths)
 	rows := make([]*Path, n*n)
 	nw.paths = make([][]*Path, n)
 	lin := newLinearMemo()
@@ -179,7 +212,7 @@ func New(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p pho
 		row := rows[int(src)*n : int(src+1)*n : int(src+1)*n]
 		nw.paths[src] = row
 		for dst := topo.TileID(0); int(dst) < n; dst++ {
-			if src == dst {
+			if !wanted(src, dst) {
 				continue
 			}
 			links := routes[int(src)*n+int(dst)]
@@ -325,7 +358,8 @@ func (nw *Network) Routing() route.Algorithm { return nw.algo }
 func (nw *Network) Params() photonic.Params { return nw.params }
 
 // Path returns the precomputed path from src to dst. For src == dst it
-// returns an empty zero-loss path; out-of-range tiles return nil.
+// returns an empty zero-loss path; out-of-range tiles, and a pair that
+// NewForPairs left out, return nil.
 func (nw *Network) Path(src, dst topo.TileID) *Path {
 	n := nw.NumTiles()
 	if src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
@@ -345,7 +379,8 @@ func (nw *Network) NumElements() int {
 
 // WorstPathLoss returns the largest-magnitude TotalLoss over all ordered
 // tile pairs — the loss of the network's worst physical route,
-// independent of any application mapping.
+// independent of any application mapping. On a NewForPairs network it
+// covers only the requested pairs.
 func (nw *Network) WorstPathLoss() float64 {
 	worst := 0.0
 	for src := range nw.paths {

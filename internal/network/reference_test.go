@@ -155,23 +155,31 @@ func diffNetworks(got, want *Network) string {
 	}
 	for src := topo.TileID(0); int(src) < n; src++ {
 		for dst := topo.TileID(0); int(dst) < n; dst++ {
-			g, w := got.Path(src, dst), want.Path(src, dst)
-			if g.Src != w.Src || g.Dst != w.Dst || g.Hops != w.Hops ||
-				!sameFloat(g.TotalLoss, w.TotalLoss) || len(g.Steps) != len(w.Steps) {
-				return fmt.Sprintf("%d->%d: path {%d %d %d %v %d steps}, want {%d %d %d %v %d steps}",
-					src, dst, g.Src, g.Dst, g.Hops, g.TotalLoss, len(g.Steps),
-					w.Src, w.Dst, w.Hops, w.TotalLoss, len(w.Steps))
+			if d := diffPath(got.Path(src, dst), want.Path(src, dst)); d != "" {
+				return d
 			}
-			for i := range w.Steps {
-				gs, ws := g.Steps[i], w.Steps[i]
-				if gs.Node != ws.Node || gs.Tile != ws.Tile || gs.Kind != ws.Kind ||
-					gs.In != ws.In || gs.Out != ws.Out || gs.State != ws.State ||
-					!sameFloat(gs.Loss, ws.Loss) || !sameFloat(gs.LossBefore, ws.LossBefore) ||
-					!sameFloat(gs.LinLossBefore, ws.LinLossBefore) ||
-					!sameFloat(gs.LinDownstream, ws.LinDownstream) {
-					return fmt.Sprintf("%d->%d step %d: %+v, want %+v", src, dst, i, gs, ws)
-				}
-			}
+		}
+	}
+	return ""
+}
+
+// diffPath returns the first difference between two paths, or "" when
+// every path field and every step field matches, floats by bits.
+func diffPath(g, w *Path) string {
+	if g.Src != w.Src || g.Dst != w.Dst || g.Hops != w.Hops ||
+		!sameFloat(g.TotalLoss, w.TotalLoss) || len(g.Steps) != len(w.Steps) {
+		return fmt.Sprintf("%d->%d: path {%d %d %d %v %d steps}, want {%d %d %d %v %d steps}",
+			w.Src, w.Dst, g.Src, g.Dst, g.Hops, g.TotalLoss, len(g.Steps),
+			w.Src, w.Dst, w.Hops, w.TotalLoss, len(w.Steps))
+	}
+	for i := range w.Steps {
+		gs, ws := g.Steps[i], w.Steps[i]
+		if gs.Node != ws.Node || gs.Tile != ws.Tile || gs.Kind != ws.Kind ||
+			gs.In != ws.In || gs.Out != ws.Out || gs.State != ws.State ||
+			!sameFloat(gs.Loss, ws.Loss) || !sameFloat(gs.LossBefore, ws.LossBefore) ||
+			!sameFloat(gs.LinLossBefore, ws.LinLossBefore) ||
+			!sameFloat(gs.LinDownstream, ws.LinDownstream) {
+			return fmt.Sprintf("%d->%d step %d: %+v, want %+v", w.Src, w.Dst, i, gs, ws)
 		}
 	}
 	return ""

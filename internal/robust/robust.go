@@ -39,9 +39,9 @@ type VariationResult struct {
 
 // Variation runs a Monte Carlo study: it perturbs every Table I
 // coefficient independently by a uniform relative factor in
-// [-tolerance, +tolerance] (in dB magnitude), rebuilds the network, and
-// re-evaluates the mapping. Typical tolerances: 0.1 to 0.3 (10–30 %
-// coefficient uncertainty).
+// [-tolerance, +tolerance] (in dB magnitude), rebuilds the paths of the
+// mapped communications, and re-evaluates the mapping. Typical
+// tolerances: 0.1 to 0.3 (10–30 % coefficient uncertainty).
 func Variation(
 	t topo.Topology,
 	arch *router.Architecture,
@@ -62,6 +62,10 @@ func Variation(
 	if err := base.Validate(); err != nil {
 		return VariationResult{}, err
 	}
+	pairs, err := mappedPairs(t, app, m)
+	if err != nil {
+		return VariationResult{}, err
+	}
 	rng := rand.New(rand.NewSource(seed))
 	res := VariationResult{
 		Samples:     samples,
@@ -70,7 +74,7 @@ func Variation(
 	}
 	for i := 0; i < samples; i++ {
 		p := perturb(rng, base, tolerance)
-		nw, err := network.New(t, arch, algo, p)
+		nw, err := network.NewForPairs(t, arch, algo, p, pairs)
 		if err != nil {
 			return VariationResult{}, fmt.Errorf("robust: sample %d: %w", i, err)
 		}
@@ -92,6 +96,24 @@ func Variation(
 		}
 	}
 	return res, nil
+}
+
+// mappedPairs returns the ordered tile pair of every CG edge under the
+// mapping: the only paths the worst-case metrics (Eqs. 3-4) read. It
+// validates the mapping first (Eqs. 5-6), since it indexes the mapping
+// by task before any evaluation would.
+func mappedPairs(t topo.Topology, app *cg.Graph, m core.Mapping) ([][2]topo.TileID, error) {
+	if len(m) != app.NumTasks() {
+		return nil, fmt.Errorf("robust: mapping covers %d tasks, app has %d", len(m), app.NumTasks())
+	}
+	if err := m.Validate(t.NumTiles()); err != nil {
+		return nil, err
+	}
+	pairs := make([][2]topo.TileID, 0, app.NumEdges())
+	for _, e := range app.Edges() {
+		pairs = append(pairs, [2]topo.TileID{m[e.Src], m[e.Dst]})
+	}
+	return pairs, nil
 }
 
 // perturb scales every coefficient by an independent factor in
@@ -126,8 +148,11 @@ type FailureResult struct {
 
 // LinkFailures evaluates the mapping under every single-link full cut
 // (both lanes of each undirected link failed, one at a time), rerouting
-// with BFS. The router architecture must support the turns BFS produces;
-// all-turn routers (cygnus, crossbar) qualify, Crux does not.
+// the mapped communications with BFS. A cut is unreachable when some
+// mapped communication has no detour; a cut that disconnects only tiles
+// no mapped communication uses is evaluated like any other. The router
+// architecture must support the turns BFS produces; all-turn routers
+// (cygnus, crossbar) qualify, Crux does not.
 func LinkFailures(
 	t topo.Topology,
 	arch *router.Architecture,
@@ -137,6 +162,10 @@ func LinkFailures(
 ) ([]FailureResult, error) {
 	if err := router.CheckTurns(arch, router.RequiredTurnsAll()); err != nil {
 		return nil, fmt.Errorf("robust: link-failure analysis needs an all-turn router: %w", err)
+	}
+	pairs, err := mappedPairs(t, app, m)
+	if err != nil {
+		return nil, err
 	}
 	seen := make(map[[2]topo.TileID]bool)
 	var results []FailureResult
@@ -153,13 +182,11 @@ func LinkFailures(
 		fr := FailureResult{Failed: key}
 		deg, err := topo.Degrade(t, [][2]topo.TileID{{key[0], key[1]}, {key[1], key[0]}})
 		if err != nil {
-			// The cut isolates a tile: every mapping is unreachable.
-			fr.Unreachable = true
-			results = append(results, fr)
-			continue
+			return nil, fmt.Errorf("robust: cut %v: %w", key, err)
 		}
-		nw, err := network.New(deg, arch, route.BFS{}, base)
+		nw, err := network.NewForPairs(deg, arch, route.BFS{}, base, pairs)
 		if err != nil {
+			// Some mapped communication has no detour around the cut.
 			fr.Unreachable = true
 			results = append(results, fr)
 			continue

@@ -153,3 +153,83 @@ func TestLinkFailuresReroute(t *testing.T) {
 		t.Errorf("no cut degraded the worst loss: cut %v vs intact %v", worstCut, intact.WorstLossDB)
 	}
 }
+
+// TestLinkFailuresUnreachableMeansMapped: with link 0-1 already failed on
+// a 3x3 mesh, cutting 0-3 isolates tile 0. The cut is unreachable for a
+// mapping that puts a task on tile 0, and an ordinary cut for one that
+// leaves tile 0 empty.
+func TestLinkFailuresUnreachableMeansMapped(t *testing.T) {
+	g, app, identity := fixtures(t)
+	base, err := topo.Degrade(g, [][2]topo.TileID{{0, 1}, {1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	avoiding := make(core.Mapping, app.NumTasks())
+	for i := range avoiding {
+		avoiding[i] = topo.TileID(i + 1)
+	}
+	cut := [2]topo.TileID{0, 3}
+	for _, tc := range []struct {
+		name        string
+		m           core.Mapping
+		unreachable bool
+	}{
+		{"task on tile 0", identity, true},
+		{"tile 0 empty", avoiding, false},
+	} {
+		results, err := LinkFailures(base, router.Cygnus(), photonic.DefaultParams(), app, tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 11 {
+			t.Fatalf("%s: %d cuts, want 11", tc.name, len(results))
+		}
+		for _, r := range results {
+			if r.Failed != cut {
+				if r.Unreachable {
+					t.Errorf("%s: cut %v unreachable", tc.name, r.Failed)
+				}
+				continue
+			}
+			if r.Unreachable != tc.unreachable {
+				t.Errorf("%s: cut %v unreachable = %v, want %v", tc.name, cut, r.Unreachable, tc.unreachable)
+			}
+			if !tc.unreachable && !(r.WorstLossDB < 0) {
+				t.Errorf("%s: cut %v has loss %v, want a negative figure", tc.name, cut, r.WorstLossDB)
+			}
+		}
+	}
+}
+
+// TestAnalysesRejectBadMappings: both analyses read the mapped pairs from
+// the mapping before any evaluation validates it, so every malformed
+// mapping must come back as an error, never a panic.
+func TestAnalysesRejectBadMappings(t *testing.T) {
+	g, app, m := fixtures(t)
+	n := app.NumTasks()
+	with := func(i int, tile topo.TileID) core.Mapping {
+		bad := m.Clone()
+		bad[i] = tile
+		return bad
+	}
+	cases := []struct {
+		name string
+		m    core.Mapping
+	}{
+		{"nil", nil},
+		{"length n-1", m[:n-1]},
+		{"length n+1", append(m.Clone(), topo.TileID(n))},
+		{"tile -1", with(0, -1)},
+		{"tile = NumTiles", with(n-1, topo.TileID(g.NumTiles()))},
+		{"duplicate tile", with(1, m[0])},
+	}
+	p := photonic.DefaultParams()
+	for _, tc := range cases {
+		if _, err := Variation(g, router.Crux(), route.XY{}, p, app, tc.m, 2, 0.1, 1); err == nil {
+			t.Errorf("Variation accepted mapping %s: %v", tc.name, tc.m)
+		}
+		if _, err := LinkFailures(g, router.Cygnus(), p, app, tc.m); err == nil {
+			t.Errorf("LinkFailures accepted mapping %s: %v", tc.name, tc.m)
+		}
+	}
+}

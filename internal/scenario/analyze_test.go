@@ -163,3 +163,33 @@ func TestRunDegradedScenario(t *testing.T) {
 		t.Error("degraded scenario is not deterministic")
 	}
 }
+
+// TestLinkFailuresCountOnlyMappedCommunications: on a 3x3 mesh with link
+// 0-1 already failed, cutting 0-3 isolates tile 0. At search seeds 3, 4,
+// 5 and 7 the winning mapping leaves tile 0 empty, so the cut
+// disconnects no mapped communication: it must not count as unreachable,
+// and its figures must join the worst case.
+func TestLinkFailuresCountOnlyMappedCommunications(t *testing.T) {
+	for _, seed := range []int64{3, 4, 5, 7} {
+		spec := Spec{
+			App:       config.AppSpec{Builtin: "PIP"},
+			Arch:      config.ArchSpec{Router: "cygnus", Routing: "bfs", FailedLinks: [][2]int{{0, 1}}},
+			Algorithm: "rs",
+			Seed:      seed,
+			Analyses:  &AnalysesSpec{LinkFailures: &LinkFailuresSpec{}},
+		}
+		res, err := execute(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for task, tile := range res.Run.Mapping {
+			if tile == 0 {
+				t.Fatalf("seed %d: task %d sits on tile 0; the case needs it empty", seed, task)
+			}
+		}
+		lf := res.Report.LinkFailures
+		if lf.Cuts != 11 || lf.Unreachable != 0 {
+			t.Errorf("seed %d: %d cuts, %d unreachable; want 11 cuts, none unreachable", seed, lf.Cuts, lf.Unreachable)
+		}
+	}
+}

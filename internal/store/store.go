@@ -30,8 +30,11 @@ import (
 
 // Version is the on-disk encoding version. Decoding rejects any other
 // version, so a future incompatible Entry change bumps this constant and
-// old files are quarantined instead of misread.
-const Version = 1
+// old files are quarantined instead of misread. Version 2: a link-failure
+// report counts a cut as unreachable only when it disconnects a mapped
+// communication; version-1 entries may count cuts that isolate an unused
+// tile, so they are recomputed instead of served.
+const Version = 2
 
 // Entry is the full cached payload of one completed optimization run,
 // keyed by its spec's content address — exactly what the service's

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -292,31 +294,42 @@ func TestFileCorruptQuarantinedOnGet(t *testing.T) {
 	}
 }
 
+// TestFileVersionMismatchQuarantined: an entry written under any other
+// encoding version, a future one or version 1 (whose link-failure
+// reports may count cuts of unused tiles as unreachable), is quarantined,
+// so the key is recomputed.
 func TestFileVersionMismatchQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	f, err := OpenFile(dir, FileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Put("k", sampleEntry("k", 1)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	path := EntryPath(dir, "k")
-	b, _ := os.ReadFile(path)
-	b = []byte("phonocmap-store v999 " + string(b[len("phonocmap-store v1 "):]))
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := OpenFile(dir, FileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.Len() != 0 {
-		t.Errorf("future-versioned entry accepted (Len=%d)", f2.Len())
-	}
-	if st := f2.Stats(); st.Quarantined != 1 {
-		t.Errorf("quarantined = %d, want 1", st.Quarantined)
+	for _, version := range []string{"v999", "v1"} {
+		dir := t.TempDir()
+		f, err := OpenFile(dir, FileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Put("k", sampleEntry("k", 1)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		path := EntryPath(dir, "k")
+		b, _ := os.ReadFile(path)
+		current := fmt.Sprintf("phonocmap-store v%d ", Version)
+		if !bytes.HasPrefix(b, []byte(current)) {
+			t.Fatalf("entry header %q does not start with %q", b[:len(current)], current)
+		}
+		b = []byte("phonocmap-store " + version + " " + string(b[len(current):]))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f2, err := OpenFile(dir, FileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f2.Len() != 0 {
+			t.Errorf("%s entry accepted (Len=%d)", version, f2.Len())
+		}
+		if st := f2.Stats(); st.Quarantined != 1 {
+			t.Errorf("%s: quarantined = %d, want 1", version, st.Quarantined)
+		}
+		f2.Close()
 	}
 }
 

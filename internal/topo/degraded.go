@@ -15,11 +15,15 @@ type Degraded struct {
 	name   string
 	failed map[[2]TileID]bool
 	links  []Link
+	// neighbors[tile] is what Neighbors returns: the base's list for the
+	// tile without the failed links, carved from one slab.
+	neighbors [][]Link
 }
 
 // Degrade removes the given directed links (from -> to pairs) from the
-// topology. It fails when a named link does not exist or when the
-// degraded topology would disconnect some tile entirely.
+// topology. It fails when a named link does not exist. The result may
+// disconnect tiles, even isolate one; routing reports a pair it cannot
+// reach.
 func Degrade(base Topology, failures [][2]TileID) (*Degraded, error) {
 	d := &Degraded{
 		base:   base,
@@ -32,19 +36,21 @@ func Degrade(base Topology, failures [][2]TileID) (*Degraded, error) {
 		}
 		d.failed[f] = true
 	}
-	degree := make([]int, base.NumTiles())
 	for _, l := range base.Links() {
-		if d.failed[[2]TileID{l.From, l.To}] {
-			continue
+		if !d.failed[[2]TileID{l.From, l.To}] {
+			d.links = append(d.links, l)
 		}
-		d.links = append(d.links, l)
-		degree[l.From]++
-		degree[l.To]++
 	}
-	for tile, deg := range degree {
-		if deg == 0 {
-			return nil, fmt.Errorf("topo: failing %d link(s) isolates tile %d", len(failures), tile)
+	slab := make([]Link, 0, len(d.links))
+	d.neighbors = make([][]Link, base.NumTiles())
+	for t := range d.neighbors {
+		first := len(slab)
+		for _, l := range base.Neighbors(TileID(t)) {
+			if !d.failed[[2]TileID{l.From, l.To}] {
+				slab = append(slab, l)
+			}
 		}
+		d.neighbors[t] = slab[first:len(slab):len(slab)]
 	}
 	return d, nil
 }
@@ -75,16 +81,13 @@ func (d *Degraded) LinkTo(from, to TileID) (Link, bool) {
 	return d.base.LinkTo(from, to)
 }
 
-// Neighbors returns the surviving links leaving tile from.
+// Neighbors returns the surviving links leaving tile from, in the base's
+// order. Callers must not modify the slice.
 func (d *Degraded) Neighbors(from TileID) []Link {
-	base := d.base.Neighbors(from)
-	res := make([]Link, 0, len(base))
-	for _, l := range base {
-		if !d.failed[[2]TileID{l.From, l.To}] {
-			res = append(res, l)
-		}
+	if from < 0 || int(from) >= len(d.neighbors) {
+		return nil
 	}
-	return res
+	return d.neighbors[from]
 }
 
 // FailedCount returns the number of removed directed links.

@@ -44,9 +44,21 @@ func TestDegradeErrors(t *testing.T) {
 	if _, err := Degrade(m, [][2]TileID{{0, 5}}); err == nil {
 		t.Error("accepted nonexistent link")
 	}
-	// Isolate the corner tile 0 completely: links 0->1, 1->0, 0->3, 3->0.
-	if _, err := Degrade(m, [][2]TileID{{0, 1}, {1, 0}, {0, 3}, {3, 0}}); err == nil {
-		t.Error("accepted an isolating failure set")
+}
+
+// TestDegradeMayIsolate: isolating the corner tile 0 (links 0->1, 1->0,
+// 0->3, 3->0) is not an error here. Routing reports the pairs it cannot
+// reach, so a link-failure study can still score a mapping that leaves
+// the tile empty; config.ArchSpec.Build rejects a spec that isolates a
+// tile.
+func TestDegradeMayIsolate(t *testing.T) {
+	m, _ := NewMesh(3, 3)
+	d, err := Degrade(m, [][2]TileID{{0, 1}, {1, 0}, {0, 3}, {3, 0}})
+	if err != nil {
+		t.Fatalf("isolating failure set rejected: %v", err)
+	}
+	if got := d.Neighbors(0); len(got) != 0 {
+		t.Errorf("isolated tile 0 has neighbors %v", got)
 	}
 }
 

@@ -24,7 +24,8 @@ type Grid struct {
 	wrap      bool
 	dieCm     float64
 	links     []Link
-	outIdx    [][]int // outIdx[tile][dir] = index into links, or -1
+	outIdx    [][]int  // outIdx[tile][dir] = index into links, or -1
+	neighbors [][]Link // neighbors[tile]: what Neighbors returns
 	wrapCross int
 }
 
@@ -121,6 +122,7 @@ func newGrid(w, h int, wrap bool, opts ...GridOption) (*Grid, error) {
 			}
 		}
 	}
+	g.neighbors = neighborLists(g.links, g.outIdx)
 	return g, nil
 }
 
@@ -214,17 +216,12 @@ func (g *Grid) LinkTo(from, to TileID) (Link, bool) {
 }
 
 // Neighbors returns the links leaving tile from, in N, E, S, W order.
+// Callers must not modify the slice.
 func (g *Grid) Neighbors(from TileID) []Link {
-	if from < 0 || int(from) >= len(g.outIdx) {
+	if from < 0 || int(from) >= len(g.neighbors) {
 		return nil
 	}
-	res := make([]Link, 0, 4)
-	for _, idx := range g.outIdx[from] {
-		if idx >= 0 {
-			res = append(res, g.links[idx])
-		}
-	}
-	return res
+	return g.neighbors[from]
 }
 
 var _ Topology = (*Grid)(nil)

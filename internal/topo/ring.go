@@ -7,10 +7,11 @@ import "fmt"
 // experiments and for exercising custom-topology support; the paper's
 // evaluation uses meshes and tori.
 type Ring struct {
-	name   string
-	n      int
-	links  []Link
-	outIdx [][]int
+	name      string
+	n         int
+	links     []Link
+	outIdx    [][]int
+	neighbors [][]Link // neighbors[tile]: what Neighbors returns
 }
 
 // NewRing returns a ring of n tiles laid out on the perimeter of a die
@@ -42,6 +43,7 @@ func NewRing(n int, opts ...GridOption) (*Ring, error) {
 		r.outIdx[from][West] = len(r.links)
 		r.links = append(r.links, Link{From: from, To: west, Dir: West, LengthCm: hopLen})
 	}
+	r.neighbors = neighborLists(r.links, r.outIdx)
 	return r, nil
 }
 
@@ -79,18 +81,13 @@ func (r *Ring) LinkTo(from, to TileID) (Link, bool) {
 	return Link{}, false
 }
 
-// Neighbors returns the links leaving tile from.
+// Neighbors returns the links leaving tile from, East before West.
+// Callers must not modify the slice.
 func (r *Ring) Neighbors(from TileID) []Link {
 	if from < 0 || int(from) >= r.n {
 		return nil
 	}
-	res := make([]Link, 0, 2)
-	for _, idx := range r.outIdx[from] {
-		if idx >= 0 {
-			res = append(res, r.links[idx])
-		}
-	}
-	return res
+	return r.neighbors[from]
 }
 
 var _ Topology = (*Ring)(nil)

@@ -84,7 +84,28 @@ type Topology interface {
 	// LinkTo returns the direct link from tile from to tile to.
 	LinkTo(from, to TileID) (Link, bool)
 	// Neighbors returns the links leaving tile from, in direction order.
+	// The slice is shared; callers must not modify it.
 	Neighbors(from TileID) []Link
+}
+
+// neighborLists returns every tile's out-links in direction order, read
+// from outIdx (tile -> direction -> index into links, or -1) once at
+// construction, so Neighbors allocates nothing. The lists are carved from
+// one slab with len == cap, so an append by a caller reallocates instead
+// of writing into the next tile's list.
+func neighborLists(links []Link, outIdx [][]int) [][]Link {
+	slab := make([]Link, 0, len(links))
+	lists := make([][]Link, len(outIdx))
+	for t, idx := range outIdx {
+		first := len(slab)
+		for _, i := range idx {
+			if i >= 0 {
+				slab = append(slab, links[i])
+			}
+		}
+		lists[t] = slab[first:len(slab):len(slab)]
+	}
+	return lists
 }
 
 // Validate performs structural sanity checks shared by all topologies:

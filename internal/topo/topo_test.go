@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -324,5 +325,46 @@ func TestRingLinkTo(t *testing.T) {
 	}
 	if _, ok := r.OutLink(TileID(9), East); ok {
 		t.Error("out-of-range ring OutLink succeeded")
+	}
+}
+
+// TestNeighborsAllocationFree: every topology returns precomputed
+// neighbor lists, so Neighbors allocates nothing. Each list holds the
+// tile's surviving out-links in N, E, S, W order, and is full to
+// capacity, so an append by a caller cannot write into another tile's
+// list.
+func TestNeighborsAllocationFree(t *testing.T) {
+	mesh, _ := NewMesh(4, 3)
+	torus, _ := NewTorus(2, 3)
+	ring, _ := NewRing(5)
+	deg, err := Degrade(mesh, [][2]TileID{{0, 1}, {1, 0}, {5, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, top := range []Topology{mesh, torus, ring, deg} {
+		n := top.NumTiles()
+		for tile := TileID(0); int(tile) < n; tile++ {
+			var want []Link
+			for d := North; d <= West; d++ {
+				if l, ok := top.OutLink(tile, d); ok {
+					want = append(want, l)
+				}
+			}
+			got := top.Neighbors(tile)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Neighbors(%d) = %v, want %v", top.Name(), tile, got, want)
+			}
+			if len(got) != cap(got) {
+				t.Errorf("%s: Neighbors(%d) has len %d, cap %d", top.Name(), tile, len(got), cap(got))
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			for tile := TileID(0); int(tile) < n; tile++ {
+				_ = top.Neighbors(tile)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Neighbors allocates %v times per pass over the tiles", top.Name(), allocs)
+		}
 	}
 }

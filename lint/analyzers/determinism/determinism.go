@@ -22,7 +22,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `enforce the bit-identical-results contract in phonocmap's contract packages
 
 In internal/core, internal/search, internal/scenario, internal/sweep,
-internal/analysis and internal/network:
+internal/analysis, internal/network and internal/robust:
 
   - time.Now / time.Since calls must carry a //phonocmap:wallclock
     justification: the only sanctioned wall-clock reads are the ones
@@ -47,6 +47,7 @@ var contractPackages = []string{
 	"internal/sweep",
 	"internal/analysis",
 	"internal/network",
+	"internal/robust",
 }
 
 func run(pass *analysis.Pass) (any, error) {
