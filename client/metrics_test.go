@@ -2,6 +2,9 @@ package client
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,23 +17,61 @@ import (
 	"phonocmap/internal/service"
 )
 
+// heldBackend serves a phonocmap-serve whose one worker is held by a
+// blocker job until a job submitted through the returned URL has had
+// its 202 built. That job is therefore queued when its submission
+// returns: a job that had already finished would leave the client
+// nothing to wait for, and the wait is what the metrics tests observe.
+// wrap, when non-nil, sits in front of the service's handler.
+func heldBackend(t *testing.T, wrap func(http.Handler) http.Handler) string {
+	t.Helper()
+	srv := service.New(service.Config{Workers: 1, MaxBudget: math.MaxInt32})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	inner := srv.Handler()
+	// The blocker's budget would take hours; it ends only when cancelled.
+	rec := httptest.NewRecorder()
+	inner.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(fmt.Sprintf(`{"app":{"builtin":"VOPD"},"algorithm":"rs","budget":%d}`, math.MaxInt32))))
+	var blocker service.JobStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &blocker); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("blocker submission: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	var front http.Handler = inner
+	if wrap != nil {
+		front = wrap(inner)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		front.ServeHTTP(w, r)
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			// The job's 202 is built, with the job queued behind the
+			// blocker: free the worker for it.
+			inner.ServeHTTP(httptest.NewRecorder(),
+				httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+blocker.ID, nil))
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
 // TestMetricsPollRounds: with the event stream disabled, waiting on a
 // job is pure polling — the poll-round counter must record it, and the
 // other counters must stay silent on a healthy conversation.
 func TestMetricsPollRounds(t *testing.T) {
-	c, _ := newTestBackend(t, service.Config{})
-	// Rebuild the client without events (newTestBackend enables them).
-	c2, err := New(c.BaseURL(), WithPollInterval(time.Millisecond), WithoutEvents())
+	c, err := New(heldBackend(t, nil), WithPollInterval(time.Millisecond), WithoutEvents())
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := scenario.Spec{
 		App: config.AppSpec{Builtin: "PIP"}, Algorithm: "rs", Budget: 500, Seed: 1,
 	}
-	if _, err := c2.RunScenario(context.Background(), spec); err != nil {
+	if _, err := c.RunScenario(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	m := c2.Metrics()
+	m := c.Metrics()
 	if m.PollRounds < 1 {
 		t.Errorf("poll rounds = %d, want >= 1", m.PollRounds)
 	}
@@ -46,22 +87,16 @@ func TestMetricsPollRounds(t *testing.T) {
 // proxy-like layer that rejects it), the client falls back to polling
 // and counts the abandoned stream.
 func TestMetricsSSEFallback(t *testing.T) {
-	srv := service.New(service.Config{Workers: 2})
-	inner := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/events") {
-			http.Error(w, "stream not supported here", http.StatusNotFound)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
+	base := heldBackend(t, func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/events") {
+				http.Error(w, "stream not supported here", http.StatusNotFound)
+				return
+			}
+			inner.ServeHTTP(w, r)
+		})
 	})
-	c, err := New(ts.URL, WithPollInterval(time.Millisecond))
+	c, err := New(base, WithPollInterval(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

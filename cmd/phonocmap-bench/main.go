@@ -1,13 +1,14 @@
 // Command phonocmap-bench regenerates the paper's evaluation (Section
 // III): the Figure 3 random-mapping distributions and the Table II
-// algorithm comparison, plus ablations beyond the paper.
+// algorithm comparison, plus ablations beyond the paper, and the
+// multi-core scaling snapshot.
 //
 // Usage:
 //
 //	phonocmap-bench fig3   [-samples 100000] [-seed 1] [-apps PIP,VOPD] [-csv dir] [-workers N]
 //	phonocmap-bench table2 [-budget 20000] [-seed 1] [-apps ...] [-algos rs,ga,rpbla] [-workers N] [-server URL]
 //	phonocmap-bench ablation [-app VOPD] [-seed 1]
-//	phonocmap-bench perf [-json] [-out BENCH_2026-01-01.json] [-budget 5000]
+//	phonocmap-bench perf   [-json] [-out BENCH_2026-01-01.json] [-seed 1] [-mintime 300ms] [-fleet-cells 12] [-fleet-budget 400]
 //
 // Defaults reproduce the paper's setup; reduced samples/budgets give
 // quick sanity runs. table2 and ablation declare their grids as sweep
@@ -49,10 +50,6 @@ func main() {
 		err = cmdAblation(os.Stdout, os.Args[2:])
 	case "perf":
 		err = cmdPerf(os.Args[2:])
-	case "-json":
-		// Alias: `phonocmap-bench -json` is `perf -json` — the one-liner
-		// CI and scripts use to pipe the perf snapshot to stdout.
-		err = cmdPerf(os.Args[1:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -73,7 +70,8 @@ Commands:
   fig3      probability distributions of SNR and loss over random mappings
   table2    RS vs GA vs R-PBLA on mesh and torus, both objectives
   ablation  budget and router ablations (beyond the paper)
-  perf      machine-readable perf snapshot (BENCH_<date>.json); -json to stdout`)
+  perf      multi-core scaling snapshot: parallel_eval and fleet rows
+            (BENCH_<date>.json); -json to stdout`)
 }
 
 // paperApps returns the eight applications of the case studies in the

@@ -1,32 +1,33 @@
 package main
 
 import (
-	"math"
 	"testing"
 	"time"
-
-	"phonocmap"
 )
 
-// TestMeasureNetworkBuild checks the network_build row against the
-// testing package's own allocation count for the same build.
-func TestMeasureNetworkBuild(t *testing.T) {
-	r, err := measureNetworkBuild(3, time.Millisecond)
+// TestPerfSections runs the two sections perf writes, parallel_eval and
+// fleet, at small settings and checks the shape of each row.
+func TestPerfSections(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		r, err := measureParallelEval("4x4-dense", 4, 14, 48, 1, workers, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Case != "4x4-dense" || r.Workers != workers || r.EvalWorkers != workers {
+			t.Errorf("row %+v: want case 4x4-dense at %d workers, all used", r, workers)
+		}
+		if r.EvalsMeasured < minEvalsPerPoint || r.EvalsPerSec <= 0 {
+			t.Errorf("row %+v: want at least %d evaluations at a positive rate", r, minEvalsPerPoint)
+		}
+	}
+	f, err := measureFleet(1, 2, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Case != "mesh-3x3" || r.Tiles != 9 || r.BuildsMeasured < minBuildsPerCase {
-		t.Errorf("row %+v: want case mesh-3x3, 9 tiles, at least %d builds", r, minBuildsPerCase)
+	if f.Nodes != 1 || f.WorkersPerNode != 1 || f.Cells != 2 {
+		t.Errorf("row %+v: want 2 cells on 1 node of 1 worker", f)
 	}
-	if r.MsPerOp <= 0 || r.BytesPerOp <= 0 {
-		t.Errorf("row %+v: want positive ms/op and bytes/op", r)
-	}
-	want := testing.AllocsPerRun(5, func() {
-		if _, err := phonocmap.NewMeshNetwork(3, 3); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if math.Abs(r.AllocsPerOp-want) > 0.02*want {
-		t.Errorf("allocs/op %v, testing.AllocsPerRun says %v", r.AllocsPerOp, want)
+	if f.DurationMs <= 0 || f.CellsPerSec <= 0 {
+		t.Errorf("row %+v: want positive duration and cells/s", f)
 	}
 }

@@ -22,12 +22,6 @@ type RunResult struct {
 	Cancelled bool
 }
 
-// TracePoint is one improvement event of a run's convergence curve.
-type TracePoint struct {
-	Evals int
-	Score Score
-}
-
 // Options configures a DSE run.
 type Options struct {
 	// Budget is the evaluation budget per algorithm run; every algorithm
@@ -37,15 +31,12 @@ type Options struct {
 	// Seed derives each run's RNG (combined with the algorithm index) so
 	// whole explorations reproduce bit-for-bit. Defaults to 1.
 	Seed int64
-	// Trace, when true, records convergence curves.
-	Trace bool
 	// Context, when non-nil, cancels in-flight runs: once it is done no
 	// further evaluations are spent and Run returns the best point
 	// reached so far with RunResult.Cancelled set (or the context error
 	// when nothing was evaluated at all).
 	Context context.Context
-	// OnImprove, when non-nil, is called on every incumbent improvement
-	// (in addition to Trace recording).
+	// OnImprove, when non-nil, is called on every incumbent improvement.
 	OnImprove func(evals int, best Score)
 	// OnProgress, when non-nil, is called every ProgressEvery evaluations
 	// with the current incumbent — a heartbeat for long runs that may go
@@ -69,7 +60,6 @@ type Exploration struct {
 	prob    *Problem
 	opts    Options
 	results []RunResult
-	traces  map[string][]TracePoint
 }
 
 // NewExploration validates options and prepares an engine.
@@ -83,11 +73,7 @@ func NewExploration(prob *Problem, opts Options) (*Exploration, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	return &Exploration{
-		prob:   prob,
-		opts:   opts,
-		traces: make(map[string][]TracePoint),
-	}, nil
+	return &Exploration{prob: prob, opts: opts}, nil
 }
 
 // Run executes one searcher and records its result. Each call derives an
@@ -104,19 +90,7 @@ func (e *Exploration) Run(s Searcher) (RunResult, error) {
 	ctx.SetCancel(e.opts.Context)
 	ctx.SetEvalWorkers(e.opts.EvalWorkers)
 	defer ctx.Close()
-	if e.opts.Trace || e.opts.OnImprove != nil {
-		name := s.Name()
-		trace := e.opts.Trace
-		onImprove := e.opts.OnImprove
-		ctx.OnImprove = func(evals int, sc Score) {
-			if trace {
-				e.traces[name] = append(e.traces[name], TracePoint{Evals: evals, Score: sc})
-			}
-			if onImprove != nil {
-				onImprove(evals, sc)
-			}
-		}
-	}
+	ctx.OnImprove = e.opts.OnImprove
 	if e.opts.OnProgress != nil {
 		stride := e.opts.ProgressEvery
 		if stride <= 0 {
@@ -186,27 +160,4 @@ func (e *Exploration) Results() []RunResult {
 	out := make([]RunResult, len(e.results))
 	copy(out, e.results)
 	return out
-}
-
-// Trace returns the convergence curve of the named algorithm (only
-// populated when Options.Trace was set).
-func (e *Exploration) Trace(algorithm string) []TracePoint {
-	pts := e.traces[algorithm]
-	out := make([]TracePoint, len(pts))
-	copy(out, pts)
-	return out
-}
-
-// BestResult returns the best run recorded so far.
-func (e *Exploration) BestResult() (RunResult, bool) {
-	if len(e.results) == 0 {
-		return RunResult{}, false
-	}
-	best := e.results[0]
-	for _, r := range e.results[1:] {
-		if r.Score.Better(best.Score) {
-			best = r
-		}
-	}
-	return best, true
 }

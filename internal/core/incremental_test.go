@@ -264,35 +264,3 @@ func TestContextSwapLedger(t *testing.T) {
 		t.Fatalf("incumbent score %+v does not reproduce (%+v)", bs, check)
 	}
 }
-
-// TestEvaluateViaMatchesEvaluate: the arbitrary-mapping delta path is
-// bit-identical to Evaluate and shares the ledger.
-func TestEvaluateViaMatchesEvaluate(t *testing.T) {
-	prob := pipProblem(t, MinimizeLoss)
-	ref := prob.Clone()
-	rng := rand.New(rand.NewSource(5))
-	ctx, err := NewContext(prob, rng, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		m, err := RandomMapping(rng, prob.NumTasks(), prob.NumTiles())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, ok, err := ctx.EvaluateVia(m)
-		if err != nil || !ok {
-			t.Fatalf("EvaluateVia: %v ok=%v", err, ok)
-		}
-		want, err := ref.Evaluate(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("iter %d: via %+v != full %+v", i, got, want)
-		}
-	}
-	if ctx.Evals() != 100 {
-		t.Fatalf("EvaluateVia ledger: %d evals, want 100", ctx.Evals())
-	}
-}

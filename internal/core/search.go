@@ -236,28 +236,6 @@ func (c *Context) ApplySwap(a, b topo.TileID) error {
 	return nil
 }
 
-// EvaluateVia evaluates an arbitrary valid mapping through the
-// incremental engine, spending one budget unit: the session reseats on m
-// by delta from wherever it currently sits (seating itself in full on
-// first use). Scores are bit-for-bit identical to Evaluate(m); cost is
-// proportional to how much of the mapping changed. Used by searchers
-// whose moves are close to — but not exactly — single swaps, e.g. GA
-// mutation chains.
-func (c *Context) EvaluateVia(m Mapping) (Score, bool, error) {
-	if c.Exhausted() {
-		return Score{}, false, nil
-	}
-	if c.sess == nil {
-		return c.StartSwaps(m)
-	}
-	s, err := c.sess.Reseat(m)
-	if err != nil {
-		return Score{}, false, err
-	}
-	c.account(c.sess.Mapping(), s)
-	return s, true, nil
-}
-
 // SwapSession exposes the seated session (nil before StartSwaps or
 // AttachSwaps) for searchers that need its occupancy view.
 func (c *Context) SwapSession() *SwapSession { return c.sess }
@@ -297,8 +275,7 @@ func (c *Context) Best() (Mapping, Score, bool) {
 // RandomMapping draws a uniform mapping for this problem, consuming the
 // RNG exactly like the package-level RandomMapping. The mapping lives in
 // the context's buffer and is overwritten by the next call: Clone it to
-// retain it. Evaluate, StartSwaps, AttachSwaps and EvaluateVia copy what
-// they keep.
+// retain it. Evaluate, StartSwaps and AttachSwaps copy what they keep.
 func (c *Context) RandomMapping() Mapping {
 	if c.draw == nil {
 		c.draw = make(Mapping, c.prob.NumTiles())

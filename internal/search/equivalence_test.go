@@ -30,6 +30,56 @@ import (
 // — factorized linear factors plus fixed-point noise quantization — a
 // documented sub-physical rounding change shared by both paths.)
 
+// slots is the tile-centric view of a mapping the reference searchers
+// mutate: slots[tile] is the task hosted on that tile, or -1. It makes
+// swap-neighborhood enumeration and task moves O(1).
+type slots struct {
+	taskOf  []int // by tile
+	mapping core.Mapping
+}
+
+func newSlots(m core.Mapping, numTiles int) *slots {
+	s := &slots{
+		taskOf:  make([]int, numTiles),
+		mapping: m.Clone(),
+	}
+	for t := range s.taskOf {
+		s.taskOf[t] = -1
+	}
+	for task, tile := range m {
+		s.taskOf[tile] = task
+	}
+	return s
+}
+
+// reset re-seats the slot view on a new mapping.
+func (s *slots) reset(m core.Mapping) {
+	for t := range s.taskOf {
+		s.taskOf[t] = -1
+	}
+	copy(s.mapping, m)
+	for task, tile := range m {
+		s.taskOf[tile] = task
+	}
+}
+
+// taskAt reports the task on a tile (-1 when free) — the admittedMoves
+// accessor of a slots view.
+func (s *slots) taskAt(t topo.TileID) int { return s.taskOf[t] }
+
+// swapTiles exchanges the contents of two tiles (tasks or emptiness),
+// keeping the mapping in sync. Swapping two empty tiles is a no-op.
+func (s *slots) swapTiles(a, b topo.TileID) {
+	ta, tb := s.taskOf[a], s.taskOf[b]
+	s.taskOf[a], s.taskOf[b] = tb, ta
+	if ta >= 0 {
+		s.mapping[ta] = b
+	}
+	if tb >= 0 {
+		s.mapping[tb] = a
+	}
+}
+
 // refRankMoves is the pre-refactor rankMoves: every admitted move
 // evaluated by mutating the slot view and fully evaluating the mapping.
 func refRankMoves(ctx *core.Context, s *slots, moves []move, buf []rankedMove) ([]rankedMove, bool, error) {

@@ -51,56 +51,6 @@ func Names() []string {
 // PaperNames lists the three algorithms compared in Table II.
 func PaperNames() []string { return []string{"rs", "ga", "rpbla"} }
 
-// slots is the tile-centric view of a mapping: slots[tile] is the task
-// hosted on that tile, or -1. It makes swap-neighborhood enumeration and
-// task moves O(1).
-type slots struct {
-	taskOf  []int // by tile
-	mapping core.Mapping
-}
-
-func newSlots(m core.Mapping, numTiles int) *slots {
-	s := &slots{
-		taskOf:  make([]int, numTiles),
-		mapping: m.Clone(),
-	}
-	for t := range s.taskOf {
-		s.taskOf[t] = -1
-	}
-	for task, tile := range m {
-		s.taskOf[tile] = task
-	}
-	return s
-}
-
-// reset re-seats the slot view on a new mapping.
-func (s *slots) reset(m core.Mapping) {
-	for t := range s.taskOf {
-		s.taskOf[t] = -1
-	}
-	copy(s.mapping, m)
-	for task, tile := range m {
-		s.taskOf[tile] = task
-	}
-}
-
-// taskAt reports the task on a tile (-1 when free) — the admittedMoves
-// accessor of a slots view.
-func (s *slots) taskAt(t topo.TileID) int { return s.taskOf[t] }
-
-// swapTiles exchanges the contents of two tiles (tasks or emptiness),
-// keeping the mapping in sync. Swapping two empty tiles is a no-op.
-func (s *slots) swapTiles(a, b topo.TileID) {
-	ta, tb := s.taskOf[a], s.taskOf[b]
-	s.taskOf[a], s.taskOf[b] = tb, ta
-	if ta >= 0 {
-		s.mapping[ta] = b
-	}
-	if tb >= 0 {
-		s.mapping[tb] = a
-	}
-}
-
 // move is one admitted move of the priority-based list algorithms: swap
 // the contents of two tiles, at least one of which hosts a task.
 type move struct {
@@ -112,7 +62,7 @@ type move struct {
 // side will host a task. For fully packed problems this is all task-task
 // swaps; with spare tiles it also includes task relocations. taskAt
 // reports the task hosted on a tile (-1 when free) — typically
-// core.SwapSession.TaskAt or a slots view.
+// core.SwapSession.TaskAt.
 func admittedMoves(taskAt func(topo.TileID) int, numTiles int) []move {
 	res := make([]move, 0, numTiles*(numTiles-1)/2)
 	for a := 0; a < numTiles; a++ {

@@ -180,14 +180,8 @@ func (j *Job) progressLocked() ([]int, *core.Score) {
 	}
 }
 
-// totalEvals sums the per-island counters (falling back to the final
-// result when it counts more).
-func (j *Job) totalEvals() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.totalEvalsLocked()
-}
-
+// totalEvalsLocked sums the per-island counters (falling back to the
+// final result when it counts more).
 func (j *Job) totalEvalsLocked() int {
 	islands, _ := j.progressLocked()
 	return j.evalsLocked(islands)
@@ -309,6 +303,23 @@ func (j *Job) status() JobStatus {
 		Budget:      j.spec.Budget * max(j.spec.Seeds, 1),
 		Best:        best,
 		Error:       j.errMsg,
+	}
+}
+
+// cellStatus is the part of the job's status a sweep cell shows, read
+// under one lock: no spec copy and no timestamps. The caller fills in
+// the cell's index, grid cell and budget.
+func (j *Job) cellStatus() SweepCellStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	islands, best := j.progressLocked()
+	return SweepCellStatus{
+		JobID:  j.id,
+		State:  j.state,
+		Cached: j.cached,
+		Evals:  j.evalsLocked(islands),
+		Best:   best,
+		Error:  j.errMsg,
 	}
 }
 

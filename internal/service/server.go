@@ -688,7 +688,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	s.registerSweep(sw)
 	s.logger.Info("sweep accepted", "sweep", id, "cells", len(scs))
 	go s.runSweep(sw)
-	writeJSON(w, http.StatusAccepted, sw.status())
+	writeJSON(w, http.StatusAccepted, sw.status(true))
 }
 
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
@@ -707,7 +707,7 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]SweepStatus, 0, len(sweeps))
 	for _, sw := range sweeps {
-		st := sw.summary()
+		st := sw.status(false)
 		if lq.status != "" && st.State != lq.status {
 			continue
 		}
@@ -722,7 +722,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeNotFound, "unknown sweep", nil)
 		return
 	}
-	writeJSON(w, http.StatusOK, sw.status())
+	writeJSON(w, http.StatusOK, sw.status(true))
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
@@ -732,7 +732,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !sw.currentState().Terminal() {
-		writeJSON(w, http.StatusAccepted, sw.status())
+		writeJSON(w, http.StatusAccepted, sw.status(true))
 		return
 	}
 	writeJSON(w, http.StatusOK, sw.result())
@@ -745,7 +745,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw.Cancel()
-	writeJSON(w, http.StatusOK, sw.status())
+	writeJSON(w, http.StatusOK, sw.status(true))
 }
 
 // handleCacheStats serves GET /v1/cache: both cache tiers' live

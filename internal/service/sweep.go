@@ -243,8 +243,11 @@ func (sw *Sweep) currentState() State {
 	return sw.state
 }
 
-// status builds the wire status snapshot with live per-cell progress.
-func (sw *Sweep) status() SweepStatus {
+// status builds the wire status snapshot in one walk over the cells.
+// With cells it carries every cell's live progress; without, it is the
+// listing weight: the same counts, evals and budget totals and no
+// per-cell array.
+func (sw *Sweep) status(cells bool) SweepStatus {
 	sw.mu.Lock()
 	state := sw.state
 	created, started, finished := sw.created, sw.started, sw.finished
@@ -259,66 +262,26 @@ func (sw *Sweep) status() SweepStatus {
 		Started:  rfc3339(started),
 		Finished: rfc3339(finished),
 		Counts:   make(map[State]int),
-		Cells:    make([]SweepCellStatus, 0, len(sw.cells)),
+	}
+	if cells {
+		st.Cells = make([]SweepCellStatus, 0, len(sw.cells))
 	}
 	for i, sc := range sw.cells {
-		cs := SweepCellStatus{
-			Index:  i,
-			Cell:   sc.cell,
-			State:  StateQueued, // not yet materialized
-			Budget: sc.spec.Budget * max(sc.spec.Seeds, 1),
-		}
-		if state.Terminal() && jobs[i] == nil {
+		cs := SweepCellStatus{State: StateQueued} // not yet materialized
+		if j := jobs[i]; j != nil {
+			cs = j.cellStatus()
+		} else if state.Terminal() {
 			// The sweep ended before this cell was ever submitted.
 			cs.State = StateCancelled
 		}
-		if j := jobs[i]; j != nil {
-			js := j.status()
-			cs.JobID = js.ID
-			cs.State = js.State
-			cs.Cached = js.Cached
-			cs.Evals = js.Evals
-			cs.Best = js.Best
-			cs.Error = js.Error
-		}
+		cs.Index, cs.Cell = i, sc.cell
+		cs.Budget = sc.spec.Budget * max(sc.spec.Seeds, 1)
 		st.Counts[cs.State]++
 		st.Evals += cs.Evals
 		st.Budget += cs.Budget
-		st.Cells = append(st.Cells, cs)
-	}
-	return st
-}
-
-// summary is the listing-weight status: counts, evals and budget totals
-// without the per-cell array. It touches each backing job only for its
-// state and counters instead of copying full specs and scores.
-func (sw *Sweep) summary() SweepStatus {
-	sw.mu.Lock()
-	state := sw.state
-	created, started, finished := sw.created, sw.started, sw.finished
-	jobs := make([]*Job, len(sw.jobs))
-	copy(jobs, sw.jobs)
-	sw.mu.Unlock()
-
-	st := SweepStatus{
-		ID:       sw.id,
-		State:    state,
-		Created:  rfc3339(created),
-		Started:  rfc3339(started),
-		Finished: rfc3339(finished),
-		Counts:   make(map[State]int),
-	}
-	for i, sc := range sw.cells {
-		cellState := StateQueued
-		if state.Terminal() && jobs[i] == nil {
-			cellState = StateCancelled
+		if cells {
+			st.Cells = append(st.Cells, cs)
 		}
-		if j := jobs[i]; j != nil {
-			cellState = j.currentState()
-			st.Evals += j.totalEvals()
-		}
-		st.Counts[cellState]++
-		st.Budget += sc.spec.Budget * max(sc.spec.Seeds, 1)
 	}
 	return st
 }
@@ -367,7 +330,7 @@ func (sw *Sweep) cellResult(i int, j *Job) (SweepCellResult, sweep.Result) {
 	cr.JobID = j.id
 	res, state, ok := j.snapshotResult()
 	if !ok {
-		cr.Error = j.status().Error
+		cr.Error = j.cellStatus().Error
 		if cr.Error == "" {
 			cr.Error = string(state)
 		}

@@ -92,6 +92,18 @@ func conflictGraph(nw *network.Network, comms []analysis.Communication) ([][]boo
 	return adj, conflicts, nil
 }
 
+// checkMapping rejects a mapping that does not place every task of app
+// on its own tile of nw (Eqs. 5–6).
+func checkMapping(nw *network.Network, app *cg.Graph, m core.Mapping) error {
+	if err := m.Validate(nw.NumTiles()); err != nil {
+		return err
+	}
+	if len(m) != app.NumTasks() {
+		return fmt.Errorf("wdm: mapping covers %d tasks, app has %d", len(m), app.NumTasks())
+	}
+	return nil
+}
+
 // Allocate assigns wavelength channels to the mapped application's
 // communications with Welsh-Powell greedy coloring of the contention
 // graph (highest-degree first): conflicting communications never share a
@@ -99,11 +111,8 @@ func conflictGraph(nw *network.Network, comms []analysis.Communication) ([][]boo
 // deterministic and within the usual small factor of the chromatic number
 // on these sparse graphs.
 func Allocate(nw *network.Network, app *cg.Graph, m core.Mapping) (Assignment, error) {
-	if err := m.Validate(nw.NumTiles()); err != nil {
+	if err := checkMapping(nw, app, m); err != nil {
 		return Assignment{}, err
-	}
-	if len(m) != app.NumTasks() {
-		return Assignment{}, fmt.Errorf("wdm: mapping covers %d tasks, app has %d", len(m), app.NumTasks())
 	}
 	edges := app.Edges()
 	comms := make([]analysis.Communication, len(edges))
@@ -156,6 +165,9 @@ func Allocate(nw *network.Network, app *cg.Graph, m core.Mapping) (Assignment, e
 // Evaluate computes the worst-case metrics of a mapped application under
 // a wavelength assignment: only same-channel communications interact.
 func Evaluate(nw *network.Network, app *cg.Graph, m core.Mapping, a Assignment) (analysis.Result, error) {
+	if err := checkMapping(nw, app, m); err != nil {
+		return analysis.Result{}, err
+	}
 	if len(a.Channel) != app.NumEdges() {
 		return analysis.Result{}, fmt.Errorf("wdm: assignment covers %d edges, app has %d", len(a.Channel), app.NumEdges())
 	}

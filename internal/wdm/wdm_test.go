@@ -171,19 +171,59 @@ func TestChannelCountDependsOnMapping(t *testing.T) {
 	}
 }
 
+// TestAllocateErrors: both entry points reject every mapping that is
+// not one distinct on-network tile per task of the app (Eqs. 5–6), and
+// none of them panics.
 func TestAllocateErrors(t *testing.T) {
 	nw := testNet(t, 3, 3)
 	app := cg.MustApp("PIP")
-	if _, err := Allocate(nw, app, core.Mapping{0, 1}); err == nil {
-		t.Error("accepted short mapping")
+	n := app.NumTasks()
+	valid, err := Allocate(nw, app, core.IdentityMapping(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := core.IdentityMapping(8)
-	bad[0] = bad[1]
-	if _, err := Allocate(nw, app, bad); err == nil {
-		t.Error("accepted non-injective mapping")
+	moved := func(task int, tile topo.TileID) core.Mapping {
+		m := core.IdentityMapping(n)
+		m[task] = tile
+		return m
+	}
+	cases := []struct {
+		name string
+		m    core.Mapping
+	}{
+		{"nil", nil},
+		{"n-1 tasks", core.IdentityMapping(n - 1)},
+		{"n+1 tasks", core.IdentityMapping(n + 1)},
+		{"tile -1", moved(3, -1)},
+		{"tile NumTiles", moved(3, topo.TileID(nw.NumTiles()))},
+		{"duplicate tile", moved(2, 0)},
+	}
+	for _, tc := range cases {
+		rejects(t, "Allocate "+tc.name, func() error {
+			_, err := Allocate(nw, app, tc.m)
+			return err
+		})
+		rejects(t, "Evaluate "+tc.name, func() error {
+			_, err := Evaluate(nw, app, tc.m, valid)
+			return err
+		})
 	}
 	a := Assignment{Channel: []int{0}}
-	if _, err := Evaluate(nw, app, core.IdentityMapping(8), a); err == nil {
+	if _, err := Evaluate(nw, app, core.IdentityMapping(n), a); err == nil {
 		t.Error("Evaluate accepted wrong-length assignment")
+	}
+}
+
+// rejects fails the test unless f returns an error; a panic is reported
+// as a failure of that case instead of aborting the table.
+func rejects(t *testing.T, name string, f func() error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s: panicked: %v", name, r)
+		}
+	}()
+	if err := f(); err == nil {
+		t.Errorf("%s: accepted", name)
 	}
 }
