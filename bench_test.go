@@ -125,7 +125,7 @@ func BenchmarkNetworkBuild8x8(b *testing.B) { benchNetworkBuild(b, 8) }
 // mesh (12 cuts) and the 8-sample robustness study of MWD on a 4x4
 // Crux/XY mesh. Each cut and each sample builds only the mapped
 // communications' paths, so allocs/op tracks their count, not the
-// network's pair count.
+// network's pair count, and one evaluator scores a whole study.
 func BenchmarkAnalyses(b *testing.B) {
 	identity := func(n int) phonocmap.Mapping {
 		m := make(phonocmap.Mapping, n)

@@ -36,7 +36,12 @@
 // leaks or neither. A whole-set evaluation (Evaluator, Incremental.Init)
 // goes element by element and visits each pair of co-located steps once,
 // applying both directions; a delta (Incremental.ApplyDelta) visits only
-// the pairs on the changed paths' elements.
+// the pairs on the changed paths' elements. Since the two classes decide
+// a pair's effect, the whole-set pass sorts a list of at least runMin
+// steps by class and counts it by class runs: contention in bulk (a run
+// of k steps counts k(k−1) conflicts), pairs that neither leak nor
+// contend not at all, and only leaking pairs one by one. That rests on no
+// path crossing an element twice, which network builds guarantee.
 package analysis
 
 import (
@@ -132,6 +137,14 @@ func NewEvaluator(nw *network.Network) *Evaluator {
 
 // Clone returns an independent evaluator sharing the (immutable) network.
 func (e *Evaluator) Clone() *Evaluator { return NewEvaluator(e.nw) }
+
+// Rebind points the evaluator at another network, such as one built with
+// other parameters or around a failed link, keeping its buffers when the
+// element count matches. Later evaluations run on nw.
+func (e *Evaluator) Rebind(nw *network.Network) {
+	e.nw = nw
+	e.occ.bind(nw)
+}
 
 // Network returns the evaluated network.
 func (e *Evaluator) Network() *network.Network { return e.nw }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -360,6 +361,48 @@ func TestEvaluateDeterministicAndCloneIndependent(t *testing.T) {
 	}
 	if ev.Network() != nw {
 		t.Error("Network() identity lost")
+	}
+}
+
+// TestRebindMatchesFreshEvaluator moves one evaluator across networks
+// with other coefficients (same element count, so the buffers stay) and
+// another size, and back: each evaluation equals a fresh evaluator's on
+// that network, bit for bit.
+func TestRebindMatchesFreshEvaluator(t *testing.T) {
+	hot := photonic.DefaultParams()
+	hot.CrossingCrosstalk *= 0.5
+	hot.PSEOnCrosstalk *= 0.5
+	var nets []*network.Network
+	for _, tc := range []struct {
+		side int
+		p    photonic.Params
+	}{{4, photonic.DefaultParams()}, {4, hot}, {3, photonic.DefaultParams()}, {4, photonic.DefaultParams()}} {
+		g, err := topo.NewMesh(tc.side, tc.side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := network.New(g, router.Crux(), route.XY{}, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, nw)
+	}
+	comms := []Communication{{Src: 0, Dst: 8}, {Src: 2, Dst: 6}, {Src: 3, Dst: 5}, {Src: 7, Dst: 1}, {Src: 4, Dst: 0}}
+	ev := NewEvaluator(nets[0])
+	for i, nw := range nets {
+		ev.Rebind(nw)
+		got, err := ev.Evaluate(comms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEvaluator(nw).Evaluate(comms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("network %d (%s)", i, nw), got, want)
+		if ev.Network() != nw {
+			t.Fatalf("network %d: Network() is not the rebound network", i)
+		}
 	}
 }
 

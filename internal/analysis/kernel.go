@@ -147,18 +147,35 @@ func (o *occupancy) noise(v, a *entry) int64 {
 	return fixedNoise(o.leak[v.class>>4] * a.lossBefore * v.downstream)
 }
 
+// runMin is the shortest occupancy list the whole-set pass walks by class
+// runs (see runs) instead of pair by pair. It was set by timing both ways,
+// the walk with its sort, on the lists of 2 to 16 steps that random
+// mappings leave on two sets of instances (Intel Xeon, 2 vCPUs): the 8×8
+// dense problem (56 tasks, 220 communications, Crux/XY mesh), where the
+// walk breaks even at 5 steps and takes 0.85× the loop's time at 6 and
+// 0.5× at 12, and the paper's eight Table II apps on Crux/XY meshes and
+// tori, where it takes 1.7× at 4 steps and 1.1× at 7, then 0.9× at 8 and
+// 0.5× at 12. Eight is the shortest length where the walk wins on both.
+const runMin = 8
+
 // pass is the whole-set pair kernel. Element by element, it visits each
 // unordered pair of co-located steps of two different communications
 // once and applies both directions: each side's quantized leak from the
 // other into acc, or 2 conflicts (one per victim) for a contending pair.
-// With a channel assignment only same-channel pairs interact. acc must
-// be zeroed by the caller; integer sums make the visiting order
-// irrelevant.
+// With a channel assignment only same-channel pairs interact. Without
+// one, lists of at least runMin steps are left to runs, which counts the
+// same pairs by class. runs is called from a second loop: called from the
+// first, it made the compiler keep the pair loop's indices on the stack,
+// and BenchmarkFig3EvalPIP took a third longer. acc must be zeroed by the
+// caller; integer sums make the visiting order irrelevant.
 //
 //phonocmap:noalloc
 func (o *occupancy) pass(acc []int64, channel []int) (conflicts int) {
 	for _, g := range o.used {
 		occ := o.lists[g]
+		if channel == nil && len(occ) >= runMin {
+			continue
+		}
 		for i := 1; i < len(occ); i++ {
 			b := &occ[i]
 			for j := range occ[:i] {
@@ -179,7 +196,87 @@ func (o *occupancy) pass(acc []int64, channel []int) (conflicts int) {
 			}
 		}
 	}
+	if channel == nil {
+		for _, g := range o.used {
+			if occ := o.lists[g]; len(occ) >= runMin {
+				conflicts += o.runs(acc, occ)
+			}
+		}
+	}
 	return conflicts
+}
+
+// runs is pass over one element's list, grouped by class. It sorts the
+// list in place by class byte (order within a list means nothing) and
+// walks its runs of equal class, since two steps' classes alone decide
+// whether their pair leaks, contends or neither:
+//
+//   - a run of k steps adds k(k−1) conflicts: equal classes share their
+//     input port, so every pair in the run contends;
+//   - two contending runs of k₁ and k₂ steps add 2·k₁·k₂ conflicts;
+//   - two runs that neither leak nor contend are skipped;
+//   - only two runs with a leaking direction visit their steps, adding
+//     each leaking direction's quantized noise pair by pair.
+//
+// The bulk counts rest on one invariant of network builds: no path
+// crosses an element twice (TestPathsCrossEachElementOnce in
+// internal/network), so every pair in a list is a pair of two different
+// communications, the pairs the per-pair loop's comm test keeps.
+//
+//phonocmap:noalloc
+func (o *occupancy) runs(acc []int64, occ []entry) (conflicts int) {
+	for i := 1; i < len(occ); i++ {
+		e := occ[i]
+		j := i
+		for ; j > 0 && occ[j-1].class > e.class; j-- {
+			occ[j] = occ[j-1]
+		}
+		occ[j] = e
+	}
+	for i, j := 0, 0; i < len(occ); i = j {
+		j = runEnd(occ, i)
+		ra := occ[i:j]
+		conflicts += len(ra) * (len(ra) - 1)
+		for l, m := j, j; l < len(occ); l = m {
+			m = runEnd(occ, l)
+			rb := occ[l:m]
+			ab, ba := pairEffect[ra[0].class][rb[0].class&15], pairEffect[rb[0].class][ra[0].class&15]
+			if ab == contends {
+				conflicts += 2 * len(ra) * len(rb)
+				continue
+			}
+			if ab == leaks {
+				o.leakInto(acc, ra, rb)
+			}
+			if ba == leaks {
+				o.leakInto(acc, rb, ra)
+			}
+		}
+	}
+	return conflicts
+}
+
+// runEnd returns the end of the class run that starts at occ[i].
+func runEnd(occ []entry, i int) int {
+	c := occ[i].class
+	for i++; i < len(occ) && occ[i].class == c; i++ {
+	}
+	return i
+}
+
+// leakInto adds to each victim step the quantized leak of every aggressor
+// step, one pair at a time.
+//
+//phonocmap:noalloc
+func (o *occupancy) leakInto(acc []int64, victims, aggressors []entry) {
+	for i := range victims {
+		v := &victims[i]
+		var n int64
+		for j := range aggressors {
+			n += o.noise(v, &aggressors[j])
+		}
+		acc[v.comm] += n
+	}
 }
 
 // fold reduces per-victim noise into a Result, scanning in communication

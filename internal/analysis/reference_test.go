@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"phonocmap/internal/cg"
 	"phonocmap/internal/network"
 	"phonocmap/internal/photonic"
 	"phonocmap/internal/route"
@@ -190,7 +191,8 @@ func refNetworks(t testing.TB) []refNet {
 
 // TestEvaluatorMatchesReference checks every Evaluator form against the
 // frozen victim-major reference on random communication sets, sparse to
-// dense (repeated pairs included, which contend on every shared step).
+// dense (repeated pairs included, which contend on every shared step),
+// and on a dense 8×8 instance whose occupancy lists are long.
 func TestEvaluatorMatchesReference(t *testing.T) {
 	for _, rn := range refNetworks(t) {
 		t.Run(rn.name, func(t *testing.T) {
@@ -209,43 +211,85 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 					channel[i] = rng.Intn(3)
 				}
 				weights[0] += 1 // a positive sum
-
-				what := fmt.Sprintf("trial %d (m=%d)", trial, m)
-				want, wantDetails := refEvaluate(rn.nw, comms, nil, nil)
-				got, err := ev.Evaluate(comms)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, what+" Evaluate", got, want)
-
-				got, details, err = ev.Detailed(comms, details)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, what+" Detailed", got, want)
-				for i := range details {
-					g, w := details[i], wantDetails[i]
-					if math.Float64bits(g.LossDB) != math.Float64bits(w.LossDB) ||
-						math.Float64bits(g.NoiseDB) != math.Float64bits(w.NoiseDB) ||
-						math.Float64bits(g.SNRDB) != math.Float64bits(w.SNRDB) {
-						t.Fatalf("%s: detail %d = %+v, reference %+v", what, i, g, w)
-					}
-				}
-
-				want, _ = refEvaluate(rn.nw, comms, weights, nil)
-				if got, err = ev.EvaluateWeighted(comms, weights); err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, what+" EvaluateWeighted", got, want)
-
-				want, _ = refEvaluate(rn.nw, comms, nil, channel)
-				if got, err = ev.EvaluateChanneled(comms, channel); err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, what+" EvaluateChanneled", got, want)
+				details = checkEvaluatorForms(t, ev, comms, weights, channel, details, fmt.Sprintf("trial %d (m=%d)", trial, m))
 			}
 		})
 	}
+
+	// A seeded 56-task/220-edge CG on an 8×8 Crux/XY mesh, the dense
+	// benchmark instance, under a few random mappings. Its occupancy lists
+	// hold a median of 10 steps and up to 33, in up to 5 classes, where
+	// the 4×4 sets above reach 20 steps at most.
+	t.Run("crux-mesh-8x8-dense", func(t *testing.T) {
+		g, err := topo.NewMesh(8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, err := network.New(g, router.Crux(), route.XY{}, photonic.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		app, err := cg.RandomConnected(rng, 56, 220)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewEvaluator(nw)
+		var details []Detail
+		for trial := 0; trial < 4; trial++ {
+			mapping := rng.Perm(nw.NumTiles())
+			comms := make([]Communication, app.NumEdges())
+			weights := make([]float64, app.NumEdges())
+			channel := make([]int, app.NumEdges())
+			for i, e := range app.Edges() {
+				comms[i] = Communication{Src: topo.TileID(mapping[e.Src]), Dst: topo.TileID(mapping[e.Dst])}
+				weights[i] = e.Bandwidth
+				channel[i] = rng.Intn(3)
+			}
+			details = checkEvaluatorForms(t, ev, comms, weights, channel, details, fmt.Sprintf("mapping %d", trial))
+		}
+	})
+}
+
+// checkEvaluatorForms runs Evaluate, Detailed, EvaluateWeighted and
+// EvaluateChanneled on one communication set and compares each with the
+// frozen reference bit for bit. It returns the details buffer for reuse.
+func checkEvaluatorForms(t *testing.T, ev *Evaluator, comms []Communication, weights []float64, channel []int, details []Detail, what string) []Detail {
+	t.Helper()
+	nw := ev.Network()
+	want, wantDetails := refEvaluate(nw, comms, nil, nil)
+	got, err := ev.Evaluate(comms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, what+" Evaluate", got, want)
+
+	got, details, err = ev.Detailed(comms, details)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, what+" Detailed", got, want)
+	for i := range details {
+		g, w := details[i], wantDetails[i]
+		if math.Float64bits(g.LossDB) != math.Float64bits(w.LossDB) ||
+			math.Float64bits(g.NoiseDB) != math.Float64bits(w.NoiseDB) ||
+			math.Float64bits(g.SNRDB) != math.Float64bits(w.SNRDB) {
+			t.Fatalf("%s: detail %d = %+v, reference %+v", what, i, g, w)
+		}
+	}
+
+	want, _ = refEvaluate(nw, comms, weights, nil)
+	if got, err = ev.EvaluateWeighted(comms, weights); err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, what+" EvaluateWeighted", got, want)
+
+	want, _ = refEvaluate(nw, comms, nil, channel)
+	if got, err = ev.EvaluateChanneled(comms, channel); err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, what+" EvaluateChanneled", got, want)
+	return details
 }
 
 // TestIncrementalMatchesReference drives ApplyDelta/Undo sequences whose

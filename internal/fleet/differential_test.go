@@ -144,16 +144,24 @@ func TestDifferentialFleetNodeKill(t *testing.T) {
 		// mid-sweep Close below wait on them; plain polling keeps every
 		// request short-lived.
 		cfg.ClientOptions = append(cfg.ClientOptions, client.WithoutEvents())
+		// One failed dispatch marks a node down. With more, the check
+		// below would depend on scheduling: the dead node may see only
+		// one dispatch before the sweep ends.
+		cfg.DownAfter = 1
 	})
 
-	// Kill the second node as soon as the first cell settles: whatever
+	// Kill the first node as soon as the first cell settles: whatever
 	// it is running or later receives fails over to the survivor.
+	// Dispatch breaks load ties toward the lower index, so at least one
+	// of the cells left is sent to the dead node, however the two sweep
+	// workers interleave. The second node would see no dispatch at all
+	// whenever the workers never overlapped after the kill.
 	var once sync.Once
 	opts := runner.SweepOptions{
 		OnCellDone: func(runner.SweepCellResult) {
 			once.Do(func() {
-				servers[1].CloseClientConnections()
-				servers[1].Close()
+				servers[0].CloseClientConnections()
+				servers[0].Close()
 			})
 		},
 	}
@@ -171,8 +179,9 @@ func TestDifferentialFleetNodeKill(t *testing.T) {
 	// The dead node must be marked down by the dispatch-failure path
 	// (the prober is quiet at this interval), and at least one cell must
 	// have migrated — the sweep ran 8 cells on 2 workers, so work was
-	// outstanding when the node died.
-	if st := nodeState(fr.nodes[1].state.Load()); st != stateDown {
+	// outstanding when the node died. A migration follows a failed
+	// dispatch, which at DownAfter 1 marks the node down.
+	if st := nodeState(fr.nodes[0].state.Load()); st != stateDown {
 		t.Errorf("killed node state = %v, want down", st)
 	}
 	if m := fr.metrics.migrated.Value(); m < 1 {

@@ -294,3 +294,44 @@ func TestCygnusSupportsYX(t *testing.T) {
 		t.Fatalf("path = %+v", p)
 	}
 }
+
+// TestPathsCrossEachElementOnce pins the invariant the crosstalk kernel's
+// bulk counts rest on: over every topology, router and routing pairing
+// the build accepts, no path traverses one element twice, so two steps
+// sharing an element always belong to two different communications.
+func TestPathsCrossEachElementOnce(t *testing.T) {
+	built := 0
+	for _, top := range referenceTopologies(t) {
+		for _, name := range router.Names() {
+			arch, err := router.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range referenceRoutings {
+				nw, err := New(top, arch, algo, photonic.DefaultParams())
+				if err != nil {
+					continue
+				}
+				built++
+				// seenBy[g] is 1 + the index of the last path that
+				// crossed element g.
+				seenBy := make([]int, nw.NumElements())
+				n := top.NumTiles()
+				for src := topo.TileID(0); int(src) < n; src++ {
+					for dst := topo.TileID(0); int(dst) < n; dst++ {
+						pi := 1 + int(src)*n + int(dst)
+						for _, s := range nw.Path(src, dst).Steps {
+							if seenBy[s.Node] == pi {
+								t.Fatalf("%s/%s/%s: path %d->%d crosses element %d twice", top.Name(), name, algo.Name(), src, dst, s.Node)
+							}
+							seenBy[s.Node] = pi
+						}
+					}
+				}
+			}
+		}
+	}
+	if built == 0 {
+		t.Fatal("no pairing built")
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 
+	"phonocmap/internal/analysis"
 	"phonocmap/internal/cg"
 	"phonocmap/internal/core"
 	"phonocmap/internal/network"
@@ -66,6 +67,7 @@ func Variation(
 	if err != nil {
 		return VariationResult{}, err
 	}
+	st := newStudy(pairs)
 	rng := rand.New(rand.NewSource(seed))
 	res := VariationResult{
 		Samples:     samples,
@@ -78,11 +80,7 @@ func Variation(
 		if err != nil {
 			return VariationResult{}, fmt.Errorf("robust: sample %d: %w", i, err)
 		}
-		prob, err := core.NewProblem(app, nw, core.MaximizeSNR)
-		if err != nil {
-			return VariationResult{}, err
-		}
-		s, err := prob.Evaluate(m)
+		s, err := st.evaluate(nw)
 		if err != nil {
 			return VariationResult{}, err
 		}
@@ -114,6 +112,40 @@ func mappedPairs(t topo.Topology, app *cg.Graph, m core.Mapping) ([][2]topo.Tile
 		pairs = append(pairs, [2]topo.TileID{m[e.Src], m[e.Dst]})
 	}
 	return pairs, nil
+}
+
+// study scores one mapping's communications on network after network
+// (perturbed samples, link cuts) through one evaluator, which keeps its
+// occupancy buffers from one network to the next.
+type study struct {
+	ev    *analysis.Evaluator
+	comms []analysis.Communication
+}
+
+func newStudy(pairs [][2]topo.TileID) *study {
+	st := &study{comms: make([]analysis.Communication, len(pairs))}
+	for i, p := range pairs {
+		st.comms[i] = analysis.Communication{Src: p[0], Dst: p[1]}
+	}
+	return st
+}
+
+// evaluate returns the worst-case metrics of the communications on nw. A
+// NaN worst SNR is an error, as it is for a mapping search.
+func (st *study) evaluate(nw *network.Network) (analysis.Result, error) {
+	if st.ev == nil {
+		st.ev = analysis.NewEvaluator(nw)
+	} else {
+		st.ev.Rebind(nw)
+	}
+	res, err := st.ev.Evaluate(st.comms)
+	if err != nil {
+		return analysis.Result{}, err
+	}
+	if math.IsNaN(res.WorstSNRDB) {
+		return analysis.Result{}, fmt.Errorf("robust: evaluation produced a NaN worst SNR")
+	}
+	return res, nil
 }
 
 // perturb scales every coefficient by an independent factor in
@@ -167,6 +199,7 @@ func LinkFailures(
 	if err != nil {
 		return nil, err
 	}
+	st := newStudy(pairs)
 	seen := make(map[[2]topo.TileID]bool)
 	var results []FailureResult
 	for _, l := range t.Links() {
@@ -191,11 +224,7 @@ func LinkFailures(
 			results = append(results, fr)
 			continue
 		}
-		prob, err := core.NewProblem(app, nw, core.MaximizeSNR)
-		if err != nil {
-			return nil, err
-		}
-		s, err := prob.Evaluate(m)
+		s, err := st.evaluate(nw)
 		if err != nil {
 			return nil, err
 		}
