@@ -301,6 +301,8 @@ func BenchmarkWDMAllocate(b *testing.B) {
 // the result. The equal-budget DSE protocol makes evals/sec the solution
 // quality, so this ratio is the effective search-budget multiplier. The
 // dense random CGs stress the worst case (many communications per task).
+// The incremental cases commit every swap, the revert cases revert every
+// swap (EvaluateSwap then Revert), over the same swap sequence.
 func BenchmarkEvaluateFullVsIncremental(b *testing.B) {
 	cases := []struct {
 		name         string
@@ -386,6 +388,25 @@ func BenchmarkEvaluateFullVsIncremental(b *testing.B) {
 					b.Fatal(err)
 				}
 				sess.Commit()
+			}
+		})
+		// What tabu and R-PBLA ranking spend every budget unit on, and SA
+		// every rejected move: score a swap, then take it back.
+		b.Run("revert-"+tc.name, func(b *testing.B) {
+			sess, err := phonocmap.NewSwapSession(prob, m0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := seq[i%len(seq)]
+				if _, err := sess.EvaluateSwap(s.a, s.b); err != nil {
+					b.Fatal(err)
+				}
+				if err := sess.Revert(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

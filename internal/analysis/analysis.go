@@ -31,12 +31,16 @@
 // One pair kernel serves every evaluation path (kernel.go). Each element
 // keeps an occupancy list of the path steps traversing it, with what the
 // kernel reads from a step inline: ports, kind and ring state packed in
-// one class byte, and the two linear factors. A table indexed by the
-// victim's class and the aggressor's ports says whether a pair contends,
-// leaks or neither. A whole-set evaluation (Evaluator, Incremental.Init)
-// goes element by element and visits each pair of co-located steps once,
-// applying both directions; a delta (Incremental.ApplyDelta) visits only
-// the pairs on the changed paths' elements. Since the two classes decide
+// one class byte, and the two linear factors. One table indexed by two
+// class bytes says whether a pair contends and whether each step leaks
+// into the other; every pair loop reads it once per pair, adds the
+// contention without a branch and branches only on the leak bits. A
+// whole-set evaluation (Evaluator, Incremental.Init) goes element by
+// element and visits each pair of co-located steps once, applying both
+// directions; a delta (Incremental.ApplyDelta) visits only the pairs on
+// the changed paths' elements, and its Undo touches no pair: it pops the
+// new paths' entries off the ends of their lists and re-appends the old
+// ones. Since the two classes decide
 // a pair's effect, the whole-set pass sorts a list of at least runMin
 // steps by class and counts it by class runs: contention in bulk (a run
 // of k steps counts k(k−1) conflicts), pairs that neither leak nor

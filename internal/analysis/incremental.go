@@ -44,6 +44,11 @@ import (
 //     trackers and the (weighted) mean: float compares plus one log10
 //     per noisy victim, no pairwise work.
 //
+// Undo does no pair work. After scans it costs O(|path|) per changed
+// communication plus one store per touched victim: it pops the new
+// paths' entries off the ends of their lists and re-appends the old
+// ones. After a rebuild it re-seats the map, O(m·|path|).
+//
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
 	nw  *network.Network
@@ -88,15 +93,24 @@ type Incremental struct {
 }
 
 // A delta changing more than rebuildNum/rebuildDen of the communications
-// is applied by rebuilding. The fraction was set by timing both ways of
-// applying deltas of 10 % to 100 % of the set, forward and back, on
-// Crux/XY meshes (Intel Xeon, 2 vCPUs). On the 8×8 dense problem (220
-// communications) the scans cost 0.87 ms per pair of deltas at 10 %,
-// break even with the 2.2 ms of two rebuilds at 30 %, and cost 2.1× as
-// much at 90 %, the share of the set a GA or memetic batch reseat
-// changes. On a 4×4 mesh with 48 communications they break even between
-// 30 % and 40 %.
-const rebuildNum, rebuildDen = 3, 10
+// is applied by rebuilding. The fraction was set by timing both ways on
+// the deltas swap sessions make, the edges incident to the moved tasks:
+// EvaluateSwap then Revert, and Reseat there and back, each call timed
+// while cycling through 120 distinct deltas of each kind (median of 7
+// interleaved rounds, Intel Xeon, 2 vCPUs, Crux/XY). Where the two ways
+// break even depends on the instance. A committed delta breaks even at
+// 20–30 % of the set on the 8×8 dense problem (56 tasks, 220
+// communications), a 4×4 mesh with 48 communications and DVOPD, MPEG-4,
+// VOPD and Wavelet, and at 36–50 % on the smaller Table II apps. A delta
+// that is undone favours the scans further, since Undo re-seats the map
+// after a rebuild but costs O(|path|) after scans: it breaks even at 29 %
+// on the 4×4 mesh, 38 % on VOPD and 50 % on PIP. A third keeps the worst
+// loss on any of these instances, against picking the cheaper way per
+// delta, to 9 % (dense reseats of 30–33 %; at 3/10 it was 15 %, MWD swaps
+// of 4 of 12 edges). In a perfbench dense run no delta fell between 25 %
+// and 50 %; in a table2 run 97 % of those between 20 % and 45 % were
+// undone.
+const rebuildNum, rebuildDen = 1, 3
 
 // incPool recycles released engines: the occupancy map and the
 // per-victim accumulator slices dominate the cost of standing up an
@@ -336,10 +350,9 @@ func (inc *Incremental) detach(c int) {
 			if v.comm == a.comm {
 				continue
 			}
-			switch pairEffect[v.class][a.class&15] {
-			case contends:
-				inc.conflicts -= 2
-			case leaks:
+			t := pairOf(v.class, a.class)
+			inc.conflicts -= int(t & contends)
+			if t&leaksIntoFirst != 0 {
 				inc.touch(int(v.comm))
 				inc.noiseAcc[v.comm] -= inc.occ.noise(v, &a)
 			}
@@ -369,15 +382,13 @@ func (inc *Incremental) attach(c int) {
 			if v.comm == a.comm {
 				continue
 			}
-			switch pairEffect[v.class][a.class&15] {
-			case contends:
-				inc.conflicts += 2
-				continue
-			case leaks:
+			t := pairOf(v.class, a.class)
+			inc.conflicts += int(t & contends)
+			if t&leaksIntoFirst != 0 {
 				inc.touch(int(v.comm))
 				inc.noiseAcc[v.comm] += inc.occ.noise(v, &a)
 			}
-			if pairEffect[a.class][v.class&15] == leaks {
+			if t&leaksIntoSecond != 0 {
 				own += inc.occ.noise(&a, v)
 			}
 		}
@@ -389,6 +400,14 @@ func (inc *Incremental) attach(c int) {
 // Undo reverts the last ApplyDelta, restoring paths, occupancy and every
 // cached accumulator to their exact previous values. Only one level of
 // undo is kept; a second Undo (or an Undo after Init) fails.
+//
+// After scans, Undo rests on a tail invariant: the entries attach
+// appended are the last entries of their lists. attach appends one
+// entry per step of each new path, a path crosses an element once, and
+// nothing appends between a delta and its undo, so each list's last k
+// entries are exactly its k new-path entries. Popping them and
+// re-appending the old paths' entries restores every list's multiset of
+// entries, though not its order, which no pair loop depends on.
 func (inc *Incremental) Undo() (Result, error) {
 	if !inc.undoValid {
 		return Result{}, fmt.Errorf("analysis: nothing to undo")
@@ -401,11 +420,15 @@ func (inc *Incremental) Undo() (Result, error) {
 		inc.occ.seat(inc.paths)
 		copy(inc.noiseAcc, inc.undoNoise)
 	} else {
-		// Detach the new paths, re-attach the old ones, and restore the
-		// snapshotted accumulators (no pair work: the stored values are
-		// the previous values).
+		// Pop the new paths' entries, re-append the old ones, and restore
+		// the snapshotted accumulators (no pair work: the stored values
+		// are the previous values).
 		for _, ci := range inc.undoChanged {
-			inc.occ.dropPath(ci, inc.paths[ci])
+			p := inc.paths[ci]
+			for si := range p.Steps {
+				occ := inc.occ.lists[p.Steps[si].Node]
+				inc.occ.lists[p.Steps[si].Node] = occ[:len(occ)-1]
+			}
 		}
 		for i, ci := range inc.undoChanged {
 			inc.comms[ci] = inc.undoComms[i]

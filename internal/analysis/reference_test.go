@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -292,6 +294,35 @@ func checkEvaluatorForms(t *testing.T, ev *Evaluator, comms []Communication, wei
 	return details
 }
 
+// TestPairTableMatchesReference checks the pair table against the frozen
+// reference's classifier on every pair of class bytes, both directions.
+// Steps that network builds make leak both ways or neither (out is
+// Traverse of in), so the evaluation tests cannot tell the two leak bits
+// apart; the table's other class pairs can.
+func TestPairTableMatchesReference(t *testing.T) {
+	leakLin := [3][2]float64{{1, 1}, {1, 1}, {1, 1}}
+	step := func(c int) network.Step {
+		return network.Step{
+			Kind: photonic.Kind(c >> 5), State: photonic.State(c >> 4 & 1),
+			In: photonic.Port(c >> 2 & 3), Out: photonic.Port(c & 3),
+			LinLossBefore: 1, LinDownstream: 1,
+		}
+	}
+	const classes = int(photonic.CPSE+1) << 5 // every kind, state and port pair
+	for x := 0; x < classes; x++ {
+		for y := 0; y < classes; y++ {
+			sx, sy := step(x), step(y)
+			conflict, intoX := refStepEffect(&leakLin, &sx, &sy)
+			_, intoY := refStepEffect(&leakLin, &sy, &sx)
+			got := pairOf(uint8(x), uint8(y))
+			if (got&contends != 0) != conflict || (got&leaksIntoFirst != 0) != (intoX > 0) || (got&leaksIntoSecond != 0) != (intoY > 0) {
+				t.Fatalf("pairs[%07b][%07b] = %03b; reference: conflict %v, leaks into first %v, into second %v",
+					x, y, got, conflict, intoX > 0, intoY > 0)
+			}
+		}
+	}
+}
+
 // TestIncrementalMatchesReference drives ApplyDelta/Undo sequences whose
 // deltas fall on both sides of the rebuild threshold — single
 // communications, a third, half, most and all of the set — and checks
@@ -342,6 +373,7 @@ func TestIncrementalMatchesReference(t *testing.T) {
 						newComms[i] = randomComm(rng, n)
 					}
 					prev := inc.Result()
+					prevOcc := occupancyOf(inc)
 					if got, err = inc.ApplyDelta(changed, newComms); err != nil {
 						t.Fatal(err)
 					}
@@ -359,11 +391,36 @@ func TestIncrementalMatchesReference(t *testing.T) {
 						requireBitIdentical(t, what+" Undo", got, prev)
 						want, _ := refEvaluate(rn.nw, comms, weights, nil)
 						requireBitIdentical(t, what+" Undo", got, want)
+						requireSameOccupancy(t, what+" Undo", occupancyOf(inc), prevOcc)
 						continue
 					}
 					comms = next
 				}
 			})
+		}
+	}
+}
+
+// occupancyOf copies every element's occupancy list, each sorted by
+// communication then class, so two states compare as multisets.
+func occupancyOf(inc *Incremental) [][]entry {
+	lists := make([][]entry, len(inc.occ.lists))
+	for g, occ := range inc.occ.lists {
+		lists[g] = slices.Clone(occ)
+		slices.SortFunc(lists[g], func(a, b entry) int {
+			return cmp.Or(cmp.Compare(a.comm, b.comm), cmp.Compare(a.class, b.class))
+		})
+	}
+	return lists
+}
+
+// requireSameOccupancy fails unless every element holds the same multiset
+// of entries in both states.
+func requireSameOccupancy(t *testing.T, what string, got, want [][]entry) {
+	t.Helper()
+	for g := range want {
+		if !slices.Equal(got[g], want[g]) {
+			t.Fatalf("%s: element %d holds %v, want %v", what, g, got[g], want[g])
 		}
 	}
 }

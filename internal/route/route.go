@@ -168,11 +168,11 @@ func (BFS) Route(t topo.Topology, src, dst topo.TileID) ([]topo.Link, error) {
 	prev := make([]topo.Link, n)
 	seen := make([]bool, n)
 	seen[src] = true
-	queue := []topo.TileID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range t.Neighbors(cur) {
+	// Each tile is queued at most once, so n slots never regrow.
+	queue := make([]topo.TileID, 1, n)
+	queue[0] = src
+	for head := 0; head < len(queue); head++ {
+		for _, l := range t.Neighbors(queue[head]) {
 			if seen[l.To] {
 				continue
 			}
@@ -187,14 +187,17 @@ func (BFS) Route(t topo.Topology, src, dst topo.TileID) ([]topo.Link, error) {
 	return nil, fmt.Errorf("route: %d unreachable from %d on %s", dst, src, t.Name())
 }
 
+// reconstruct walks the BFS tree back from dst twice: once to count the
+// hops, once to fill the path from its end.
 func reconstruct(prev []topo.Link, src, dst topo.TileID) []topo.Link {
-	var rev []topo.Link
+	hops := 0
 	for at := dst; at != src; at = prev[at].From {
-		rev = append(rev, prev[at])
+		hops++
 	}
-	path := make([]topo.Link, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
+	path := make([]topo.Link, hops)
+	for at := dst; at != src; at = prev[at].From {
+		hops--
+		path[hops] = prev[at]
 	}
 	return path
 }
