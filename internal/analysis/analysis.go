@@ -40,12 +40,14 @@
 // directions; a delta (Incremental.ApplyDelta) visits only the pairs on
 // the changed paths' elements, and its Undo touches no pair: it pops the
 // new paths' entries off the ends of their lists and re-appends the old
-// ones. Since the two classes decide
-// a pair's effect, the whole-set pass sorts a list of at least runMin
-// steps by class and counts it by class runs: contention in bulk (a run
-// of k steps counts k(k−1) conflicts), pairs that neither leak nor
-// contend not at all, and only leaking pairs one by one. That rests on no
-// path crossing an element twice, which network builds guarantee.
+// ones. Since the two classes decide a pair's effect, the whole-set pass
+// groups a list of at least runMin steps by class, with a counting sort
+// into a scratch buffer that leaves the list as it was, and counts it by
+// class runs: contention in bulk (a run of k steps counts k(k−1)
+// conflicts), pairs that neither leak nor contend not at all, and only
+// leaking pairs one by one. That rests on two properties network builds
+// guarantee: no path crosses an element twice, and every step crossing
+// an element has that element's kind.
 package analysis
 
 import (

@@ -95,21 +95,24 @@ type Incremental struct {
 // A delta changing more than rebuildNum/rebuildDen of the communications
 // is applied by rebuilding. The fraction was set by timing both ways on
 // the deltas swap sessions make, the edges incident to the moved tasks:
-// EvaluateSwap then Revert, and Reseat there and back, each call timed
-// while cycling through 120 distinct deltas of each kind (median of 7
-// interleaved rounds, Intel Xeon, 2 vCPUs, Crux/XY). Where the two ways
-// break even depends on the instance. A committed delta breaks even at
-// 20–30 % of the set on the 8×8 dense problem (56 tasks, 220
-// communications), a 4×4 mesh with 48 communications and DVOPD, MPEG-4,
-// VOPD and Wavelet, and at 36–50 % on the smaller Table II apps. A delta
-// that is undone favours the scans further, since Undo re-seats the map
-// after a rebuild but costs O(|path|) after scans: it breaks even at 29 %
-// on the 4×4 mesh, 38 % on VOPD and 50 % on PIP. A third keeps the worst
-// loss on any of these instances, against picking the cheaper way per
-// delta, to 9 % (dense reseats of 30–33 %; at 3/10 it was 15 %, MWD swaps
-// of 4 of 12 edges). In a perfbench dense run no delta fell between 25 %
-// and 50 %; in a table2 run 97 % of those between 20 % and 45 % were
-// undone.
+// swaps and multi-task reseats, each call timed while cycling through 120
+// distinct deltas of each kind (median of 7 interleaved rounds, Intel
+// Xeon, 2 vCPUs, Crux/XY), committed and undone. Where the two ways break
+// even depends on the instance: against the scans, a rebuild is cheaper
+// where lists are long enough for the class-run walk. A committed delta
+// breaks even at 10–15 % of the set on the 8×8 dense problem (56 tasks,
+// 220 communications), 25–30 % on a 4×4 mesh with 48 communications,
+// about 30 % on DVOPD, MPEG-4, VOPD and Wavelet, and 40–55 % on PIP,
+// MWD, 263enc and 263dec. A delta that is undone favours the scans further,
+// since Undo re-seats the map after a rebuild but costs O(|path|) after
+// scans. No one fraction suits every instance. Summed over these ten
+// instances, the loss against picking the cheaper way per delta is
+// lowest at a third, for committed deltas (49 %; 54 % at 1/4, 65 % at
+// 2/5) and for undone ones (51 %; 52 % at 2/5, 77 % at 3/10); the dense
+// instance alone loses 29 % at a third, as its committed deltas of
+// 15–33 % are scanned at 1.3–2.3× a rebuild's cost. In a perfbench dense
+// run no delta fell between 25 % and 50 %; in a table2 run 97 % of those
+// between 20 % and 45 % were undone.
 const rebuildNum, rebuildDen = 1, 3
 
 // incPool recycles released engines: the occupancy map and the

@@ -93,6 +93,10 @@ type occupancy struct {
 	// leak[class>>4] is the linear leak coefficient of the victim's
 	// element kind and ring state.
 	leak [8]float64
+	// grouped is runs' scratch: one list's entries regrouped by class.
+	// seat sizes it to the number of communications, the most entries a
+	// list can hold, since no path crosses an element twice.
+	grouped []entry
 }
 
 // bind sizes the map for a network and loads its leak coefficients,
@@ -118,6 +122,9 @@ func (o *occupancy) seat(paths []*network.Path) {
 		o.inUsed[g] = false
 	}
 	o.used = o.used[:0]
+	if len(o.grouped) < len(paths) {
+		o.grouped = make([]entry, len(paths))
+	}
 	for ci, p := range paths {
 		o.addPath(ci, p)
 	}
@@ -148,13 +155,15 @@ func (o *occupancy) noise(v, a *entry) int64 {
 
 // runMin is the shortest occupancy list the whole-set pass walks by class
 // runs (see runs) instead of pair by pair. It was set by timing both ways,
-// the walk with its sort, on the lists of 2 to 16 steps that random
-// mappings leave on two sets of instances (Intel Xeon, 2 vCPUs): the 8×8
-// dense problem (56 tasks, 220 communications, Crux/XY mesh), where the
-// walk breaks even at 5 steps and takes 0.85× the loop's time at 6 and
-// 0.5× at 12, and the paper's eight Table II apps on Crux/XY meshes and
-// tori, where it takes 1.7× at 4 steps and 1.1× at 7, then 0.9× at 8 and
-// 0.5× at 12. Eight is the shortest length where the walk wins on both.
+// the walk with its counting sort, on the lists of 2 to 16 steps that
+// random mappings leave on two sets of instances (median of 15
+// interleaved rounds, two runs, Intel Xeon, 2 vCPUs): the 8×8 dense
+// problem (56 tasks, 220 communications, Crux/XY mesh), where the walk
+// takes 2.2–2.5× the loop's time at 4 steps, 1.3–1.5× at 6, 1.04–1.27×
+// at 7, 0.92–0.96× at 8 and 0.55× at 12, and the paper's eight Table II
+// apps on Crux/XY meshes and tori, where it takes 2.2× at 4, 1.3–1.4× at
+// 6, 1.05–1.12× at 7, 0.91–0.92× at 8 and 0.63× at 12. Eight is the
+// shortest length where the walk wins on both.
 const runMin = 8
 
 // pass is the whole-set pair kernel. Element by element, it visits each
@@ -203,10 +212,10 @@ func (o *occupancy) pass(acc []int64, channel []int) (conflicts int) {
 	return conflicts
 }
 
-// runs is pass over one element's list, grouped by class. It sorts the
-// list in place by class byte (order within a list means nothing) and
-// walks its runs of equal class, since two steps' classes alone decide
-// whether their pair leaks, contends or neither:
+// runs is pass over one element's list, grouped by class. It copies the
+// list into o.grouped with a counting sort by class, leaving the list
+// itself as it was, and walks the runs of equal class, since two steps'
+// classes alone decide whether their pair leaks, contends or neither:
 //
 //   - a run of k steps adds k(k−1) conflicts: equal classes share their
 //     input port, so every pair in the run contends;
@@ -215,28 +224,50 @@ func (o *occupancy) pass(acc []int64, channel []int) (conflicts int) {
 //   - only two runs with a leaking direction visit their steps, adding
 //     each leaking direction's quantized noise pair by pair.
 //
-// The bulk counts rest on one invariant of network builds: no path
-// crosses an element twice (TestPathsCrossEachElementOnce in
-// internal/network), so every pair in a list is a pair of two different
-// communications, the pairs the per-pair loop's comm test keeps.
+// The sort keys on the class byte's low five bits (ring state, in port,
+// out port): every step crossing one element has that element's kind
+// (TestPathsCrossEachElementOnceAsItsKind in internal/network), so those
+// bits tell apart every class a list can hold. Keying on the ports alone
+// (class&15) would group the same way, since within one element the two
+// ports determine the ring state.
+//
+// The bulk counts rest on one more invariant of network builds: no path
+// crosses an element twice (the same test), so every pair in a list is a
+// pair of two different communications, the pairs the per-pair loop's
+// comm test keeps.
 //
 //phonocmap:noalloc
 func (o *occupancy) runs(acc []int64, occ []entry) (conflicts int) {
-	for i := 1; i < len(occ); i++ {
-		e := occ[i]
-		j := i
-		for ; j > 0 && occ[j-1].class > e.class; j-- {
-			occ[j] = occ[j-1]
-		}
-		occ[j] = e
+	var count [32]int32
+	for i := range occ {
+		count[occ[i].class&31]++
 	}
-	for i, j := 0, 0; i < len(occ); i = j {
-		j = runEnd(occ, i)
-		ra := occ[i:j]
+	// next[k] is where the next step of class k goes; bounds[x] is
+	// where the x-th non-empty run starts, bounds[nr] where the last
+	// one ends.
+	var next [32]int32
+	var bounds [33]int32
+	nr, at := 0, int32(0)
+	for k, c := range count {
+		if c != 0 {
+			bounds[nr] = at
+			next[k] = at
+			nr++
+			at += c
+		}
+	}
+	bounds[nr] = at
+	g := o.grouped[:len(occ)]
+	for i := range occ {
+		k := occ[i].class & 31
+		g[next[k]] = occ[i]
+		next[k]++
+	}
+	for x := 0; x < nr; x++ {
+		ra := g[bounds[x]:bounds[x+1]]
 		conflicts += len(ra) * (len(ra) - 1)
-		for l, m := j, j; l < len(occ); l = m {
-			m = runEnd(occ, l)
-			rb := occ[l:m]
+		for y := x + 1; y < nr; y++ {
+			rb := g[bounds[y]:bounds[y+1]]
 			t := pairOf(ra[0].class, rb[0].class)
 			conflicts += int(t&contends) * len(ra) * len(rb)
 			if t&leaksIntoFirst != 0 {
@@ -248,14 +279,6 @@ func (o *occupancy) runs(acc []int64, occ []entry) (conflicts int) {
 		}
 	}
 	return conflicts
-}
-
-// runEnd returns the end of the class run that starts at occ[i].
-func runEnd(occ []entry, i int) int {
-	c := occ[i].class
-	for i++; i < len(occ) && occ[i].class == c; i++ {
-	}
-	return i
 }
 
 // leakInto adds to each victim step the quantized leak of every aggressor

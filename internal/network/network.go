@@ -148,12 +148,24 @@ func build(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p p
 	n := t.NumTiles()
 	nw := &Network{top: t, arch: arch, algo: algo, params: p}
 
-	// Resolve every turn the router supports once; a nil entry is an
-	// unsupported turn.
+	// Resolve every turn the router supports once, all into one slab; a
+	// nil entry is an unsupported turn.
 	var turns [router.NumPorts][router.NumPorts][]router.Step
+	numTurnSteps := 0
 	for in := router.Port(0); in < router.NumPorts; in++ {
 		for out := router.Port(0); out < router.NumPorts; out++ {
-			turns[in][out], _ = arch.Steps(p, in, out)
+			trav, _ := arch.Path(in, out)
+			numTurnSteps += len(trav)
+		}
+	}
+	turnSlab := make([]router.Step, 0, numTurnSteps)
+	for in := router.Port(0); in < router.NumPorts; in++ {
+		for out := router.Port(0); out < router.NumPorts; out++ {
+			first := len(turnSlab)
+			var ok bool
+			if turnSlab, ok = arch.AppendSteps(turnSlab, p, in, out); ok {
+				turns[in][out] = turnSlab[first:len(turnSlab):len(turnSlab)]
+			}
 		}
 	}
 	turnSteps := func(tile topo.TileID, in, out router.Port) ([]router.Step, error) {

@@ -295,11 +295,14 @@ func TestCygnusSupportsYX(t *testing.T) {
 	}
 }
 
-// TestPathsCrossEachElementOnce pins the invariant the crosstalk kernel's
-// bulk counts rest on: over every topology, router and routing pairing
-// the build accepts, no path traverses one element twice, so two steps
-// sharing an element always belong to two different communications.
-func TestPathsCrossEachElementOnce(t *testing.T) {
+// TestPathsCrossEachElementOnceAsItsKind pins the invariants the
+// crosstalk kernel's class-run walk rests on, over every topology,
+// router and routing pairing the build accepts: no path traverses one
+// element twice, so two steps sharing an element always belong to two
+// different communications; and every step crossing an element carries
+// that element's kind, so the steps of one element differ in ring state
+// and ports only.
+func TestPathsCrossEachElementOnceAsItsKind(t *testing.T) {
 	built := 0
 	for _, top := range referenceTopologies(t) {
 		for _, name := range router.Names() {
@@ -325,6 +328,10 @@ func TestPathsCrossEachElementOnce(t *testing.T) {
 								t.Fatalf("%s/%s/%s: path %d->%d crosses element %d twice", top.Name(), name, algo.Name(), src, dst, s.Node)
 							}
 							seenBy[s.Node] = pi
+							el, ok := arch.Element(router.ElemID(int(s.Node) % arch.NumElements()))
+							if !ok || el.Kind != s.Kind {
+								t.Fatalf("%s/%s/%s: path %d->%d crosses element %d (%v) as a %v step", top.Name(), name, algo.Name(), src, dst, s.Node, el.Kind, s.Kind)
+							}
 						}
 					}
 				}

@@ -165,39 +165,47 @@ func (BFS) Route(t topo.Topology, src, dst topo.TileID) ([]topo.Link, error) {
 	if src == dst {
 		return nil, nil
 	}
-	prev := make([]topo.Link, n)
-	seen := make([]bool, n)
-	seen[src] = true
-	// Each tile is queued at most once, so n slots never regrow.
-	queue := make([]topo.TileID, 1, n)
-	queue[0] = src
-	for head := 0; head < len(queue); head++ {
-		for _, l := range t.Neighbors(queue[head]) {
-			if seen[l.To] {
+	tiles := make([]bfsTile, n)
+	tiles[src].seen = true
+	tiles[0].queue = src
+	for head, tail := 0, 1; head < tail; head++ {
+		for _, l := range t.Neighbors(tiles[head].queue) {
+			if tiles[l.To].seen {
 				continue
 			}
-			seen[l.To] = true
-			prev[l.To] = l
+			tiles[l.To].seen = true
+			tiles[l.To].prev = l
 			if l.To == dst {
-				return reconstruct(prev, src, dst), nil
+				return reconstruct(tiles, src, dst), nil
 			}
-			queue = append(queue, l.To)
+			tiles[tail].queue = l.To
+			tail++
 		}
 	}
 	return nil, fmt.Errorf("route: %d unreachable from %d on %s", dst, src, t.Name())
 }
 
+// bfsTile is BFS's scratch for one tile, all of it in one block per
+// routed pair: the link the search reached the tile by, whether it was
+// reached, and the queue slot at the tile's index (each tile is queued
+// at most once, so n slots suffice).
+type bfsTile struct {
+	prev  topo.Link
+	seen  bool
+	queue topo.TileID
+}
+
 // reconstruct walks the BFS tree back from dst twice: once to count the
 // hops, once to fill the path from its end.
-func reconstruct(prev []topo.Link, src, dst topo.TileID) []topo.Link {
+func reconstruct(tiles []bfsTile, src, dst topo.TileID) []topo.Link {
 	hops := 0
-	for at := dst; at != src; at = prev[at].From {
+	for at := dst; at != src; at = tiles[at].prev.From {
 		hops++
 	}
 	path := make([]topo.Link, hops)
-	for at := dst; at != src; at = prev[at].From {
+	for at := dst; at != src; at = tiles[at].prev.From {
 		hops--
-		path[hops] = prev[at]
+		path[hops] = tiles[at].prev
 	}
 	return path
 }

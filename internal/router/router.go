@@ -91,8 +91,6 @@ type Architecture struct {
 	elems []Element
 	// paths[in][out] is nil when the turn is unsupported.
 	paths [NumPorts][NumPorts][]Traversal
-	// steps caches resolved paths per parameter set independently; see
-	// Steps. Loss depends on photonic.Params so resolution happens there.
 }
 
 // Name returns the architecture name, e.g. "crux".
@@ -168,19 +166,29 @@ func (a *Architecture) Steps(p photonic.Params, in, out Port) ([]Step, bool) {
 	if !ok {
 		return nil, false
 	}
-	steps := make([]Step, len(trav))
-	for i, t := range trav {
+	return a.AppendSteps(make([]Step, 0, len(trav)), p, in, out)
+}
+
+// AppendSteps is Steps appending the turn's steps to dst, so a caller
+// resolving many turns can carve them all from one slab. It returns dst
+// unchanged and false when the turn is unsupported.
+func (a *Architecture) AppendSteps(dst []Step, p photonic.Params, in, out Port) ([]Step, bool) {
+	trav, ok := a.Path(in, out)
+	if !ok {
+		return dst, false
+	}
+	for _, t := range trav {
 		kind := a.elems[t.Elem].Kind
-		steps[i] = Step{
+		dst = append(dst, Step{
 			Elem:  t.Elem,
 			Kind:  kind,
 			In:    t.In,
 			Out:   photonic.Traverse(kind, t.State, t.In),
 			State: t.State,
 			Loss:  p.TraversalLoss(kind, t.State),
-		}
+		})
 	}
-	return steps, true
+	return dst, true
 }
 
 // PathLoss returns the total dB insertion loss of the turn under the
