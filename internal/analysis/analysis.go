@@ -48,6 +48,20 @@
 // leaking pairs one by one. That rests on two properties network builds
 // guarantee: no path crosses an element twice, and every step crossing
 // an element has that element's kind.
+//
+// Small networks also have a second engine, the path table (table.go):
+// for every ordered pair of the network's tile-pair paths, the noise one
+// injects into the other summed over their shared elements, and the
+// pair's conflict count, filled once per network by the kernel's own
+// pair loop over a seating of every path. A whole-set evaluation then
+// sums m(m−1) table entries, a delta about 3·|Δ|·m, and an undo restores
+// an O(m) snapshot; integer sums keep every result bit-identical to the
+// kernel's. TableOf builds a network's table at most once, on first use,
+// and the network keeps it; NewTableEvaluator and NewTableIncremental
+// score from it. The table grows as the fourth power of the tile count,
+// so package core uses it only up to a tile cap and the kernel above;
+// evaluations under a channel assignment (EvaluateChanneled) and the
+// robustness and link-failure studies always use the kernel.
 package analysis
 
 import (
@@ -125,30 +139,50 @@ func noiseFromFixed(a int64) float64 { return float64(a) / noiseScale }
 // not safe for concurrent use; use Clone to obtain independent evaluators
 // for parallel search.
 type Evaluator struct {
-	nw    *network.Network
+	nw *network.Network
+	// tab, when non-nil, is nw's path table: Evaluate, Detailed and
+	// EvaluateWeighted score from it, EvaluateChanneled keeps the kernel.
+	tab   *PathTable
 	occ   occupancy
 	paths []*network.Path
+	idx   []int32 // each communication's path index (table engine)
 	acc   []int64 // per-communication fixed-point noise
 	// weights, when non-nil, turn AvgLossDB into a weighted mean (set
 	// transiently by EvaluateWeighted).
 	weights []float64
 }
 
-// NewEvaluator returns an evaluator for the given network.
+// NewEvaluator returns an evaluator for the given network, scoring with
+// the pair kernel.
 func NewEvaluator(nw *network.Network) *Evaluator {
 	e := &Evaluator{nw: nw}
 	e.occ.bind(nw)
 	return e
 }
 
-// Clone returns an independent evaluator sharing the (immutable) network.
-func (e *Evaluator) Clone() *Evaluator { return NewEvaluator(e.nw) }
+// NewTableEvaluator returns an evaluator for the table's network that
+// scores from the table (see Evaluator.tab).
+func NewTableEvaluator(t *PathTable) *Evaluator {
+	e := NewEvaluator(t.nw)
+	e.tab = t
+	return e
+}
+
+// Clone returns an independent evaluator sharing the (immutable) network
+// and path table.
+func (e *Evaluator) Clone() *Evaluator {
+	c := NewEvaluator(e.nw)
+	c.tab = e.tab
+	return c
+}
 
 // Rebind points the evaluator at another network, such as one built with
 // other parameters or around a failed link, keeping its buffers when the
-// element count matches. Later evaluations run on nw.
+// element count matches. Later evaluations run on nw, with the pair
+// kernel.
 func (e *Evaluator) Rebind(nw *network.Network) {
 	e.nw = nw
+	e.tab = nil
 	e.occ.bind(nw)
 }
 
@@ -218,9 +252,11 @@ func (e *Evaluator) run(comms []Communication, details []Detail, channel []int) 
 	m := len(comms)
 	if cap(e.paths) < m {
 		e.paths = make([]*network.Path, m)
+		e.idx = make([]int32, m)
 		e.acc = make([]int64, m)
 	}
 	e.paths = e.paths[:m]
+	e.idx = e.idx[:m]
 	for i, c := range comms {
 		if c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n {
 			return Result{}, fmt.Errorf("analysis: communication %d: tile out of range (%d->%d)", i, c.Src, c.Dst)
@@ -231,11 +267,17 @@ func (e *Evaluator) run(comms []Communication, details []Detail, channel []int) 
 		if e.paths[i] = e.nw.Path(c.Src, c.Dst); e.paths[i] == nil {
 			return Result{}, noPath(i, c)
 		}
+		e.idx[i] = int32(int(c.Src)*n + int(c.Dst))
 	}
 
-	e.occ.seat(e.paths)
 	acc := e.acc[:m]
-	clear(acc)
-	conflicts := e.occ.pass(acc, channel)
+	var conflicts int
+	if e.tab != nil && channel == nil {
+		conflicts = e.tab.sum(e.idx, acc)
+	} else {
+		e.occ.seat(e.paths)
+		clear(acc)
+		conflicts = e.occ.pass(acc, channel)
+	}
 	return fold(e.paths, acc, e.weights, conflicts, details), nil
 }

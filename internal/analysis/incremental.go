@@ -14,19 +14,26 @@ import (
 // communications (the edges incident to two swapped tiles) costs only
 // the work local to the changed paths instead of a full re-evaluation.
 //
+// An Incremental scores with one of two engines, chosen when it is made:
+// the pair kernel (NewIncremental), described below, or the network's
+// path table (NewTableIncremental), where a delta costs about 3·|Δ|·m
+// table reads (PathTable.delta), above tableRecomputeNum/tableRecomputeDen
+// of m changed a fresh m² sum instead, and Undo restores an O(m)
+// snapshot of the accumulators.
+//
 // Bit-for-bit contract: every Result an Incremental produces is
 // identical — to the last bit — to Evaluator.Evaluate (or
-// EvaluateWeighted) on the same communication slice. Both run the same
-// pair kernel (kernel.go): per-victim noise is an integer sum of
-// quantized pairwise contributions, and integer addition is
-// order-independent and exactly invertible. A delta therefore subtracts
+// EvaluateWeighted) on the same communication slice, on either engine.
+// Both engines add the pair kernel's terms: per-victim noise is an
+// integer sum of quantized pairwise contributions, and integer addition
+// is order-independent and exactly invertible. A delta therefore subtracts
 // the departing steps' contributions from each victim they shared
 // elements with, adds the arriving ones, and lands on exactly the
 // integer a full evaluation would compute. The conflict total moves by
 // 2 per contending pair that leaves or arrives.
 //
-// Cost of ApplyDelta, with m communications, |Δ| changed ones and occ
-// the mean element occupancy:
+// Cost of ApplyDelta on the kernel, with m communications, |Δ| changed
+// ones and occ the mean element occupancy:
 //
 //   - two scans per changed communication, O(|path|·occ) each. The
 //     first detaches the old path: it takes back the old steps'
@@ -51,12 +58,19 @@ import (
 //
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
-	nw  *network.Network
+	nw *network.Network
+	// tab, when non-nil, is nw's path table, and the engine scores from
+	// it instead of the occupancy map (see tableRecomputeNum).
+	tab *PathTable
 	occ occupancy
+	// occNet is the network occ is bound to, nil before the first bind.
+	occNet *network.Network
 
-	// Current communication set and its resolved paths.
+	// Current communication set, its resolved paths and their path
+	// indices (src*n+dst).
 	comms []Communication
 	paths []*network.Path
+	idx   []int32
 	// weights, when non-nil, turn AvgLossDB into a weighted mean (set by
 	// InitWeighted, constant across deltas). weightsBuf is the reusable
 	// backing store weights points into, so re-Init on a pooled engine
@@ -80,40 +94,53 @@ type Incremental struct {
 	touchedMark []bool
 	resolved    []*network.Path
 
-	// Single-level undo log for the last ApplyDelta. After a rebuild,
-	// undoNoise holds every accumulator and undoTouched is empty.
+	// Single-level undo log for the last ApplyDelta. After a rebuild or
+	// any delta on the table, undoNoise holds every accumulator and
+	// undoTouched is empty.
 	undoValid   bool
 	undoRebuilt bool
 	undoChanged []int
 	undoComms   []Communication
 	undoPaths   []*network.Path
+	undoIdx     []int32
 	undoTouched []int
 	undoNoise   []int64
 	undoRes     Result
 }
 
 // A delta changing more than rebuildNum/rebuildDen of the communications
-// is applied by rebuilding. The fraction was set by timing both ways on
-// the deltas swap sessions make, the edges incident to the moved tasks:
-// swaps and multi-task reseats, each call timed while cycling through 120
-// distinct deltas of each kind (median of 7 interleaved rounds, Intel
-// Xeon, 2 vCPUs, Crux/XY), committed and undone. Where the two ways break
-// even depends on the instance: against the scans, a rebuild is cheaper
-// where lists are long enough for the class-run walk. A committed delta
-// breaks even at 10–15 % of the set on the 8×8 dense problem (56 tasks,
-// 220 communications), 25–30 % on a 4×4 mesh with 48 communications,
-// about 30 % on DVOPD, MPEG-4, VOPD and Wavelet, and 40–55 % on PIP,
-// MWD, 263enc and 263dec. A delta that is undone favours the scans further,
-// since Undo re-seats the map after a rebuild but costs O(|path|) after
-// scans. No one fraction suits every instance. Summed over these ten
-// instances, the loss against picking the cheaper way per delta is
-// lowest at a third, for committed deltas (49 %; 54 % at 1/4, 65 % at
-// 2/5) and for undone ones (51 %; 52 % at 2/5, 77 % at 3/10); the dense
-// instance alone loses 29 % at a third, as its committed deltas of
-// 15–33 % are scanned at 1.3–2.3× a rebuild's cost. In a perfbench dense
-// run no delta fell between 25 % and 50 %; in a table2 run 97 % of those
-// between 20 % and 45 % were undone.
-const rebuildNum, rebuildDen = 1, 3
+// is applied by rebuilding. Networks of at most core's table cap (25
+// tiles) score from a path table, so the kernel's deltas run only on
+// larger networks. The fraction was set by timing both ways on the
+// deltas swap sessions make, the edges incident to the moved tasks: 120
+// distinct swaps and 120 multi-task reseats per instance, each call
+// timed (median of 7 interleaved rounds, Intel Xeon, 2 vCPUs), committed
+// and undone, on DVOPD (44 communications) on a 6×6 Crux/XY mesh and
+// torus and on the 8×8 dense problem (56 tasks, 220 communications,
+// Crux/XY mesh). A committed delta breaks even at about 15 % of the set
+// on the dense problem and 35 % on DVOPD; an undone one at 15–20 % and
+// 30–50 %, since Undo re-seats the map after a rebuild but costs
+// O(|path|) after scans. Summed over the three instances, the loss
+// against picking the cheaper way per delta was lowest at a quarter in
+// both of two runs, for committed deltas (2–3 %; 3–4 % at 1/5, 5–6 % at
+// 3/10, 6–7 % at 1/3) and for undone ones (3–7 %; 4–8 % at 3/10 and at
+// 1/3, 6–10 % at 1/5).
+const rebuildNum, rebuildDen = 1, 4
+
+// On a path table, a delta changing more than
+// tableRecomputeNum/tableRecomputeDen of the communications is applied by
+// summing the whole table again (PathTable.sum, m² reads) instead of
+// patching (PathTable.delta, about 3·|Δ|·m reads). Both ways snapshot
+// and fold all m victims, which bounds what patching saves: timed like
+// rebuildNum on PIP (3×3), MWD, VOPD (mesh and torus) and 263dec (4×4),
+// Wavelet (5×5 mesh and torus) and the 4×4 mesh with 48
+// communications, a patch of 5–10 % of the set costs 0.44–0.84× a sum,
+// and patches break even at 25–45 %. Summed over the eight instances,
+// the loss against picking the cheaper way per delta was 4–10 % at a
+// third and 3–10 % at 2/5 (8–17 % at 1/4, 12–16 % at 1/2; four runs,
+// committed and undone alike, since Undo restores the same snapshot
+// either way). The two tied, and a third was kept.
+const tableRecomputeNum, tableRecomputeDen = 1, 3
 
 // incPool recycles released engines: the occupancy map and the
 // per-victim accumulator slices dominate the cost of standing up an
@@ -126,25 +153,37 @@ var incPool sync.Pool
 // reusing a released engine's buffers when one is pooled. Call Init
 // before anything else.
 func NewIncremental(nw *network.Network) *Incremental {
+	return newIncremental(nw, nil)
+}
+
+// NewTableIncremental is NewIncremental on the table's network, scoring
+// from the table.
+func NewTableIncremental(t *PathTable) *Incremental {
+	return newIncremental(t.nw, t)
+}
+
+func newIncremental(nw *network.Network, tab *PathTable) *Incremental {
+	var inc *Incremental
 	if v := incPool.Get(); v != nil {
-		inc := v.(*Incremental)
-		inc.adopt(nw)
-		return inc
+		inc = v.(*Incremental)
+	} else {
+		inc = &Incremental{}
 	}
-	inc := &Incremental{nw: nw}
-	inc.occ.bind(nw)
+	inc.adopt(nw, tab)
 	return inc
 }
 
-// adopt re-seats a pooled engine on a network. Buffers are kept when
-// the element count matches (Init clears stale occupancy); otherwise the
-// occupancy map is rebuilt at the new size.
-func (inc *Incremental) adopt(nw *network.Network) {
-	if inc.nw == nw {
-		return
-	}
+// adopt re-seats a pooled engine on a network. The kernel's occupancy
+// map is bound only when the engine scores with the kernel; its buffers
+// are kept when the element count matches (Init clears stale
+// occupancy), otherwise it is rebuilt at the new size.
+func (inc *Incremental) adopt(nw *network.Network, tab *PathTable) {
 	inc.nw = nw
-	inc.occ.bind(nw)
+	inc.tab = tab
+	if tab == nil && inc.occNet != nw {
+		inc.occNet = nw
+		inc.occ.bind(nw)
+	}
 }
 
 // Release returns the engine's buffers to the package pool for reuse by
@@ -154,6 +193,7 @@ func (inc *Incremental) Release() {
 	inc.inited = false
 	inc.undoValid = false
 	inc.weights = nil
+	inc.tab = nil
 	incPool.Put(inc)
 }
 
@@ -213,17 +253,22 @@ func (inc *Incremental) init(comms []Communication, weights []float64) (Result, 
 	inc.weights = weights
 	if cap(inc.paths) < m {
 		inc.paths = make([]*network.Path, m)
+		inc.idx = make([]int32, m)
 		inc.noiseAcc = make([]int64, m)
 		inc.changedMark = make([]bool, m)
 		inc.touchedMark = make([]bool, m)
 	}
 	inc.paths = inc.paths[:m]
+	inc.idx = inc.idx[:m]
 	inc.noiseAcc = inc.noiseAcc[:m]
 	inc.changedMark = inc.changedMark[:m]
 	inc.touchedMark = inc.touchedMark[:m]
 	clear(inc.changedMark)
 	clear(inc.touchedMark)
 	copy(inc.paths, inc.resolved)
+	for i, c := range comms {
+		inc.idx[i] = int32(int(c.Src)*n + int(c.Dst))
+	}
 	inc.rebuild()
 	inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
 	inc.inited = true
@@ -231,9 +276,14 @@ func (inc *Incremental) init(comms []Communication, weights []float64) (Result, 
 	return inc.res, nil
 }
 
-// rebuild refills the occupancy map from the current paths and
-// recomputes every accumulator with the whole-set pass.
+// rebuild recomputes every accumulator from the current set: from the
+// table, or by refilling the occupancy map and running the whole-set
+// pass.
 func (inc *Incremental) rebuild() {
+	if inc.tab != nil {
+		inc.conflicts = inc.tab.sum(inc.idx, inc.noiseAcc)
+		return
+	}
 	inc.occ.seat(inc.paths)
 	clear(inc.noiseAcc)
 	inc.conflicts = inc.occ.pass(inc.noiseAcc, nil)
@@ -290,13 +340,34 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 	inc.undoPaths = inc.undoPaths[:0]
 	inc.undoTouched = inc.undoTouched[:0]
 	inc.undoNoise = inc.undoNoise[:0]
+	inc.undoIdx = inc.undoIdx[:0]
 	inc.undoRes = inc.res
 	for _, ci := range changed {
 		inc.undoComms = append(inc.undoComms, inc.comms[ci])
 		inc.undoPaths = append(inc.undoPaths, inc.paths[ci])
-		inc.changedMark[ci] = false
+		inc.undoIdx = append(inc.undoIdx, inc.idx[ci])
 	}
 
+	if inc.tab != nil {
+		// An O(m) snapshot, then a patch or a fresh sum.
+		inc.undoRebuilt = false
+		inc.undoNoise = append(inc.undoNoise, inc.noiseAcc...)
+		inc.reroute(changed, newComms)
+		if len(changed)*tableRecomputeDen > len(inc.comms)*tableRecomputeNum {
+			inc.conflicts = inc.tab.sum(inc.idx, inc.noiseAcc)
+		} else {
+			inc.conflicts += inc.tab.delta(inc.idx, inc.noiseAcc, changed, inc.undoIdx, inc.changedMark)
+		}
+		for _, ci := range changed {
+			inc.changedMark[ci] = false
+		}
+		inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
+		inc.undoValid = true
+		return inc.res, nil
+	}
+	for _, ci := range changed {
+		inc.changedMark[ci] = false
+	}
 	inc.undoRebuilt = len(changed)*rebuildDen > len(inc.comms)*rebuildNum
 	if inc.undoRebuilt {
 		inc.undoNoise = append(inc.undoNoise, inc.noiseAcc...)
@@ -330,9 +401,12 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 
 // reroute points the changed communications at their new paths.
 func (inc *Incremental) reroute(changed []int, newComms []Communication) {
+	n := inc.nw.NumTiles()
 	for i, ci := range changed {
-		inc.comms[ci] = newComms[i]
+		c := newComms[i]
+		inc.comms[ci] = c
 		inc.paths[ci] = inc.resolved[i]
+		inc.idx[ci] = int32(int(c.Src)*n + int(c.Dst))
 	}
 }
 
@@ -415,12 +489,17 @@ func (inc *Incremental) Undo() (Result, error) {
 	if !inc.undoValid {
 		return Result{}, fmt.Errorf("analysis: nothing to undo")
 	}
-	if inc.undoRebuilt {
+	if inc.tab != nil || inc.undoRebuilt {
+		// Restore the snapshot of every accumulator; the kernel also
+		// re-seats its map.
 		for i, ci := range inc.undoChanged {
 			inc.comms[ci] = inc.undoComms[i]
 			inc.paths[ci] = inc.undoPaths[i]
+			inc.idx[ci] = inc.undoIdx[i]
 		}
-		inc.occ.seat(inc.paths)
+		if inc.tab == nil {
+			inc.occ.seat(inc.paths)
+		}
 		copy(inc.noiseAcc, inc.undoNoise)
 	} else {
 		// Pop the new paths' entries, re-append the old ones, and restore
@@ -436,6 +515,7 @@ func (inc *Incremental) Undo() (Result, error) {
 		for i, ci := range inc.undoChanged {
 			inc.comms[ci] = inc.undoComms[i]
 			inc.paths[ci] = inc.undoPaths[i]
+			inc.idx[ci] = inc.undoIdx[i]
 			inc.occ.addPath(ci, inc.paths[ci])
 		}
 		for i, vi := range inc.undoTouched {

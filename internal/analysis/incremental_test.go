@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"phonocmap/internal/network"
@@ -229,5 +230,68 @@ func TestIncrementalErrors(t *testing.T) {
 	}
 	if _, err := inc.Undo(); err == nil {
 		t.Error("second Undo should fail (single-level log)")
+	}
+}
+
+// BenchmarkPathTableBuild5x5 measures building the path table of a 5×5
+// Crux/XY mesh, the largest network core scores from a table. A build
+// allocates a fixed handful of objects (the element offsets, the slab of
+// exactly sized occupancy lists and the table's two halves), whatever
+// the network's size; the CI allocation gate pins that count.
+func BenchmarkPathTableBuild5x5(b *testing.B) {
+	g, err := topo.NewMesh(5, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw, err := network.New(g, router.Crux(), route.XY{}, photonic.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := newPathTable(nw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestTableOfBuildsOncePerNetwork asks for a fresh network's path table
+// from several goroutines at once: one of them builds it, all get the
+// same table, and TableBytes, asked before the build, gives its size.
+// The build counter is process-wide, so this test must not run in
+// parallel with others.
+func TestTableOfBuildsOncePerNetwork(t *testing.T) {
+	nw := incTestNetwork(t, false)
+	builds := TableBuildsTotal()
+	size := TableBytes(nw)
+	if got := TableBuildsTotal() - builds; got != 0 {
+		t.Fatalf("TableBytes built %d tables", got)
+	}
+	const n = 8
+	tabs := make([]*PathTable, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range tabs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs[i], errs[i] = TableOf(nw)
+		}()
+	}
+	wg.Wait()
+	for i := range tabs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if tabs[i] != tabs[0] {
+			t.Fatalf("caller %d got another table than caller 0", i)
+		}
+	}
+	if got := TableBuildsTotal() - builds; got != 1 {
+		t.Errorf("%d concurrent callers built %d tables, want 1", n, got)
+	}
+	if got := int64(len(tabs[0].noise))*8 + int64(len(tabs[0].conf)); got != size {
+		t.Errorf("the table takes %d bytes, TableBytes said %d", got, size)
 	}
 }

@@ -153,35 +153,43 @@ var (
 	refNetsErr  error
 )
 
-// refNetworks builds every router on a 4×4 mesh and torus under XY
-// routing, once per test binary.
+// refNetworks builds every router on a mesh and a torus under XY
+// routing, once per test binary: 4×4 first (the fuzz seeds 0–5 of the
+// committed corpus pick these), then 3×3 and 5×5, the smallest and
+// largest networks core scores from a path table.
 func refNetworks(t testing.TB) []refNet {
 	t.Helper()
 	refNetsOnce.Do(func() {
-		for _, rname := range router.Names() {
-			for _, torus := range []bool{false, true} {
-				arch, err := router.ByName(rname)
-				if err != nil {
-					refNetsErr = err
-					return
+		for _, side := range []int{4, 3, 5} {
+			for _, rname := range router.Names() {
+				for _, torus := range []bool{false, true} {
+					arch, err := router.ByName(rname)
+					if err != nil {
+						refNetsErr = err
+						return
+					}
+					g, kind := (*topo.Grid)(nil), "mesh"
+					if torus {
+						g, err = topo.NewTorus(side, side)
+						kind = "torus"
+					} else {
+						g, err = topo.NewMesh(side, side)
+					}
+					if err != nil {
+						refNetsErr = err
+						return
+					}
+					nw, err := network.New(g, arch, route.XY{}, photonic.DefaultParams())
+					if err != nil {
+						refNetsErr = err
+						return
+					}
+					name := rname + "-" + kind
+					if side != 4 {
+						name += fmt.Sprintf("-%dx%d", side, side)
+					}
+					refNetsAll = append(refNetsAll, refNet{name: name, nw: nw})
 				}
-				g, kind := (*topo.Grid)(nil), "mesh"
-				if torus {
-					g, err = topo.NewTorus(4, 4)
-					kind = "torus"
-				} else {
-					g, err = topo.NewMesh(4, 4)
-				}
-				if err != nil {
-					refNetsErr = err
-					return
-				}
-				nw, err := network.New(g, arch, route.XY{}, photonic.DefaultParams())
-				if err != nil {
-					refNetsErr = err
-					return
-				}
-				refNetsAll = append(refNetsAll, refNet{name: rname + "-" + kind, nw: nw})
 			}
 		}
 	})
@@ -191,29 +199,67 @@ func refNetworks(t testing.TB) []refNet {
 	return refNetsAll
 }
 
-// TestEvaluatorMatchesReference checks every Evaluator form against the
-// frozen victim-major reference on random communication sets, sparse to
-// dense (repeated pairs included, which contend on every shared step),
-// and on a dense 8×8 instance whose occupancy lists are long.
+// engines are the two evaluation engines every reference test runs: the
+// pair kernel, and the network's path table.
+var engines = []string{"kernel", "table"}
+
+// newEvaluatorOn returns an evaluator on nw scoring with the engine.
+func newEvaluatorOn(t testing.TB, nw *network.Network, engine string) *Evaluator {
+	t.Helper()
+	if engine == "kernel" {
+		return NewEvaluator(nw)
+	}
+	tab, err := TableOf(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewTableEvaluator(tab)
+}
+
+// newIncrementalOn returns an incremental engine on nw scoring with the
+// engine.
+func newIncrementalOn(t testing.TB, nw *network.Network, engine string) *Incremental {
+	t.Helper()
+	if engine == "kernel" {
+		return NewIncremental(nw)
+	}
+	tab, err := TableOf(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewTableIncremental(tab)
+}
+
+// TestEvaluatorMatchesReference checks every Evaluator form on both
+// engines against the frozen victim-major reference on random
+// communication sets, sparse to dense (repeated pairs included, which
+// contend on every shared step and, on the table, read its diagonal),
+// and on a dense 8×8 instance whose occupancy lists are long. The 8×8
+// instance runs the kernel only: its table would take 144 MiB, and core
+// never builds one that large.
 func TestEvaluatorMatchesReference(t *testing.T) {
 	for _, rn := range refNetworks(t) {
 		t.Run(rn.name, func(t *testing.T) {
-			n := rn.nw.NumTiles()
-			rng := rand.New(rand.NewSource(7))
-			ev := NewEvaluator(rn.nw)
-			var details []Detail
-			for trial := 0; trial < 40; trial++ {
-				m := 1 + rng.Intn(60)
-				comms := make([]Communication, m)
-				weights := make([]float64, m)
-				channel := make([]int, m)
-				for i := range comms {
-					comms[i] = randomComm(rng, n)
-					weights[i] = rng.Float64() * 10
-					channel[i] = rng.Intn(3)
-				}
-				weights[0] += 1 // a positive sum
-				details = checkEvaluatorForms(t, ev, comms, weights, channel, details, fmt.Sprintf("trial %d (m=%d)", trial, m))
+			for _, engine := range engines {
+				t.Run(engine, func(t *testing.T) {
+					n := rn.nw.NumTiles()
+					rng := rand.New(rand.NewSource(7))
+					ev := newEvaluatorOn(t, rn.nw, engine)
+					var details []Detail
+					for trial := 0; trial < 40; trial++ {
+						m := 1 + rng.Intn(60)
+						comms := make([]Communication, m)
+						weights := make([]float64, m)
+						channel := make([]int, m)
+						for i := range comms {
+							comms[i] = randomComm(rng, n)
+							weights[i] = rng.Float64() * 10
+							channel[i] = rng.Intn(3)
+						}
+						weights[0] += 1 // a positive sum
+						details = checkEvaluatorForms(t, ev, comms, weights, channel, details, fmt.Sprintf("trial %d (m=%d)", trial, m))
+					}
+				})
 			}
 		})
 	}
@@ -323,10 +369,12 @@ func TestPairTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesReference drives ApplyDelta/Undo sequences whose
-// deltas fall on both sides of the rebuild threshold — single
-// communications, a third, half, most and all of the set — and checks
-// every state against the frozen reference.
+// TestIncrementalMatchesReference drives ApplyDelta/Undo sequences on
+// both engines whose deltas fall on both sides of each engine's rebuild
+// threshold — single communications, a third, half, most and all of the
+// set — and checks every state against the frozen reference. Every Undo
+// must restore the previous result, and on the kernel every occupancy
+// list.
 func TestIncrementalMatchesReference(t *testing.T) {
 	for _, rn := range refNetworks(t) {
 		for _, weighted := range []bool{false, true} {
@@ -335,66 +383,74 @@ func TestIncrementalMatchesReference(t *testing.T) {
 				name += "-weighted"
 			}
 			t.Run(name, func(t *testing.T) {
-				n := rn.nw.NumTiles()
-				rng := rand.New(rand.NewSource(11))
-				const m = 40
-				comms := make([]Communication, m)
-				for i := range comms {
-					comms[i] = randomComm(rng, n)
-				}
-				var weights []float64
-				if weighted {
-					weights = make([]float64, m)
-					for i := range weights {
-						weights[i] = 1 + rng.Float64()*9
-					}
-				}
-				inc := NewIncremental(rn.nw)
-				defer inc.Release()
-				var got Result
-				var err error
-				if weighted {
-					got, err = inc.InitWeighted(comms, weights)
-				} else {
-					got, err = inc.Init(comms)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _ := refEvaluate(rn.nw, comms, weights, nil)
-				requireBitIdentical(t, "Init", got, want)
-
-				sizes := []int{1, 2, 3, m / 3, m * rebuildNum / rebuildDen, m*rebuildNum/rebuildDen + 1, m / 2, m * 9 / 10, m}
-				for step := 0; step < 120; step++ {
-					k := sizes[step%len(sizes)]
-					changed := rng.Perm(m)[:k]
-					newComms := make([]Communication, k)
-					for i := range newComms {
-						newComms[i] = randomComm(rng, n)
-					}
-					prev := inc.Result()
-					prevOcc := occupancyOf(inc)
-					if got, err = inc.ApplyDelta(changed, newComms); err != nil {
-						t.Fatal(err)
-					}
-					next := append([]Communication(nil), comms...)
-					for i, ci := range changed {
-						next[ci] = newComms[i]
-					}
-					what := fmt.Sprintf("step %d (|Δ|=%d)", step, k)
-					want, _ := refEvaluate(rn.nw, next, weights, nil)
-					requireBitIdentical(t, what+" ApplyDelta", got, want)
-					if rng.Intn(3) == 0 {
-						if got, err = inc.Undo(); err != nil {
+				for _, engine := range engines {
+					t.Run(engine, func(t *testing.T) {
+						n := rn.nw.NumTiles()
+						rng := rand.New(rand.NewSource(11))
+						const m = 40
+						comms := make([]Communication, m)
+						for i := range comms {
+							comms[i] = randomComm(rng, n)
+						}
+						var weights []float64
+						if weighted {
+							weights = make([]float64, m)
+							for i := range weights {
+								weights[i] = 1 + rng.Float64()*9
+							}
+						}
+						inc := newIncrementalOn(t, rn.nw, engine)
+						defer inc.Release()
+						var got Result
+						var err error
+						if weighted {
+							got, err = inc.InitWeighted(comms, weights)
+						} else {
+							got, err = inc.Init(comms)
+						}
+						if err != nil {
 							t.Fatal(err)
 						}
-						requireBitIdentical(t, what+" Undo", got, prev)
 						want, _ := refEvaluate(rn.nw, comms, weights, nil)
-						requireBitIdentical(t, what+" Undo", got, want)
-						requireSameOccupancy(t, what+" Undo", occupancyOf(inc), prevOcc)
-						continue
-					}
-					comms = next
+						requireBitIdentical(t, "Init", got, want)
+
+						sizes := []int{1, 2, 3, m / 3, m * rebuildNum / rebuildDen, m*rebuildNum/rebuildDen + 1,
+							m * tableRecomputeNum / tableRecomputeDen, m*tableRecomputeNum/tableRecomputeDen + 1, m / 2, m * 9 / 10, m}
+						for step := 0; step < 120; step++ {
+							k := sizes[step%len(sizes)]
+							changed := rng.Perm(m)[:k]
+							newComms := make([]Communication, k)
+							for i := range newComms {
+								newComms[i] = randomComm(rng, n)
+							}
+							prev := inc.Result()
+							prevOcc := occupancyOf(inc)
+							if got, err = inc.ApplyDelta(changed, newComms); err != nil {
+								t.Fatal(err)
+							}
+							next := append([]Communication(nil), comms...)
+							for i, ci := range changed {
+								next[ci] = newComms[i]
+							}
+							what := fmt.Sprintf("step %d (|Δ|=%d)", step, k)
+							want, _ := refEvaluate(rn.nw, next, weights, nil)
+							requireBitIdentical(t, what+" ApplyDelta", got, want)
+							if rng.Intn(3) == 0 {
+								if got, err = inc.Undo(); err != nil {
+									t.Fatal(err)
+								}
+								requireBitIdentical(t, what+" Undo", got, prev)
+								want, _ := refEvaluate(rn.nw, comms, weights, nil)
+								requireBitIdentical(t, what+" Undo", got, want)
+								if engine == "kernel" {
+									requireSameOccupancy(t, what+" Undo", occupancyOf(inc), prevOcc)
+								}
+								continue
+							}
+							comms = next
+						}
+
+					})
 				}
 			})
 		}
@@ -428,10 +484,10 @@ func requireSameOccupancy(t *testing.T, what string, got, want [][]entry) {
 // FuzzIncrementalMatchesReference runs fuzzer-chosen swap, revert and
 // reseat sequences on a seeded random task graph and mapping, the moves
 // a swap session makes, and checks every state of the incremental engine
-// against the frozen reference. The seed picks the network, the graph,
-// the mapping and the tiles of each move; each op byte picks the move
-// (low two bits) and its size (the rest). The seed corpus lives in
-// testdata/fuzz, so plain go test replays it.
+// against the frozen reference, on both engines in turn. The seed picks
+// the network, the graph, the mapping and the tiles of each move; each
+// op byte picks the move (low two bits) and its size (the rest). The
+// seed corpus lives in testdata/fuzz, so plain go test replays it.
 func FuzzIncrementalMatchesReference(f *testing.F) {
 	f.Add(int64(1), []byte{0, 4, 2, 1, 3, 0, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
@@ -440,124 +496,132 @@ func FuzzIncrementalMatchesReference(f *testing.F) {
 		}
 		nets := refNetworks(t)
 		rn := nets[int(uint64(seed)%uint64(len(nets)))]
-		nw := rn.nw
-		n := nw.NumTiles()
-		rng := rand.New(rand.NewSource(seed))
-
-		// A random task graph: tasks on distinct tiles, edges between
-		// distinct tasks.
-		tasks := 2 + rng.Intn(n-1)
-		type edge struct{ src, dst int }
-		edges := make([]edge, 1+rng.Intn(3*tasks))
-		for i := range edges {
-			s := rng.Intn(tasks)
-			d := rng.Intn(tasks - 1)
-			if d >= s {
-				d++
-			}
-			edges[i] = edge{s, d}
-		}
-		mapping := rng.Perm(n)[:tasks]
-		taskOf := make([]int, n)
-		for i := range taskOf {
-			taskOf[i] = -1
-		}
-		for task, tile := range mapping {
-			taskOf[tile] = task
-		}
-		comms := make([]Communication, len(edges))
-		for i, e := range edges {
-			comms[i] = Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])}
-		}
-		var weights []float64
-		if seed%2 != 0 {
-			weights = make([]float64, len(edges))
-			for i := range weights {
-				weights[i] = 1 + float64(rng.Intn(9))
-			}
-		}
-
-		inc := NewIncremental(nw)
-		defer inc.Release()
-		var got Result
-		var err error
-		if weights != nil {
-			got, err = inc.InitWeighted(comms, weights)
-		} else {
-			got, err = inc.Init(comms)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := refEvaluate(nw, comms, weights, nil)
-		requireBitIdentical(t, rn.name+" Init", got, want)
-
-		swapTiles := func(a, b int) {
-			ta, tb := taskOf[a], taskOf[b]
-			taskOf[a], taskOf[b] = tb, ta
-			if ta >= 0 {
-				mapping[ta] = b
-			}
-			if tb >= 0 {
-				mapping[tb] = a
-			}
-		}
-		var undoMapping []int
-		for i, op := range ops {
-			what := fmt.Sprintf("%s op %d (%d)", rn.name, i, op)
-			if op&3 == 2 {
-				// Revert the last delta, if it is still undoable.
-				if undoMapping == nil {
-					if _, err := inc.Undo(); err == nil {
-						t.Fatalf("%s: Undo succeeded with no delta to undo", what)
-					}
-					continue
-				}
-				if got, err = inc.Undo(); err != nil {
-					t.Fatal(err)
-				}
-				copy(mapping, undoMapping)
-				for tile := range taskOf {
-					taskOf[tile] = -1
-				}
-				for task, tile := range mapping {
-					taskOf[tile] = task
-				}
-				for ei, e := range edges {
-					comms[ei] = Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])}
-				}
-				want, _ := refEvaluate(nw, comms, weights, nil)
-				requireBitIdentical(t, what+" revert", got, want)
-				undoMapping = nil
-				continue
-			}
-			// A swap moves the contents of two tiles; a reseat makes
-			// 1 + op>>2 random swaps at once, up to a fresh mapping.
-			prev := append([]int(nil), mapping...)
-			swaps := 1
-			if op&3 == 3 {
-				swaps += int(op >> 2)
-			}
-			for s := 0; s < swaps; s++ {
-				swapTiles(rng.Intn(n), rng.Intn(n))
-			}
-			var changed []int
-			var newComms []Communication
-			for ei, e := range edges {
-				if mapping[e.src] != prev[e.src] || mapping[e.dst] != prev[e.dst] {
-					changed = append(changed, ei)
-					newComms = append(newComms, Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])})
-				}
-			}
-			if got, err = inc.ApplyDelta(changed, newComms); err != nil {
-				t.Fatal(err)
-			}
-			for j, ei := range changed {
-				comms[ei] = newComms[j]
-			}
-			want, _ := refEvaluate(nw, comms, weights, nil)
-			requireBitIdentical(t, fmt.Sprintf("%s (|Δ|=%d of %d)", what, len(changed), len(edges)), got, want)
-			undoMapping = prev
+		for _, engine := range engines {
+			fuzzIncremental(t, rn, engine, seed, ops)
 		}
 	})
+}
+
+// fuzzIncremental is one engine's run of FuzzIncrementalMatchesReference.
+func fuzzIncremental(t *testing.T, rn refNet, engine string, seed int64, ops []byte) {
+	nw := rn.nw
+	name := rn.name + "/" + engine
+	n := nw.NumTiles()
+	rng := rand.New(rand.NewSource(seed))
+
+	// A random task graph: tasks on distinct tiles, edges between
+	// distinct tasks.
+	tasks := 2 + rng.Intn(n-1)
+	type edge struct{ src, dst int }
+	edges := make([]edge, 1+rng.Intn(3*tasks))
+	for i := range edges {
+		s := rng.Intn(tasks)
+		d := rng.Intn(tasks - 1)
+		if d >= s {
+			d++
+		}
+		edges[i] = edge{s, d}
+	}
+	mapping := rng.Perm(n)[:tasks]
+	taskOf := make([]int, n)
+	for i := range taskOf {
+		taskOf[i] = -1
+	}
+	for task, tile := range mapping {
+		taskOf[tile] = task
+	}
+	comms := make([]Communication, len(edges))
+	for i, e := range edges {
+		comms[i] = Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])}
+	}
+	var weights []float64
+	if seed%2 != 0 {
+		weights = make([]float64, len(edges))
+		for i := range weights {
+			weights[i] = 1 + float64(rng.Intn(9))
+		}
+	}
+
+	inc := newIncrementalOn(t, nw, engine)
+	defer inc.Release()
+	var got Result
+	var err error
+	if weights != nil {
+		got, err = inc.InitWeighted(comms, weights)
+	} else {
+		got, err = inc.Init(comms)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := refEvaluate(nw, comms, weights, nil)
+	requireBitIdentical(t, name+" Init", got, want)
+
+	swapTiles := func(a, b int) {
+		ta, tb := taskOf[a], taskOf[b]
+		taskOf[a], taskOf[b] = tb, ta
+		if ta >= 0 {
+			mapping[ta] = b
+		}
+		if tb >= 0 {
+			mapping[tb] = a
+		}
+	}
+	var undoMapping []int
+	for i, op := range ops {
+		what := fmt.Sprintf("%s op %d (%d)", name, i, op)
+		if op&3 == 2 {
+			// Revert the last delta, if it is still undoable.
+			if undoMapping == nil {
+				if _, err := inc.Undo(); err == nil {
+					t.Fatalf("%s: Undo succeeded with no delta to undo", what)
+				}
+				continue
+			}
+			if got, err = inc.Undo(); err != nil {
+				t.Fatal(err)
+			}
+			copy(mapping, undoMapping)
+			for tile := range taskOf {
+				taskOf[tile] = -1
+			}
+			for task, tile := range mapping {
+				taskOf[tile] = task
+			}
+			for ei, e := range edges {
+				comms[ei] = Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])}
+			}
+			want, _ := refEvaluate(nw, comms, weights, nil)
+			requireBitIdentical(t, what+" revert", got, want)
+			undoMapping = nil
+			continue
+		}
+		// A swap moves the contents of two tiles; a reseat makes
+		// 1 + op>>2 random swaps at once, up to a fresh mapping.
+		prev := append([]int(nil), mapping...)
+		swaps := 1
+		if op&3 == 3 {
+			swaps += int(op >> 2)
+		}
+		for s := 0; s < swaps; s++ {
+			swapTiles(rng.Intn(n), rng.Intn(n))
+		}
+		var changed []int
+		var newComms []Communication
+		for ei, e := range edges {
+			if mapping[e.src] != prev[e.src] || mapping[e.dst] != prev[e.dst] {
+				changed = append(changed, ei)
+				newComms = append(newComms, Communication{Src: topo.TileID(mapping[e.src]), Dst: topo.TileID(mapping[e.dst])})
+			}
+		}
+		if got, err = inc.ApplyDelta(changed, newComms); err != nil {
+			t.Fatal(err)
+		}
+		for j, ei := range changed {
+			comms[ei] = newComms[j]
+		}
+		want, _ := refEvaluate(nw, comms, weights, nil)
+		requireBitIdentical(t, fmt.Sprintf("%s (|Δ|=%d of %d)", what, len(changed), len(edges)), got, want)
+		undoMapping = prev
+	}
 }

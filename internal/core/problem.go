@@ -78,9 +78,11 @@ func (s Score) Better(o Score) bool { return s.Cost < o.Cost }
 // and scratch buffers, so it is not safe for concurrent use; Clone
 // produces independent instances for parallel search.
 type Problem struct {
-	app     *cg.Graph
-	nw      *network.Network
-	obj     Objective
+	app *cg.Graph
+	nw  *network.Network
+	obj Objective
+	// ev is the full evaluator, made on the first Evaluate or Details
+	// (see evaluator).
 	ev      *analysis.Evaluator
 	edges   []cg.Edge
 	comms   []analysis.Communication
@@ -94,8 +96,54 @@ type Problem struct {
 	seenTiles []bool
 }
 
+// tableMaxTiles is the largest network, in tiles, whose problems score
+// from a path table (analysis.TableOf) instead of the pair kernel. A
+// table takes 9 bytes per pair of path indices, (n²)² pairs for n
+// tiles: 59 KB, 0.6 MB and 3.5 MB on the 3×3, 4×4 and 5×5 networks of
+// Table II, built in 0.05–0.1, 0.3–0.9 and 4–9 ms (Intel Xeon, 2
+// vCPUs), and a full evaluation from it takes a fourth to a sixth of the
+// pair kernel's time (PIP 3.3 → 0.77 µs, VOPD 14.9 → 2.5 µs). On DVOPD's
+// 6×6 mesh a table would take 15 MB and 10–35 ms to build and cut a full
+// evaluation from 59 to 17 µs: the table2 sweep's two 6×6 tables would
+// pay for their builds over its 1,000 evaluations per network, but add
+// about 30 MB to its peak RSS of about 40 MB, past that metric's bound
+// of a quarter. At 8×8 a table would take 144 MiB.
+const tableMaxTiles = 25
+
+// tableFor returns the path table problems on nw score from: nw's
+// table, built on the first call for nw, when nw has at most
+// tableMaxTiles tiles. It returns nil above the cap, and for a network
+// with a path too long for a table; problems on those score with the
+// pair kernel.
+func tableFor(nw *network.Network) *analysis.PathTable {
+	if nw.NumTiles() > tableMaxTiles {
+		return nil
+	}
+	tab, err := analysis.TableOf(nw)
+	if err != nil {
+		return nil
+	}
+	return tab
+}
+
+// TableBytes returns the memory nw's path table takes once a problem on
+// nw first evaluates: analysis.TableBytes up to tableMaxTiles tiles, 0
+// above. It builds nothing, so a network cache can charge an entry for
+// its table before any problem asks for it. (A network whose paths are
+// too long for a table is charged as if it had one; no built-in router
+// has such paths at 25 tiles or fewer.)
+func TableBytes(nw *network.Network) int64 {
+	if nw.NumTiles() > tableMaxTiles {
+		return 0
+	}
+	return analysis.TableBytes(nw)
+}
+
 // NewProblem validates Eq. 2 (the application must fit the topology) and
-// binds the pieces together.
+// binds the pieces together. The problem scores with the engine tableFor
+// picks from the network's tile count; the table, when there is one, is
+// built when the problem first evaluates, so a problem that never does
+// builds none.
 func NewProblem(app *cg.Graph, nw *network.Network, obj Objective) (*Problem, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
@@ -114,7 +162,6 @@ func NewProblem(app *cg.Graph, nw *network.Network, obj Objective) (*Problem, er
 		app:       app,
 		nw:        nw,
 		obj:       obj,
-		ev:        analysis.NewEvaluator(nw),
 		edges:     app.Edges(),
 		comms:     make([]analysis.Communication, app.NumEdges()),
 		seenTiles: make([]bool, nw.NumTiles()),
@@ -140,15 +187,36 @@ func NewProblem(app *cg.Graph, nw *network.Network, obj Objective) (*Problem, er
 	return p, nil
 }
 
-// Clone returns an independent Problem sharing the immutable app and
-// network.
+// Clone returns an independent Problem sharing the immutable app,
+// network, path table, edges, incidence lists and weights; only the
+// evaluator and the scratch buffers are its own.
 func (p *Problem) Clone() *Problem {
-	cp, err := NewProblem(p.app, p.nw, p.obj)
-	if err != nil {
-		// The original validated; re-validation cannot fail.
-		panic("core: clone of valid problem failed: " + err.Error())
+	cp := *p
+	cp.ev = nil
+	cp.comms = make([]analysis.Communication, len(p.comms))
+	cp.seenTiles = make([]bool, len(p.seenTiles))
+	return &cp
+}
+
+// evaluator returns the problem's full evaluator, making it on first use.
+func (p *Problem) evaluator() *analysis.Evaluator {
+	if p.ev == nil {
+		if tab := tableFor(p.nw); tab != nil {
+			p.ev = analysis.NewTableEvaluator(tab)
+		} else {
+			p.ev = analysis.NewEvaluator(p.nw)
+		}
 	}
-	return cp
+	return p.ev
+}
+
+// Rescore scores a mapping like Evaluate, on a fresh evaluator that runs
+// the pair kernel whatever engine the problem scores with: an independent
+// check of a stored score, which builds no path table.
+func (p *Problem) Rescore(m Mapping) (Score, error) {
+	cp := p.Clone()
+	cp.ev = analysis.NewEvaluator(p.nw)
+	return cp.Evaluate(m)
 }
 
 // App returns the application graph.
@@ -182,9 +250,9 @@ func (p *Problem) Evaluate(m Mapping) (Score, error) {
 	var res analysis.Result
 	var err error
 	if p.obj == MinimizeWeightedLoss {
-		res, err = p.ev.EvaluateWeighted(p.comms, p.weights)
+		res, err = p.evaluator().EvaluateWeighted(p.comms, p.weights)
 	} else {
-		res, err = p.ev.Evaluate(p.comms)
+		res, err = p.evaluator().Evaluate(p.comms)
 	}
 	if err != nil {
 		return Score{}, err
@@ -228,5 +296,5 @@ func (p *Problem) Details(m Mapping) (analysis.Result, []analysis.Detail, error)
 	for i, e := range p.edges {
 		p.comms[i] = analysis.Communication{Src: m[e.Src], Dst: m[e.Dst]}
 	}
-	return p.ev.Detailed(p.comms, nil)
+	return p.evaluator().Detailed(p.comms, nil)
 }

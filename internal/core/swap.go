@@ -56,9 +56,17 @@ func (p *Problem) NewSwapSession(m Mapping) (*SwapSession, error) {
 	if err := m.Validate(p.nw.NumTiles()); err != nil {
 		return nil, err
 	}
+	// Sibling sessions of a pool get here concurrently; tableFor is
+	// safe for that.
+	var inc *analysis.Incremental
+	if tab := tableFor(p.nw); tab != nil {
+		inc = analysis.NewTableIncremental(tab)
+	} else {
+		inc = analysis.NewIncremental(p.nw)
+	}
 	ss := &SwapSession{
 		prob:      p,
-		inc:       analysis.NewIncremental(p.nw),
+		inc:       inc,
 		m:         m.Clone(),
 		taskOf:    make([]int, p.nw.NumTiles()),
 		edgeSeen:  make([]bool, len(p.edges)),

@@ -13,7 +13,9 @@ package network
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
+	"unsafe"
 
 	"phonocmap/internal/obs"
 	"phonocmap/internal/photonic"
@@ -80,6 +82,11 @@ type Network struct {
 	algo   route.Algorithm
 	params photonic.Params
 	paths  [][]*Path // [src][dst]; nil on the diagonal and for pairs left out
+	steps  int       // total steps over all paths
+
+	// memo is the value Memo derived from the network, built once.
+	memoOnce sync.Once
+	memo     any
 }
 
 // builds and buildNanos count completed builds and the wall time they
@@ -262,6 +269,7 @@ func build(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p p
 			row[dst] = &pathSlab[len(pathSlab)-1]
 		}
 	}
+	nw.steps = total
 	builds.Inc()
 	//phonocmap:wallclock the elapsed time only feeds the build-time counter
 	buildNanos.Add(int64(time.Since(start)))
@@ -403,6 +411,34 @@ func (nw *Network) WorstPathLoss() float64 {
 		}
 	}
 	return worst
+}
+
+// Memo returns the value build derives from the network, running build
+// at most once per network: the first caller runs it, concurrent callers
+// wait for it, and every later call returns its value, which lives as
+// long as the network. A network has one memo, which the analysis
+// package's path table uses.
+func (nw *Network) Memo(build func(*Network) any) any {
+	nw.memoOnce.Do(func() { nw.memo = build(nw) })
+	return nw.memo
+}
+
+// Bytes returns the heap size of the network's paths: the step slab,
+// the paths and the per-source rows, the part of a network that grows
+// with its tile count.
+func (nw *Network) Bytes() int64 {
+	n := int64(nw.NumTiles())
+	numPaths := int64(0)
+	for _, row := range nw.paths {
+		for _, p := range row {
+			if p != nil {
+				numPaths++
+			}
+		}
+	}
+	return int64(nw.steps)*int64(unsafe.Sizeof(Step{})) +
+		numPaths*int64(unsafe.Sizeof(Path{})) +
+		n*n*int64(unsafe.Sizeof((*Path)(nil))) + n*int64(unsafe.Sizeof([]*Path(nil)))
 }
 
 // String summarizes the instance, e.g.

@@ -49,7 +49,9 @@ func (l *Local) RunScenario(ctx context.Context, spec scenario.Spec) (ScenarioRe
 }
 
 // RunSweep expands the grid and executes every cell on a bounded local
-// worker pool through sweep.RunCell, then assembles the result.
+// worker pool through a sweep.NewCellRunner of its own, so the sweep's
+// cells share networks and the networks go when it returns, then
+// assembles the result.
 func (l *Local) RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions) (SweepResult, error) {
 	cells, err := sweep.Expand(spec)
 	if err != nil {
@@ -59,7 +61,7 @@ func (l *Local) RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions
 	if opts.OnCellDone != nil {
 		onCell = func(r sweep.Result) { opts.OnCellDone(CellResult(r)) }
 	}
-	results, err := sweep.Run(cells, sweep.RunCell, sweep.Options{
+	results, err := sweep.Run(cells, sweep.NewCellRunner(cells), sweep.Options{
 		Workers:    opts.Workers,
 		Context:    ctx,
 		OnCellDone: onCell,

@@ -371,27 +371,14 @@ type Compiled struct {
 // Compile normalizes the spec (on a copy; the argument is not modified)
 // and builds the runtime problem it describes, including the Eq. 2 fit
 // check. This is the single spec-to-problem path shared by the CLI, the
-// runners, the optimization service and the sweep engine.
+// runners, the optimization service and the sweep engine. Compile builds
+// the spec's network; a compile through a NetworkCache (the local
+// runner's sweeps, the service) takes it from the cache instead, and
+// both give bit-identical problems.
 // Normalization is idempotent and cheap next to any optimization run,
 // so callers that normalized earlier (the service, sweep expansion) pay
 // only a redundant graph build here — a deliberate trade for one
 // unconditional validation path.
 func Compile(spec Spec) (*Compiled, error) {
-	app, err := spec.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	nw, err := spec.Arch.Build()
-	if err != nil {
-		return nil, err
-	}
-	obj, err := core.ParseObjective(spec.Objective)
-	if err != nil {
-		return nil, err
-	}
-	prob, err := core.NewProblem(app, nw, obj)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{Spec: spec, App: app, Network: nw, Problem: prob}, nil
+	return (*NetworkCache)(nil).Compile(spec)
 }

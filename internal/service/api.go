@@ -112,13 +112,6 @@ func normalize(req Request, lim Limits) (Spec, error) {
 	return spec, nil
 }
 
-// compile builds the runnable scenario a normalized spec describes
-// through the scenario compiler, including the Eq. 2 fit check. The
-// caller owns the result (it is not safe for concurrent use).
-func compile(spec Spec) (*scenario.Compiled, error) {
-	return scenario.Compile(spec)
-}
-
 // JobStatus is the wire representation of a job's lifecycle state.
 type JobStatus struct {
 	ID        string `json:"id"`

@@ -7,9 +7,11 @@ import (
 	"strconv"
 	"time"
 
+	"phonocmap/internal/analysis"
 	"phonocmap/internal/core"
 	"phonocmap/internal/network"
 	"phonocmap/internal/obs"
+	"phonocmap/internal/scenario"
 	"phonocmap/internal/store"
 )
 
@@ -85,6 +87,15 @@ func (s *Server) initMetrics() {
 	reg.CounterFn("phonocmap_network_build_seconds_total",
 		"Wall time spent building photonic networks, process-wide.",
 		network.BuildSecondsTotal)
+	reg.CounterFn("phonocmap_network_reuses_total",
+		"Compiles served a network from a network cache (a sweep's or the service's) instead of building one, process-wide.",
+		func() float64 { return float64(scenario.NetworkReusesTotal()) })
+	reg.CounterFn("phonocmap_path_table_builds_total",
+		"Path-pair tables built for the networks problems score from, process-wide.",
+		func() float64 { return float64(analysis.TableBuildsTotal()) })
+	reg.CounterFn("phonocmap_path_table_build_seconds_total",
+		"Wall time spent building path-pair tables, process-wide.",
+		analysis.TableBuildSecondsTotal)
 	reg.GaugeFn("phonocmap_worker_utilization",
 		"Fraction of the worker pool currently executing jobs (0..1).",
 		func() float64 { return m.workersBusy.Value() / float64(s.cfg.Workers) })

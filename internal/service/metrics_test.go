@@ -47,8 +47,11 @@ var metricFamilies = map[string]string{
 	"phonocmap_store_entries":          "gauge",
 	"phonocmap_store_bytes":            "gauge",
 
-	"phonocmap_network_builds_total":        "counter",
-	"phonocmap_network_build_seconds_total": "counter",
+	"phonocmap_network_builds_total":           "counter",
+	"phonocmap_network_build_seconds_total":    "counter",
+	"phonocmap_network_reuses_total":           "counter",
+	"phonocmap_path_table_builds_total":        "counter",
+	"phonocmap_path_table_build_seconds_total": "counter",
 }
 
 // scrapeMetrics fetches /metrics and parses the exposition strictly:
@@ -230,16 +233,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsNetworkBuilds checks the network build counters against
-// the builds each job must do: one for the compile plus one per link cut
-// or robustness sample, and none for a cache replay. The counters are
-// process-wide, so this test must not run in parallel with others.
+// TestMetricsNetworkBuilds checks the network build, reuse and path
+// table counters against what each job must do on a fresh server: a
+// compile builds its network unless the server's network cache holds
+// it, and the search builds the network's path table on its first
+// evaluation unless an earlier job's did; each link cut or robustness
+// sample builds a pair-restricted network and never a table; a cache
+// replay builds nothing. The counters are process-wide, so this test must not run in
+// parallel with others.
 func TestMetricsNetworkBuilds(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	base := ts.URL
-	counters := func() (builds, seconds float64) {
+	type counts struct{ builds, seconds, reuses, tables, tableSeconds float64 }
+	counters := func() counts {
 		_, samples := scrapeMetrics(t, base)
-		return samples["phonocmap_network_builds_total"], samples["phonocmap_network_build_seconds_total"]
+		return counts{
+			samples["phonocmap_network_builds_total"], samples["phonocmap_network_build_seconds_total"],
+			samples["phonocmap_network_reuses_total"],
+			samples["phonocmap_path_table_builds_total"], samples["phonocmap_path_table_build_seconds_total"],
+		}
 	}
 
 	cuts := Request{Algorithm: "rs", Budget: 100, Seed: 1,
@@ -249,29 +261,41 @@ func TestMetricsNetworkBuilds(t *testing.T) {
 	samples := Request{Algorithm: "rs", Budget: 100, Seed: 1,
 		Analyses: &scenario.AnalysesSpec{Robustness: &scenario.RobustnessSpec{Samples: 8}}}
 	samples.App.Builtin = "MWD"
+	fresh := samples
+	fresh.Seed = 2
 
 	for _, tc := range []struct {
-		name string
-		req  Request
-		want float64
+		name                  string
+		req                   Request
+		builds, reuses, table float64
 	}{
-		{"link_failures on the 3x3 mesh: compile + 12 cuts", cuts, 13},
-		{"robustness, 8 samples: compile + 8 samples", samples, 9},
-		{"cached repeat", cuts, 0},
+		{"link_failures on the 3x3 mesh: compile + 12 cuts", cuts, 13, 0, 1},
+		{"robustness, 8 samples: compile + 8 samples", samples, 9, 0, 1},
+		{"cached repeat", cuts, 0, 0, 0},
+		{"fresh job on MWD's architecture: 8 samples, the network reused", fresh, 8, 1, 0},
 	} {
-		builds, seconds := counters()
+		before := counters()
 		var st JobStatus
 		doJSON(t, http.MethodPost, base+"/v1/jobs", tc.req, &st)
 		final, _ := pollUntil(t, base, st.ID, 60*time.Second, func(s JobStatus) bool { return s.State.Terminal() })
 		if final.State != StateDone {
 			t.Fatalf("%s: job finished %q (%s)", tc.name, final.State, final.Error)
 		}
-		afterBuilds, afterSeconds := counters()
-		if got := afterBuilds - builds; got != tc.want {
-			t.Errorf("%s: %v builds, want %v", tc.name, got, tc.want)
+		after := counters()
+		if got := after.builds - before.builds; got != tc.builds {
+			t.Errorf("%s: %v builds, want %v", tc.name, got, tc.builds)
 		}
-		if grew := afterSeconds > seconds; grew != (tc.want > 0) {
-			t.Errorf("%s: build seconds %v -> %v", tc.name, seconds, afterSeconds)
+		if grew := after.seconds > before.seconds; grew != (tc.builds > 0) {
+			t.Errorf("%s: build seconds %v -> %v", tc.name, before.seconds, after.seconds)
+		}
+		if got := after.reuses - before.reuses; got != tc.reuses {
+			t.Errorf("%s: %v network reuses, want %v", tc.name, got, tc.reuses)
+		}
+		if got := after.tables - before.tables; got != tc.table {
+			t.Errorf("%s: %v path table builds, want %v", tc.name, got, tc.table)
+		}
+		if grew := after.tableSeconds > before.tableSeconds; grew != (tc.table > 0) {
+			t.Errorf("%s: path table build seconds %v -> %v", tc.name, before.tableSeconds, after.tableSeconds)
 		}
 	}
 }

@@ -104,15 +104,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// networkCacheBytes bounds a server's network cache: the summed size of
+// the networks its compiles share and of their path tables. It is set
+// from measured traffic. perfbench's service workload (seeds 11 and 41,
+// 10 s each, Intel Xeon, 2 vCPUs) compiled its jobs over three
+// architectures, the 3×3 Crux and Cygnus meshes and the 4×4 Crux mesh,
+// which with their tables take 1.13 MiB, and the whole process peaked at
+// 23.4–23.8 MiB (VmHWM). The bound holds those three plus one 5×5
+// network with its table (4.4 MiB), and a server that receives many
+// architectures keeps at most 4.9 MiB more than that workload did,
+// under a quarter of its peak, which is the bound on that workload's
+// peak_rss_mb. A network above the bound, such as an 8×8 mesh (11.8 MB,
+// no table), is handed out but not kept.
+const networkCacheBytes = 6 << 20
+
 // Server is the phonocmap-serve service: an HTTP API over a bounded job
-// queue, a worker pool of optimization runners, and a result cache.
+// queue, a worker pool of optimization runners, a result cache, and a
+// network cache its compiles share.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped with the telemetry middleware
 	queue   chan *Job
 	cache   *resultCache
-	logger  *slog.Logger
+	// nets shares networks between the jobs and sweep cells this server
+	// compiles (see networkCacheBytes).
+	nets   *scenario.NetworkCache
+	logger *slog.Logger
 
 	// metrics is the single source of runtime truth: /metrics renders
 	// its registry and /healthz reads the same instruments.
@@ -146,6 +164,7 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		queue:   make(chan *Job, cfg.QueueSize),
 		cache:   newResultCache(cfg.CacheSize, cfg.Store),
+		nets:    scenario.NewNetworkCache(networkCacheBytes),
 		logger:  cfg.Logger,
 		baseCtx: ctx,
 		stop:    cancel,
@@ -336,10 +355,13 @@ func (s *Server) runJob(j *Job) {
 			j.finish(StateCancelled, e, nil)
 			return
 		}
-		j.finish(StateDone, e, nil)
+		// Cache the result before publishing the job as done, so a
+		// client that sees it done and submits the spec again hits the
+		// cache.
 		if !j.noCache {
 			s.cache.put(*e)
 		}
+		j.finish(StateDone, e, nil)
 	}
 }
 
@@ -474,9 +496,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Cache miss: now pay for the network/problem construction (and get
-	// the Eq. 2 fit check) before committing the job to the queue.
-	comp, err := compile(spec)
+	// Cache miss: now pay for the problem construction (and get the
+	// Eq. 2 fit check) before committing the job to the queue.
+	comp, err := s.nets.Compile(spec)
 	if err != nil {
 		writeError(w, CodeInvalidSpec, err.Error(), nil)
 		return

@@ -555,7 +555,7 @@ func TestSpecKeyStability(t *testing.T) {
 	if s3.Key() == s1.Key() {
 		t.Error("different seeds collide")
 	}
-	if _, err := compile(s1); err != nil {
+	if _, err := scenario.Compile(s1); err != nil {
 		t.Fatalf("compile on a normalized spec: %v", err)
 	}
 }

@@ -390,7 +390,7 @@ func (s *Server) runSweep(sw *Sweep) {
 				continue
 			}
 		}
-		comp, err := compile(sc.spec)
+		comp, err := s.nets.Compile(sc.spec)
 		if err != nil {
 			// Expansion validated the grid, so a build failure here is
 			// exotic (e.g. pathological custom photonic parameters); it

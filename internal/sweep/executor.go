@@ -160,17 +160,52 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return ctx.Err()
 }
 
-// RunCell is the in-process Runner and the one cell adapter every local
-// front end uses: it compiles the cell through the scenario compiler and
-// runs it through the scenario executor — the same seed derivation and
-// cancellation policy as a service job, so local and service sweeps
-// produce bit-identical results for equal cells. A cancelled cell keeps
-// its best-so-far run (Run.Cancelled set) without a report.
+// RunCell is the in-process Runner behind every local front end: it
+// compiles the cell through the scenario compiler and runs it through
+// the scenario executor — the same seed derivation and cancellation
+// policy as a service job, so local and service sweeps produce
+// bit-identical results for equal cells. A cancelled cell keeps
+// its best-so-far run (Run.Cancelled set) without a report. RunCell
+// builds each cell's network; NewCellRunner shares them.
 func RunCell(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, error) {
 	comp, err := c.Compile()
 	if err != nil {
 		return core.RunResult{}, nil, err
 	}
+	return execute(ctx, comp)
+}
+
+// NewCellRunner returns RunCell with networks shared among the given
+// cells, the ones a Run will execute: every cell compiles through one
+// scenario.NetworkCache, so cells on equal architectures share one
+// network and its path table, and results stay bit-identical to
+// RunCell's. The cache drops a network once the last of the cells on its
+// architecture has compiled, and goes with the returned Runner, so a
+// sweep holds only the networks its pending cells need.
+func NewCellRunner(cells []Cell) Runner {
+	nets := scenario.NewNetworkCache(0)
+	var mu sync.Mutex
+	pending := make(map[string]int)
+	for _, c := range cells {
+		pending[scenario.NetworkKey(c.Arch)]++
+	}
+	return func(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, error) {
+		comp, err := nets.Compile(c.Scenario())
+		key := scenario.NetworkKey(c.Arch)
+		mu.Lock()
+		if pending[key]--; pending[key] == 0 {
+			nets.Forget(c.Arch)
+		}
+		mu.Unlock()
+		if err != nil {
+			return core.RunResult{}, nil, err
+		}
+		return execute(ctx, comp)
+	}
+}
+
+// execute runs a compiled cell through the scenario executor.
+func execute(ctx context.Context, comp *scenario.Compiled) (core.RunResult, *scenario.Report, error) {
 	out, err := comp.Execute(ctx, nil)
 	if err != nil {
 		return core.RunResult{}, nil, err

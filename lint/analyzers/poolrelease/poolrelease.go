@@ -1,7 +1,8 @@
 // Package poolrelease enforces pooled-session hygiene: every locally
 // held value acquired from phonocmap's evaluation-session pools —
 // Problem.NewSwapSession, NewSwapSessionPool, SwapSessionPool.Acquire,
-// analysis.NewIncremental — must be released (Release/Close) on some
+// analysis.NewIncremental and analysis.NewTableIncremental — must be
+// released (Release/Close) on some
 // path of the acquiring function, or demonstrably handed off (stored
 // into a field, slice, map or channel, returned, or passed to another
 // function that assumes ownership). A session that is neither keeps its
@@ -25,7 +26,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `require Release/Close (or ownership hand-off) for pooled evaluation sessions
 
 Acquisition sites are calls to core's NewSwapSession / NewSwapSessionPool /
-SwapSessionPool.Acquire and analysis's NewIncremental. The acquired value
+SwapSessionPool.Acquire and analysis's NewIncremental / NewTableIncremental.
+The acquired value
 must either be released in the same function (directly or via defer) or
 escape into longer-lived state whose owner releases it. Discarding one
 with _ is always an error. A deliberate exception carries
@@ -36,10 +38,11 @@ with _ is always an error. A deliberate exception carries
 // acquirers maps function names to the package-path suffix they must
 // come from.
 var acquirers = map[string]string{
-	"NewSwapSession":     "internal/core",
-	"NewSwapSessionPool": "internal/core",
-	"Acquire":            "internal/core",
-	"NewIncremental":     "internal/analysis",
+	"NewSwapSession":      "internal/core",
+	"NewSwapSessionPool":  "internal/core",
+	"Acquire":             "internal/core",
+	"NewIncremental":      "internal/analysis",
+	"NewTableIncremental": "internal/analysis",
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -7,3 +7,7 @@ type Incremental struct{}
 func (inc *Incremental) Close() {}
 
 func NewIncremental(n int) *Incremental { return &Incremental{} }
+
+type PathTable struct{}
+
+func NewTableIncremental(t *PathTable) *Incremental { return &Incremental{} }

@@ -62,6 +62,23 @@ func incOK() {
 	defer inc.Close()
 }
 
+func tableIncLeak(t *analysis.PathTable) {
+	inc := analysis.NewTableIncremental(t) // want "NewTableIncremental acquires a pooled session"
+	_ = inc
+}
+
+type engineHolder struct{ inc *analysis.Incremental }
+
+func tableIncHandOff(t *analysis.PathTable) *engineHolder {
+	var inc *analysis.Incremental
+	if t != nil {
+		inc = analysis.NewTableIncremental(t) // ok: stored in the holder below
+	} else {
+		inc = analysis.NewIncremental(8) // ok: stored in the holder below
+	}
+	return &engineHolder{inc: inc}
+}
+
 func tolerated(sp *core.SwapSessionPool) {
 	//phonocmap:release-ok process-lifetime session, reclaimed at exit
 	ss := sp.Acquire()

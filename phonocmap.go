@@ -360,7 +360,8 @@ func ExpandSweep(spec SweepSpec) ([]SweepCell, error) { return sweep.Expand(spec
 // RunSweep expands and executes a design-space grid on a bounded local
 // worker pool (workers <= 0 means GOMAXPROCS), returning one result per
 // cell in grid order. Cells are independent seeded runs, so the results
-// are identical at any worker count; ctx cancels the whole sweep.
+// are identical at any worker count; ctx cancels the whole sweep. Cells
+// on equal architectures share one network for the call's duration.
 // Individual cell failures are recorded in their result, not returned.
 // A cell whose run ctx cancelled keeps its best-so-far point with
 // Run.Cancelled set and no report, and the Sweep* aggregators leave it
@@ -372,7 +373,7 @@ func RunSweep(ctx context.Context, spec SweepSpec, workers int) ([]SweepCellResu
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Run(cells, sweep.RunCell, sweep.Options{Workers: workers, Context: ctx})
+	return sweep.Run(cells, sweep.NewCellRunner(cells), sweep.Options{Workers: workers, Context: ctx})
 }
 
 // SweepTable folds sweep results into Table II-style comparison rows:
@@ -562,9 +563,11 @@ func EvaluateWDM(nw *Network, app *Graph, m Mapping, a WDMAssignment) (WorstLoss
 }
 
 // Verify re-checks a run result against a fresh problem instance —
-// a guard for downstream pipelines that persist mappings.
+// a guard for downstream pipelines that persist mappings. It re-scores
+// the mapping with the pair kernel (Problem.Rescore), so a score found
+// through a network's path table is checked by the other engine.
 func Verify(prob *Problem, res RunResult) error {
-	s, err := prob.Clone().Evaluate(res.Mapping)
+	s, err := prob.Rescore(res.Mapping)
 	if err != nil {
 		return err
 	}
