@@ -98,6 +98,7 @@ func BenchmarkTable2VOPDTorusGA(b *testing.B)    { benchTable2Cell(b, "VOPD", "g
 func BenchmarkTable2VOPDTorusRPBLA(b *testing.B) { benchTable2Cell(b, "VOPD", "rpbla", true) }
 func BenchmarkTable2PIPMeshRPBLA(b *testing.B)   { benchTable2Cell(b, "PIP", "rpbla", false) }
 func BenchmarkTable2DVOPDMeshRPBLA(b *testing.B) { benchTable2Cell(b, "DVOPD", "rpbla", false) }
+func BenchmarkTable2DVOPDMeshGA(b *testing.B)    { benchTable2Cell(b, "DVOPD", "ga", false) }
 
 // Extension algorithms (beyond the paper's three).
 func BenchmarkTable2VOPDMeshSA(b *testing.B)   { benchTable2Cell(b, "VOPD", "sa", false) }

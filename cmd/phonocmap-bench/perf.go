@@ -229,7 +229,8 @@ func measureParallelEval(name string, side, tasks, edges int, seed int64, worker
 	}
 	defer ctx.Close()
 	ctx.SetEvalWorkers(workers)
-	// Warm the pool (seats the per-worker sessions) outside the window.
+	// Warm up outside the window: the first batch clones the per-worker
+	// problems and sizes their evaluators.
 	if _, _, err := ctx.EvaluateBatch(batch); err != nil {
 		return parallelEvalPerf{}, err
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"phonocmap/internal/core"
@@ -42,13 +44,19 @@ func TestParseMapping(t *testing.T) {
 }
 
 func TestParseServers(t *testing.T) {
-	got := parseServers(" http://a:8080, http://b:8080 ,,")
-	want := []string{"http://a:8080", "http://b:8080"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("parseServers = %v, want %v", got, want)
-	}
-	if s := parseServers(""); s != nil {
-		t.Errorf("parseServers(\"\") = %v, want nil", s)
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{" http://a:8080, http://b:8080 ,,", []string{"http://a:8080", "http://b:8080"}},
+		{"http://a:8080", []string{"http://a:8080"}},
+		{"", nil},
+		{",", nil},
+		{" , ,  ", nil},
+	} {
+		if got := parseServers(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseServers(%q) = %#v, want %#v", tc.in, got, tc.want)
+		}
 	}
 }
 
@@ -218,6 +226,55 @@ func TestParseFailedLinks(t *testing.T) {
 	for _, bad := range []string{"0", "a-b", "1-2-3x", "1-", "-2"} {
 		if _, err := parseFailedLinks(bad); err == nil {
 			t.Errorf("parseFailedLinks(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseFailedLinksBoundaries: the parser accepts any pair of ints,
+// self and negative tiles included (ArchSpec.Build rejects those, see
+// internal/config), and rejects what does not parse as two ints.
+func TestParseFailedLinksBoundaries(t *testing.T) {
+	maxInt := strconv.Itoa(math.MaxInt)
+	overflow := strconv.FormatUint(uint64(math.MaxInt)+1, 10)
+	for _, tc := range []struct {
+		in   string
+		want [][2]int // nil: an error
+	}{
+		{"0-0", [][2]int{{0, 0}}},
+		{"1--2", [][2]int{{1, -2}}},
+		{maxInt + "-0", [][2]int{{math.MaxInt, 0}}},
+		{overflow + "-0", nil},
+		{"0-" + overflow, nil},
+		{"0-1,", nil},
+		{",", nil},
+	} {
+		got, err := parseFailedLinks(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("parseFailedLinks(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parseFailedLinks(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// TestParseMapCommandEvalWorkers: -eval-workers 0 and -1 keep the
+// process default; 1 and math.MaxInt32 set it, and larger counts set
+// math.MaxInt32.
+func TestParseMapCommandEvalWorkers(t *testing.T) {
+	defer core.SetDefaultEvalWorkers(core.DefaultEvalWorkers())
+	for _, tc := range []struct{ flag, want int }{
+		{0, 5}, {-1, 5}, {1, 1}, {math.MaxInt32, math.MaxInt32}, {math.MaxInt, math.MaxInt32},
+	} {
+		core.SetDefaultEvalWorkers(5)
+		if _, _, _, _, err := parseMapCommand([]string{"-app", "PIP", "-eval-workers", strconv.Itoa(tc.flag)}); err != nil {
+			t.Fatalf("-eval-workers %d: %v", tc.flag, err)
+		}
+		if got := core.DefaultEvalWorkers(); got != tc.want {
+			t.Errorf("-eval-workers %d: process default %d, want %d", tc.flag, got, tc.want)
 		}
 	}
 }

@@ -43,18 +43,17 @@ import (
 //     pairs it meets. A pair of two changed communications is handled
 //     once, when the later one attaches. Untouched pairs are never
 //     visited.
-//   - above rebuildNum/rebuildDen of m changed, a rebuild instead: the
-//     occupancy map is refilled and the whole-set pass runs, which
-//     visits every pair once, where the scans would visit a pair once
-//     per changed side and scan (see rebuildNum for the measurement).
 //   - O(m) to fold the cached per-victim values into the worst-case
 //     trackers and the (weighted) mean: float compares plus one log10
 //     per noisy victim, no pairwise work.
 //
-// Undo does no pair work. After scans it costs O(|path|) per changed
-// communication plus one store per touched victim: it pops the new
-// paths' entries off the ends of their lists and re-appends the old
-// ones. After a rebuild it re-seats the map, O(m·|path|).
+// Scans are exact at any |Δ|. Only swaps make kernel deltas, the edges
+// incident to two moved tasks; a mapping that is not a neighbour of the
+// seated one is seated afresh with Init.
+//
+// Undo does no pair work. It costs O(|path|) per changed communication
+// plus one store per touched victim: it pops the new paths' entries off
+// the ends of their lists and re-appends the old ones.
 //
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
@@ -94,11 +93,10 @@ type Incremental struct {
 	touchedMark []bool
 	resolved    []*network.Path
 
-	// Single-level undo log for the last ApplyDelta. After a rebuild or
-	// any delta on the table, undoNoise holds every accumulator and
-	// undoTouched is empty.
+	// Single-level undo log for the last ApplyDelta. After a delta on
+	// the table, undoNoise holds every accumulator and undoTouched is
+	// empty.
 	undoValid   bool
-	undoRebuilt bool
 	undoChanged []int
 	undoComms   []Communication
 	undoPaths   []*network.Path
@@ -108,45 +106,28 @@ type Incremental struct {
 	undoRes     Result
 }
 
-// A delta changing more than rebuildNum/rebuildDen of the communications
-// is applied by rebuilding. Networks of at most core's table cap (25
-// tiles) score from a path table, so the kernel's deltas run only on
-// larger networks. The fraction was set by timing both ways on the
-// deltas swap sessions make, the edges incident to the moved tasks: 120
-// distinct swaps and 120 multi-task reseats per instance, each call
-// timed (median of 7 interleaved rounds, Intel Xeon, 2 vCPUs), committed
-// and undone, on DVOPD (44 communications) on a 6×6 Crux/XY mesh and
-// torus and on the 8×8 dense problem (56 tasks, 220 communications,
-// Crux/XY mesh). A committed delta breaks even at about 15 % of the set
-// on the dense problem and 35 % on DVOPD; an undone one at 15–20 % and
-// 30–50 %, since Undo re-seats the map after a rebuild but costs
-// O(|path|) after scans. Summed over the three instances, the loss
-// against picking the cheaper way per delta was lowest at a quarter in
-// both of two runs, for committed deltas (2–3 %; 3–4 % at 1/5, 5–6 % at
-// 3/10, 6–7 % at 1/3) and for undone ones (3–7 %; 4–8 % at 3/10 and at
-// 1/3, 6–10 % at 1/5).
-const rebuildNum, rebuildDen = 1, 4
-
 // On a path table, a delta changing more than
 // tableRecomputeNum/tableRecomputeDen of the communications is applied by
 // summing the whole table again (PathTable.sum, m² reads) instead of
 // patching (PathTable.delta, about 3·|Δ|·m reads). Both ways snapshot
-// and fold all m victims, which bounds what patching saves: timed like
-// rebuildNum on PIP (3×3), MWD, VOPD (mesh and torus) and 263dec (4×4),
-// Wavelet (5×5 mesh and torus) and the 4×4 mesh with 48
-// communications, a patch of 5–10 % of the set costs 0.44–0.84× a sum,
-// and patches break even at 25–45 %. Summed over the eight instances,
-// the loss against picking the cheaper way per delta was 4–10 % at a
-// third and 3–10 % at 2/5 (8–17 % at 1/4, 12–16 % at 1/2; four runs,
-// committed and undone alike, since Undo restores the same snapshot
-// either way). The two tied, and a third was kept.
+// and fold all m victims, which bounds what patching saves. Timed both
+// ways, committed and undone, on 120 swaps and 120 multi-task reseats
+// per instance (median of 7 interleaved rounds, Intel Xeon, 2 vCPUs) on
+// PIP (3×3), MWD, VOPD (mesh and torus) and 263dec (4×4), Wavelet (5×5
+// mesh and torus) and the 4×4 mesh with 48 communications, a patch of
+// 5–10 % of the set costs 0.44–0.84× a sum, and patches break even at
+// 25–45 %. Summed over the eight instances, the loss against picking
+// the cheaper way per delta was 4–10 % at a third and 3–10 % at 2/5
+// (8–17 % at 1/4, 12–16 % at 1/2; four runs, committed and undone
+// alike, since Undo restores the same snapshot either way). The two
+// tied, and a third was kept.
 const tableRecomputeNum, tableRecomputeDen = 1, 3
 
 // incPool recycles released engines: the occupancy map and the
 // per-victim accumulator slices dominate the cost of standing up an
-// Incremental, and swap-session pools, sweep cells and service jobs
-// create one engine per session. Pooled engines are re-adopted onto
-// whatever network the next NewIncremental asks for.
+// Incremental, and every swap searcher's run, in every sweep cell and
+// service job, creates one engine for its session. Pooled engines are
+// re-adopted onto whatever network the next NewIncremental asks for.
 var incPool sync.Pool
 
 // NewIncremental returns an incremental evaluator for the network,
@@ -297,8 +278,7 @@ func (inc *Incremental) NumComms() int { return len(inc.comms) }
 
 // ApplyDelta replaces comms[changed[i]] with newComms[i] and returns the
 // metrics of the updated set, patching only the victims that share
-// elements with the changed communications, or rebuilding when more than
-// rebuildNum/rebuildDen of the set changes (see the type docs for the
+// elements with the changed communications (see the type docs for the
 // cost). The previous state is retained for one Undo.
 func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Result, error) {
 	if !inc.inited {
@@ -350,7 +330,6 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 
 	if inc.tab != nil {
 		// An O(m) snapshot, then a patch or a fresh sum.
-		inc.undoRebuilt = false
 		inc.undoNoise = append(inc.undoNoise, inc.noiseAcc...)
 		inc.reroute(changed, newComms)
 		if len(changed)*tableRecomputeDen > len(inc.comms)*tableRecomputeNum {
@@ -358,21 +337,6 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 		} else {
 			inc.conflicts += inc.tab.delta(inc.idx, inc.noiseAcc, changed, inc.undoIdx, inc.changedMark)
 		}
-		for _, ci := range changed {
-			inc.changedMark[ci] = false
-		}
-		inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
-		inc.undoValid = true
-		return inc.res, nil
-	}
-	for _, ci := range changed {
-		inc.changedMark[ci] = false
-	}
-	inc.undoRebuilt = len(changed)*rebuildDen > len(inc.comms)*rebuildNum
-	if inc.undoRebuilt {
-		inc.undoNoise = append(inc.undoNoise, inc.noiseAcc...)
-		inc.reroute(changed, newComms)
-		inc.rebuild()
 	} else {
 		// Every victim snapshots its accumulator the moment it is first
 		// touched; the changed ones up front, since their accumulators
@@ -393,6 +357,9 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 		for _, vi := range inc.undoTouched {
 			inc.touchedMark[vi] = false
 		}
+	}
+	for _, ci := range changed {
+		inc.changedMark[ci] = false
 	}
 	inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
 	inc.undoValid = true
@@ -478,7 +445,7 @@ func (inc *Incremental) attach(c int) {
 // cached accumulator to their exact previous values. Only one level of
 // undo is kept; a second Undo (or an Undo after Init) fails.
 //
-// After scans, Undo rests on a tail invariant: the entries attach
+// On the kernel, Undo rests on a tail invariant: the entries attach
 // appended are the last entries of their lists. attach appends one
 // entry per step of each new path, a path crosses an element once, and
 // nothing appends between a delta and its undo, so each list's last k
@@ -489,16 +456,12 @@ func (inc *Incremental) Undo() (Result, error) {
 	if !inc.undoValid {
 		return Result{}, fmt.Errorf("analysis: nothing to undo")
 	}
-	if inc.tab != nil || inc.undoRebuilt {
-		// Restore the snapshot of every accumulator; the kernel also
-		// re-seats its map.
+	if inc.tab != nil {
+		// Restore the snapshot of every accumulator.
 		for i, ci := range inc.undoChanged {
 			inc.comms[ci] = inc.undoComms[i]
 			inc.paths[ci] = inc.undoPaths[i]
 			inc.idx[ci] = inc.undoIdx[i]
-		}
-		if inc.tab == nil {
-			inc.occ.seat(inc.paths)
 		}
 		copy(inc.noiseAcc, inc.undoNoise)
 	} else {

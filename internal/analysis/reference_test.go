@@ -370,9 +370,10 @@ func TestPairTableMatchesReference(t *testing.T) {
 }
 
 // TestIncrementalMatchesReference drives ApplyDelta/Undo sequences on
-// both engines whose deltas fall on both sides of each engine's rebuild
-// threshold — single communications, a third, half, most and all of the
-// set — and checks every state against the frozen reference. Every Undo
+// both engines whose deltas range from single communications through a
+// quarter, a third, half and most of the set to all of it, on both
+// sides of the table's recompute threshold, and checks every state
+// against the frozen reference. Every Undo
 // must restore the previous result, and on the kernel every occupancy
 // list.
 func TestIncrementalMatchesReference(t *testing.T) {
@@ -414,7 +415,7 @@ func TestIncrementalMatchesReference(t *testing.T) {
 						want, _ := refEvaluate(rn.nw, comms, weights, nil)
 						requireBitIdentical(t, "Init", got, want)
 
-						sizes := []int{1, 2, 3, m / 3, m * rebuildNum / rebuildDen, m*rebuildNum/rebuildDen + 1,
+						sizes := []int{1, 2, 3, m / 3, m / 4, m/4 + 1,
 							m * tableRecomputeNum / tableRecomputeDen, m*tableRecomputeNum/tableRecomputeDen + 1, m / 2, m * 9 / 10, m}
 						for step := 0; step < 120; step++ {
 							k := sizes[step%len(sizes)]

@@ -2,6 +2,7 @@ package config
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -140,6 +141,32 @@ func TestArchSpecFailedLinks(t *testing.T) {
 	const want = "topo: failing 4 link(s) isolates tile 0"
 	if _, err := isolating.Build(); err == nil || err.Error() != want {
 		t.Errorf("isolating cut: error %v, want %q", err, want)
+	}
+}
+
+// TestArchSpecBuildRejectsBadFailedLinks: a cut on a negative,
+// out-of-range, self or non-adjacent tile pair is an error on every
+// topology, never a panic.
+func TestArchSpecBuildRejectsBadFailedLinks(t *testing.T) {
+	archs := []ArchSpec{
+		{Topology: "mesh", Width: 3, Height: 3},
+		{Topology: "torus", Width: 3, Height: 3},
+		{Topology: "ring", Tiles: 8},
+	}
+	for _, arch := range archs {
+		for _, link := range [][2]int{
+			{-1, 0}, {0, -1}, {math.MinInt, 0}, // negative
+			{9, 0}, {0, 9}, {math.MaxInt, 0}, // out of range
+			{4, 4}, {0, 0}, // self
+			{0, 4}, // not adjacent
+		} {
+			s := arch
+			s.Router, s.Routing = "cygnus", "bfs"
+			s.FailedLinks = [][2]int{link}
+			if _, err := s.Build(); err == nil {
+				t.Errorf("%s: failed link %v accepted", arch.Topology, link)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,20 +9,19 @@ import (
 	"phonocmap/internal/obs"
 )
 
-// This file is the population-parallel evaluation engine: a pool of
-// independent incremental swap sessions plus Context.EvaluateBatch,
-// which shards a slice of candidate mappings across a bounded worker
-// group and folds the scores back through the context's single
-// evaluation ledger.
+// This file is the population-parallel evaluation engine:
+// Context.EvaluateBatch shards a slice of candidate mappings across a
+// bounded worker group, each worker scoring its shard by full evaluation
+// on a problem of its own, and folds the scores back through the
+// context's single evaluation ledger.
 //
 // Determinism contract (the reason the engine is usable inside seeded
 // searches at all): EvaluateBatch produces bit-identical results at
 // every worker count, including 1. Two properties carry it:
 //
-//  1. Scoring a mapping is a pure function of the mapping. Every pool
-//     session honors SwapSession's bit-for-bit contract with
-//     Problem.Evaluate, so WHICH session scores a candidate — and in
-//     what order relative to its siblings — cannot change any score.
+//  1. Scoring a mapping is Problem.Evaluate, a pure function of the
+//     mapping: which worker's problem scores a candidate, and in what
+//     order relative to its siblings, cannot change any score.
 //  2. Accounting happens at a single commit point after all workers
 //     join, replayed in candidate-index order: budget units, the
 //     incumbent ledger, and the OnEvaluate/OnImprove callbacks observe
@@ -45,13 +44,10 @@ var batchEvals = obs.NewCounter()
 
 // SetDefaultEvalWorkers sets the process-wide evaluation worker count
 // used by contexts without an explicit SetEvalWorkers call. n <= 0
-// resets to 1 (sequential). Results are bit-identical at every setting;
-// only throughput changes.
+// resets to 1 (sequential), and n above math.MaxInt32 is held there.
+// Results are bit-identical at every setting; only throughput changes.
 func SetDefaultEvalWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultEvalWorkers.Store(int32(n))
+	defaultEvalWorkers.Store(int32(max(1, min(n, math.MaxInt32))))
 }
 
 // DefaultEvalWorkers returns the process-wide evaluation worker count
@@ -66,72 +62,6 @@ func DefaultEvalWorkers() int {
 // BatchEvalsTotal returns the number of mapping evaluations performed
 // through EvaluateBatch since process start.
 func BatchEvalsTotal() int64 { return batchEvals.Value() }
-
-// SwapSessionPool is a fixed set of independent SwapSessions over one
-// Problem — one per evaluation worker. Sessions are seated lazily on
-// the first mapping their worker scores and then move by delta
-// (SwapSession.Reseat), so steady-state batch evaluation allocates
-// nothing. Sibling sessions share only the problem's immutable data and
-// may therefore evaluate concurrently; each individual session must
-// stay confined to its worker.
-type SwapSessionPool struct {
-	prob *Problem
-	sess []*SwapSession
-}
-
-// NewSwapSessionPool prepares size worker sessions over the problem
-// (created lazily on first use).
-func NewSwapSessionPool(prob *Problem, size int) (*SwapSessionPool, error) {
-	if prob == nil {
-		return nil, fmt.Errorf("core: nil problem")
-	}
-	if size < 1 {
-		return nil, fmt.Errorf("core: session pool size must be >= 1, got %d", size)
-	}
-	return &SwapSessionPool{prob: prob, sess: make([]*SwapSession, size)}, nil
-}
-
-// Size returns the number of worker slots.
-func (sp *SwapSessionPool) Size() int { return len(sp.sess) }
-
-// grow extends the pool to at least size worker slots.
-func (sp *SwapSessionPool) grow(size int) {
-	for len(sp.sess) < size {
-		sp.sess = append(sp.sess, nil)
-	}
-}
-
-// Evaluate scores m on worker w's session, seating the session on first
-// use. Scores are bit-for-bit identical to Problem.Evaluate(m)
-// regardless of the worker or of what the session evaluated before.
-// Distinct workers may call Evaluate concurrently; a single worker must
-// not.
-func (sp *SwapSessionPool) Evaluate(w int, m Mapping) (Score, error) {
-	if w < 0 || w >= len(sp.sess) {
-		return Score{}, fmt.Errorf("core: pool worker %d out of range [0,%d)", w, len(sp.sess))
-	}
-	ss := sp.sess[w]
-	if ss == nil {
-		ss, err := sp.prob.NewSwapSession(m)
-		if err != nil {
-			return Score{}, err
-		}
-		sp.sess[w] = ss
-		return ss.Score(), nil
-	}
-	return ss.Reseat(m)
-}
-
-// Release returns every seated session's incremental engine to the
-// analysis buffer pool. The pool must not be used afterwards.
-func (sp *SwapSessionPool) Release() {
-	for i, ss := range sp.sess {
-		if ss != nil {
-			ss.Release()
-			sp.sess[i] = nil
-		}
-	}
-}
 
 // SetEvalWorkers sets this run's evaluation worker count, overriding
 // the process default. n <= 0 restores "follow the process default".
@@ -152,20 +82,16 @@ func (c *Context) EvalWorkers() int {
 	return DefaultEvalWorkers()
 }
 
-// Close releases the context's evaluation sessions (the swap session
-// seated by StartSwaps/AttachSwaps and the batch pool's worker
-// sessions) back to the analysis buffer pool. Call it when the run is
-// over and the context will not evaluate again; reading Best/Evals
-// afterwards is fine.
+// Close releases the swap session seated by StartSwaps/AttachSwaps back
+// to the analysis buffer pool and drops EvaluateBatch's per-worker
+// problems. Call it when the run is over and the context will not
+// evaluate again; reading Best/Evals afterwards is fine.
 func (c *Context) Close() {
 	if c.sess != nil {
 		c.sess.Release()
 		c.sess = nil
 	}
-	if c.batchPool != nil {
-		c.batchPool.Release()
-		c.batchPool = nil
-	}
+	c.batchProbs = nil
 }
 
 // EvaluateBatch scores a slice of candidate mappings, spending one
@@ -176,12 +102,16 @@ func (c *Context) Close() {
 // the rest are neither — precisely where a sequential ctx.Evaluate
 // loop over the same slice would have stopped.
 //
-// Candidates are sharded across EvalWorkers() pool sessions and scored
-// concurrently; accounting (budget, incumbent, OnEvaluate/OnImprove)
-// replays at a single commit point in candidate-index order, so
-// results are bit-identical at every worker count. On an evaluation
-// error the candidates before the first failing index are committed —
-// again matching the sequential loop — and the error is returned.
+// Candidates are sharded across EvalWorkers() workers and scored
+// concurrently, each by Problem.Evaluate on a problem of its own: the
+// first worker on the context's problem, which nothing else uses while
+// EvaluateBatch runs, the others on clones made on first use. The
+// worker count is capped at the number of candidates. Accounting
+// (budget, incumbent, OnEvaluate/OnImprove) replays at a single commit
+// point in candidate-index order, so results are bit-identical at every
+// worker count. On an evaluation error the candidates before the first
+// failing index are committed — again matching the sequential loop —
+// and the error is returned.
 //
 // The returned slice is scratch owned by the context, valid until the
 // next EvaluateBatch call.
@@ -200,15 +130,6 @@ func (c *Context) EvaluateBatch(cands []Mapping) ([]Score, int, error) {
 	if workers > n {
 		workers = n
 	}
-	if c.batchPool == nil {
-		pool, err := NewSwapSessionPool(c.prob, workers)
-		if err != nil {
-			return nil, 0, err
-		}
-		c.batchPool = pool
-	} else {
-		c.batchPool.grow(workers)
-	}
 	if cap(c.batchScores) < n {
 		c.batchScores = make([]Score, n)
 	}
@@ -219,15 +140,14 @@ func (c *Context) EvaluateBatch(cands []Mapping) ([]Score, int, error) {
 	var firstErr error
 	firstErrIdx := n
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			s, err := c.batchPool.Evaluate(0, cands[i])
-			if err != nil {
-				firstErr, firstErrIdx = err, i
-				break
-			}
-			scores[i] = s
-		}
+		firstErrIdx, firstErr = scoreRange(c.prob, cands, scores, 0, n)
 	} else {
+		if len(c.batchProbs) == 0 {
+			c.batchProbs = append(c.batchProbs, c.prob)
+		}
+		for len(c.batchProbs) < workers {
+			c.batchProbs = append(c.batchProbs, c.prob.Clone())
+		}
 		// Contiguous shards: worker w scores [w*chunk, min((w+1)*chunk, n)).
 		// Each worker stops at its first error; the reduction below picks
 		// the globally lowest failing index, before which every candidate
@@ -238,25 +158,14 @@ func (c *Context) EvaluateBatch(cands []Mapping) ([]Score, int, error) {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
+			hi := min(lo+chunk, n)
 			if lo >= hi {
 				break
 			}
 			wg.Add(1)
 			go func(w, lo, hi int) {
 				defer wg.Done()
-				errIdx[w] = n
-				for i := lo; i < hi; i++ {
-					s, err := c.batchPool.Evaluate(w, cands[i])
-					if err != nil {
-						errs[w], errIdx[w] = err, i
-						return
-					}
-					scores[i] = s
-				}
+				errIdx[w], errs[w] = scoreRange(c.batchProbs[w], cands, scores, lo, hi)
 			}(w, lo, hi)
 		}
 		wg.Wait()
@@ -268,18 +177,27 @@ func (c *Context) EvaluateBatch(cands []Mapping) ([]Score, int, error) {
 	}
 
 	// Single commit point: replay the ledger in candidate order.
-	commit := n
-	if firstErrIdx < commit {
-		commit = firstErrIdx
-	}
-	for i := 0; i < commit; i++ {
+	for i := 0; i < firstErrIdx; i++ {
 		c.account(cands[i], scores[i])
 	}
-	batchEvals.Add(int64(commit))
+	batchEvals.Add(int64(firstErrIdx))
 	if firstErr != nil {
 		return nil, 0, firstErr
 	}
 	return scores, n, nil
+}
+
+// scoreRange scores cands[lo:hi] into scores on p and returns the index
+// of the first candidate that failed with its error, or hi and nil.
+func scoreRange(p *Problem, cands []Mapping, scores []Score, lo, hi int) (int, error) {
+	for i := lo; i < hi; i++ {
+		s, err := p.Evaluate(cands[i])
+		if err != nil {
+			return i, err
+		}
+		scores[i] = s
+	}
+	return hi, nil
 }
 
 // AutoEvalWorkers returns a sensible eval-worker count for "use the

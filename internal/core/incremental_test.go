@@ -77,8 +77,8 @@ func TestSwapSessionMatchesFullEvaluation(t *testing.T) {
 				numTiles := nw.NumTiles()
 				for step := 0; step < 1100; step++ {
 					if step%97 == 96 {
-						// Occasionally reseat on a fresh random mapping —
-						// the multi-task delta path.
+						// Occasionally reseat on a fresh random mapping,
+						// which re-initialises the session's engine.
 						fresh, err := RandomMapping(rng, app.NumTasks(), numTiles)
 						if err != nil {
 							t.Fatal(err)
@@ -183,6 +183,41 @@ func TestSwapSessionProtocolErrors(t *testing.T) {
 	if sess.Pending() {
 		t.Error("Pending should be false after Commit")
 	}
+
+	// A rejected Reseat leaves the mapping, the score and the engine
+	// where they were.
+	before := sess.Mapping().Clone()
+	score := sess.Score()
+	dup := before.Clone()
+	dup[1] = dup[0]
+	outside := before.Clone()
+	outside[0] = 9 // PIP's mesh has 9 tiles
+	for _, bad := range []Mapping{dup, outside, before[:2]} {
+		if _, err := sess.Reseat(bad); err == nil {
+			t.Errorf("Reseat(%v) accepted", bad)
+		}
+		if !sess.Mapping().Equal(before) || sess.Score() != score {
+			t.Fatalf("rejected Reseat(%v) moved the session to %v / %+v", bad, sess.Mapping(), sess.Score())
+		}
+	}
+	swapped := before.Clone()
+	for task, tile := range swapped {
+		switch tile {
+		case 0:
+			swapped[task] = 1
+		case 1:
+			swapped[task] = 0
+		}
+	}
+	want, err := prob.Clone().Evaluate(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sess.EvaluateSwap(0, 1); err != nil || got != want || !sess.Mapping().Equal(swapped) {
+		t.Errorf("swap after a rejected Reseat: %+v on %v (err %v), want %+v on %v", got, sess.Mapping(), err, want, swapped)
+	}
+	sess.Commit()
+
 	if _, err := prob.NewSwapSession(Mapping{0, 0, 1}); err == nil {
 		t.Error("invalid mapping should fail")
 	}

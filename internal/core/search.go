@@ -54,9 +54,10 @@ type Context struct {
 	// evalWorkers, when > 0, overrides the process-wide default worker
 	// count for EvaluateBatch (see SetEvalWorkers in batch.go).
 	evalWorkers int
-	// batchPool holds the per-worker sessions of EvaluateBatch, created
-	// lazily on the first batch and released by Close.
-	batchPool *SwapSessionPool
+	// batchProbs are the problems EvaluateBatch's workers score on:
+	// prob itself, then one clone per further worker, made on the first
+	// batch that needs it and dropped by Close.
+	batchProbs []*Problem
 	// batchScores is EvaluateBatch's reusable result slab.
 	batchScores []Score
 	// draw is RandomMapping's buffer, one slot per tile.
@@ -170,8 +171,7 @@ func (c *Context) AttachSwaps(m Mapping) error {
 
 // seatSwaps places the session on m, reusing the existing session's
 // buffers via Reseat when one is already seated (scores are bit-for-bit
-// identical either way; Reseat just skips the re-allocation and the
-// unchanged communications).
+// identical either way; Reseat just skips the re-allocation).
 func (c *Context) seatSwaps(m Mapping) (Score, error) {
 	if c.sess != nil && !c.sess.Pending() {
 		return c.sess.Reseat(m)

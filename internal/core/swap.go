@@ -25,8 +25,8 @@ import (
 // the next call. Like Problem, a session is not safe for concurrent use —
 // but sibling sessions of the same Problem may run concurrently with each
 // other: a session reads only the problem's immutable data (edges,
-// incidence lists, objective) and the immutable network, never the
-// problem's own evaluator scratch. SwapSessionPool builds on this.
+// incidence lists, weights, objective) and the immutable network, never
+// the problem's own evaluator scratch.
 type SwapSession struct {
 	prob *Problem
 	inc  *analysis.Incremental
@@ -40,24 +40,19 @@ type SwapSession struct {
 	prevScore Score
 
 	// scratch for the edge-delta mapper
-	changed    []int
-	newComms   []analysis.Communication
-	edgeSeen   []bool
-	reseatPrev Mapping // pre-Reseat mapping, for error restoration
-	seenTiles  []bool  // Reseat validation scratch
+	changed  []int
+	newComms []analysis.Communication
+	edgeSeen []bool
+	// seat's scratch: the seated communication set and the validation
+	// marks
+	comms     []analysis.Communication
+	seenTiles []bool
 }
 
 // NewSwapSession evaluates m in full through the incremental engine and
 // returns a session seated on it. The mapping is copied.
 func (p *Problem) NewSwapSession(m Mapping) (*SwapSession, error) {
-	if len(m) != p.app.NumTasks() {
-		return nil, fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), p.app.NumTasks())
-	}
-	if err := m.Validate(p.nw.NumTiles()); err != nil {
-		return nil, err
-	}
-	// Sibling sessions of a pool get here concurrently; tableFor is
-	// safe for that.
+	// Sibling sessions get here concurrently; tableFor is safe for that.
 	var inc *analysis.Incremental
 	if tab := tableFor(p.nw); tab != nil {
 		inc = analysis.NewTableIncremental(tab)
@@ -67,32 +62,13 @@ func (p *Problem) NewSwapSession(m Mapping) (*SwapSession, error) {
 	ss := &SwapSession{
 		prob:      p,
 		inc:       inc,
-		m:         m.Clone(),
 		taskOf:    make([]int, p.nw.NumTiles()),
 		edgeSeen:  make([]bool, len(p.edges)),
+		comms:     make([]analysis.Communication, len(p.edges)),
 		seenTiles: make([]bool, p.nw.NumTiles()),
 	}
-	for t := range ss.taskOf {
-		ss.taskOf[t] = -1
-	}
-	for task, tile := range ss.m {
-		ss.taskOf[tile] = task
-	}
-	comms := make([]analysis.Communication, len(p.edges))
-	for i, e := range p.edges {
-		comms[i] = analysis.Communication{Src: ss.m[e.Src], Dst: ss.m[e.Dst]}
-	}
-	var res analysis.Result
-	var err error
-	if p.obj == MinimizeWeightedLoss {
-		res, err = ss.inc.InitWeighted(comms, p.weights)
-	} else {
-		res, err = ss.inc.Init(comms)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ss.score, err = p.scoreFrom(res); err != nil {
+	if _, err := ss.seat(m); err != nil {
+		ss.Release()
 		return nil, err
 	}
 	return ss, nil
@@ -193,95 +169,71 @@ func (ss *SwapSession) Revert() error {
 	return nil
 }
 
-// Reseat moves the session onto an arbitrary valid mapping, evaluating it
-// by delta from the current one: only the edges incident to tasks whose
-// tile changed are re-evaluated. The move is committed immediately (no
-// Revert). Cost degrades gracefully to a full evaluation when the two
-//
-// mappings share nothing.
+// Reseat moves the session onto an arbitrary valid mapping, evaluating
+// it in full on the session's engine, whose buffers it reuses. The move
+// is committed immediately (no Revert). On an error the session stays on
+// its current mapping and score.
 //
 //phonocmap:noalloc
 func (ss *SwapSession) Reseat(m Mapping) (Score, error) {
 	if ss.pending {
 		return Score{}, fmt.Errorf("core: unresolved tentative swap (%d,%d); Commit or Revert first", ss.pa, ss.pb)
 	}
-	if len(m) != len(ss.m) {
-		return Score{}, fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), len(ss.m))
+	return ss.seat(m)
+}
+
+// seat validates m, initialises the engine on the communications m
+// induces and, once m has scored, takes m as the session's mapping,
+// occupancy view and score. Until then nothing of the session changes,
+// so on an error it stays where it was (a session that NewSwapSession
+// has not yet seated holds no mapping).
+//
+//phonocmap:noalloc
+func (ss *SwapSession) seat(m Mapping) (Score, error) {
+	p := ss.prob
+	if len(m) != p.app.NumTasks() {
+		return Score{}, fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), p.app.NumTasks())
 	}
 	if err := m.validate(len(ss.taskOf), ss.seenTiles); err != nil {
 		return Score{}, err
 	}
-	ss.changed = ss.changed[:0]
-	ss.newComms = ss.newComms[:0]
-	moved := false
-	for task, tile := range m {
-		if ss.m[task] != tile {
-			moved = true
-			break
-		}
+	res, err := ss.initEngine(m)
+	if err != nil {
+		return Score{}, err
 	}
-	if !moved {
-		return ss.score, nil
-	}
-	ss.reseatPrev = append(ss.reseatPrev[:0], ss.m...)
-	// Re-seat the occupancy view, then collect the edges whose endpoints
-	// moved.
-	for task, tile := range ss.m {
-		if m[task] != tile {
-			ss.taskOf[tile] = -1
-		}
-	}
-	for task, tile := range m {
-		if ss.m[task] != tile {
-			ss.taskOf[tile] = task
-			for _, ei := range ss.prob.incident[task] {
-				if !ss.edgeSeen[ei] {
-					ss.edgeSeen[ei] = true
-					ss.changed = append(ss.changed, ei)
-				}
+	s, err := p.scoreFrom(res)
+	if err != nil {
+		// NaN cost: physically impossible on a valid mapping, but seat
+		// the engine back on the session's mapping so the two still agree.
+		if ss.m != nil {
+			if _, ierr := ss.initEngine(ss.m); ierr != nil {
+				return Score{}, fmt.Errorf("%w (re-seat failed: %v)", err, ierr)
 			}
 		}
-	}
-	copy(ss.m, m)
-	for _, ei := range ss.changed {
-		ss.edgeSeen[ei] = false
-		e := ss.prob.edges[ei]
-		ss.newComms = append(ss.newComms, analysis.Communication{Src: ss.m[e.Src], Dst: ss.m[e.Dst]})
-	}
-	res, err := ss.inc.ApplyDelta(ss.changed, ss.newComms)
-	if err != nil {
-		ss.restoreMapping(ss.reseatPrev)
 		return Score{}, err
 	}
-	s, err := ss.prob.scoreFrom(res)
-	if err != nil {
-		// Keep the session consistent even on a (physically impossible)
-		// NaN cost, like EvaluateSwap.
-		ss.restoreMapping(ss.reseatPrev)
-		if _, uerr := ss.inc.Undo(); uerr != nil {
-			return Score{}, fmt.Errorf("%w (undo failed: %v)", err, uerr)
-		}
-		return Score{}, err
+	ss.m = append(ss.m[:0], m...)
+	for t := range ss.taskOf {
+		ss.taskOf[t] = -1
+	}
+	for task, tile := range ss.m {
+		ss.taskOf[tile] = task
 	}
 	ss.score = s
 	return s, nil
 }
 
-// restoreMapping rolls the mapping and occupancy view back to old after
-// a failed Reseat (the incremental engine was left on the old state by
-// its own error handling or an explicit Undo).
-func (ss *SwapSession) restoreMapping(old Mapping) {
-	for task, tile := range ss.m {
-		if old[task] != tile {
-			ss.taskOf[tile] = -1
-		}
+// initEngine initialises the engine on the communications m induces,
+// evaluating them in full.
+func (ss *SwapSession) initEngine(m Mapping) (analysis.Result, error) {
+	p := ss.prob
+	for i, e := range p.edges {
+		ss.comms[i] = analysis.Communication{Src: m[e.Src], Dst: m[e.Dst]}
 	}
-	for task, tile := range old {
-		if ss.m[task] != tile {
-			ss.taskOf[tile] = task
-		}
+	if p.obj == MinimizeWeightedLoss {
+		return ss.inc.InitWeighted(ss.comms, p.weights)
 	}
-	copy(ss.m, old)
+	return ss.inc.Init(ss.comms)
 }
 
 // applySwap exchanges the contents of two tiles in the mapping and the

@@ -55,10 +55,11 @@ func BenchmarkGASearchAllocs(b *testing.B) {
 
 // gaAllocBudget is the committed allocation budget for one full
 // 480-evaluation GA run (setup + 10 generations): population slab,
-// pmx/batch scratch, context, session pool and result copies. The
-// pre-slab GA allocated ~3 objects per bred child (≈1400 extra per
-// run), so regressions that reintroduce per-child allocation clear this
-// bar by an order of magnitude.
+// pmx/batch scratch, context, the problem's evaluator (and one cloned
+// problem per further eval worker) and result copies. The pre-slab GA
+// allocated ~3 objects per bred child (≈1400 extra per run), so
+// regressions that reintroduce per-child allocation clear this bar by
+// an order of magnitude.
 const gaAllocBudget = 600
 
 // TestGAAllocationBudget enforces gaAllocBudget in plain `go test` runs

@@ -20,9 +20,10 @@ import (
 //
 // The search is generational in evaluation too: each generation's
 // children are bred first (consuming the RNG) and then scored in one
-// Context.EvaluateBatch call, so offspring evaluation parallelizes
-// across eval workers while staying bit-identical to a sequential
-// child-by-child loop. Both population generations live in a single
+// Context.EvaluateBatch call, by full evaluation (a child is an
+// arbitrary permutation, not a swap away from any mapping scored
+// before it), so offspring evaluation parallelizes across eval workers
+// while staying bit-identical to a sequential child-by-child loop. Both population generations live in a single
 // reused slab, so breeding allocates nothing after setup.
 type GA struct {
 	// PopSize is the population size (paper: "fixed-sized population").

@@ -41,8 +41,9 @@ func (m *Memetic) Name() string { return "memetic" }
 // tiles — zero-delta moves that would waste budget) and scores the rest
 // in one Context.EvaluateBatch call: the probes are independent
 // single-swap neighbors of one base mapping, so they parallelize across
-// per-worker sessions while the batch's ordered accounting keeps the
-// incumbent update sequence identical to a sequential probe loop.
+// eval workers, each probe a full evaluation, while the batch's ordered
+// accounting keeps the incumbent update sequence identical to a
+// sequential probe loop.
 func (m *Memetic) Search(ctx *core.Context) error {
 	if m.GA == nil {
 		return fmt.Errorf("search: memetic needs a GA configuration")

@@ -1,14 +1,13 @@
 // Package poolrelease enforces pooled-session hygiene: every locally
-// held value acquired from phonocmap's evaluation-session pools —
-// Problem.NewSwapSession, NewSwapSessionPool, SwapSessionPool.Acquire,
-// analysis.NewIncremental and analysis.NewTableIncremental — must be
-// released (Release/Close) on some
-// path of the acquiring function, or demonstrably handed off (stored
-// into a field, slice, map or channel, returned, or passed to another
-// function that assumes ownership). A session that is neither keeps its
-// incremental engine's buffers out of the shared sync.Pool forever —
-// the exact leak class the 0-allocs/op hot-path contract exists to
-// prevent, and one no differential test can see.
+// held value whose incremental engine comes from phonocmap's engine
+// pool — Problem.NewSwapSession, analysis.NewIncremental and
+// analysis.NewTableIncremental — must be released (Release/Close) on
+// some path of the acquiring function, or demonstrably handed off
+// (stored into a field, slice, map or channel, returned, or passed to
+// another function that assumes ownership). A session that is neither
+// keeps its incremental engine's buffers out of the shared sync.Pool
+// forever — the exact leak class the 0-allocs/op hot-path contract
+// exists to prevent, and one no differential test can see.
 package poolrelease
 
 import (
@@ -25,12 +24,11 @@ var Analyzer = &analysis.Analyzer{
 	Name: "phonopoolrelease",
 	Doc: `require Release/Close (or ownership hand-off) for pooled evaluation sessions
 
-Acquisition sites are calls to core's NewSwapSession / NewSwapSessionPool /
-SwapSessionPool.Acquire and analysis's NewIncremental / NewTableIncremental.
-The acquired value
-must either be released in the same function (directly or via defer) or
-escape into longer-lived state whose owner releases it. Discarding one
-with _ is always an error. A deliberate exception carries
+Acquisition sites are calls to core's NewSwapSession and analysis's
+NewIncremental / NewTableIncremental. The acquired value must either be
+released in the same function (directly or via defer) or escape into
+longer-lived state whose owner releases it. Discarding one with _ is
+always an error. A deliberate exception carries
 //phonocmap:release-ok <why>.`,
 	Run: run,
 }
@@ -39,8 +37,6 @@ with _ is always an error. A deliberate exception carries
 // come from.
 var acquirers = map[string]string{
 	"NewSwapSession":      "internal/core",
-	"NewSwapSessionPool":  "internal/core",
-	"Acquire":             "internal/core",
 	"NewIncremental":      "internal/analysis",
 	"NewTableIncremental": "internal/analysis",
 }
@@ -119,16 +115,7 @@ func isAcquire(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	// Inside the defining package the constructor itself (and its
 	// helpers) legitimately hold unreleased values mid-construction.
-	if pass.Pkg.Path() == path {
-		return false
-	}
-	if fn.Name() == "Acquire" {
-		recv := fn.Type().(*types.Signature).Recv()
-		if recv == nil || !typeNamed(recv.Type(), "SwapSessionPool") {
-			return false
-		}
-	}
-	return true
+	return pass.Pkg.Path() != path
 }
 
 func acquireName(call *ast.CallExpr) string {
@@ -139,14 +126,6 @@ func acquireName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return "acquire"
-}
-
-func typeNamed(t types.Type, name string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == name
 }
 
 type binding int

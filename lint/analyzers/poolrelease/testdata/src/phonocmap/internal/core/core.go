@@ -10,20 +10,6 @@ type Problem struct{}
 
 func (p *Problem) NewSwapSession(m []int) (*SwapSession, error) { return &SwapSession{}, nil }
 
-type SwapSessionPool struct{}
-
-func NewSwapSessionPool(p *Problem, workers int) *SwapSessionPool { return &SwapSessionPool{} }
-
-func (sp *SwapSessionPool) Acquire() *SwapSession { return &SwapSession{} }
-
-func (sp *SwapSessionPool) Close() {}
-
-// Limiter has an Acquire method too, but it is not a SwapSessionPool,
-// so the analyzer must ignore it.
-type Limiter struct{}
-
-func (l *Limiter) Acquire() int { return 0 }
-
 // warm holds an unreleased session mid-construction: legitimate inside
 // the defining package, which the analyzer exempts wholesale.
 func warm(p *Problem) {

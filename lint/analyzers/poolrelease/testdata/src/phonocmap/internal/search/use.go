@@ -28,28 +28,19 @@ func discard(p *core.Problem) {
 	_, _ = p.NewSwapSession(nil) // want "result discarded with _"
 }
 
-func bare(sp *core.SwapSessionPool) {
-	sp.Acquire() // want "result is not bound"
+func bare(p *core.Problem) {
+	p.NewSwapSession(nil) // want "result is not bound"
 }
 
-func handOff(sp *core.SwapSessionPool) *core.SwapSession {
-	return sp.Acquire() // ok: ownership transfers to the caller
+func handOff(p *core.Problem) (*core.SwapSession, error) {
+	return p.NewSwapSession(nil) // ok: ownership transfers to the caller
 }
 
 type holder struct{ ss *core.SwapSession }
 
-func (h *holder) fill(sp *core.SwapSessionPool) {
-	h.ss = sp.Acquire() // ok: escapes into longer-lived state
-}
-
-func poolLeak(p *core.Problem) {
-	sp := core.NewSwapSessionPool(p, 4) // want "NewSwapSessionPool acquires a pooled session"
-	_ = sp
-}
-
-func poolOK(p *core.Problem) {
-	sp := core.NewSwapSessionPool(p, 4) // ok: Close counts as release
-	defer sp.Close()
+func (h *holder) fill(p *core.Problem) (err error) {
+	h.ss, err = p.NewSwapSession(nil) // ok: escapes into longer-lived state
+	return err
 }
 
 func incLeak() {
@@ -79,19 +70,19 @@ func tableIncHandOff(t *analysis.PathTable) *engineHolder {
 	return &engineHolder{inc: inc}
 }
 
-func tolerated(sp *core.SwapSessionPool) {
+func tolerated(p *core.Problem) {
 	//phonocmap:release-ok process-lifetime session, reclaimed at exit
-	ss := sp.Acquire()
+	ss, _ := p.NewSwapSession(nil)
 	_ = ss
 }
 
-func passedOn(sp *core.SwapSessionPool) {
-	ss := sp.Acquire() // ok: handed to a function that assumes ownership
+func passedOn(p *core.Problem) error {
+	ss, err := p.NewSwapSession(nil) // ok: handed to a function that assumes ownership
+	if err != nil {
+		return err
+	}
 	consume(ss)
+	return nil
 }
 
 func consume(ss *core.SwapSession) { defer ss.Release() }
-
-func unrelated(l *core.Limiter) {
-	l.Acquire() // ok: Acquire on a non-pool receiver
-}

@@ -98,9 +98,6 @@ type (
 	// search: scores tile swaps by re-evaluating only the communications
 	// they change, bit-for-bit identical to Evaluate.
 	SwapSession = core.SwapSession
-	// SwapSessionPool holds one SwapSession per evaluation worker for the
-	// population-parallel batch evaluation path.
-	SwapSessionPool = core.SwapSessionPool
 	// SweepSpec is a declarative design-space grid: apps × architectures
 	// × objectives × algorithms × budgets × seeds.
 	SweepSpec = sweep.Spec
@@ -329,7 +326,7 @@ func Evaluate(prob *Problem, m Mapping) (Score, error) { return prob.Evaluate(m)
 // full evaluation up front, then EvaluateSwap/Commit/Revert score tile
 // swaps at O(changed communications) cost with scores bit-for-bit
 // identical to Evaluate. This is the engine behind the swap-neighborhood
-// searchers (SA, tabu, R-PBLA, memetic refinement).
+// searchers (SA, tabu, R-PBLA).
 func NewSwapSession(prob *Problem, m Mapping) (*SwapSession, error) {
 	return prob.NewSwapSession(m)
 }
@@ -338,7 +335,7 @@ func NewSwapSession(prob *Problem, m Mapping) (*SwapSession, error) {
 // count used by the population-based searchers (GA, memetic). Worker
 // count never changes results — sequential and parallel runs are
 // bit-identical — it only tunes throughput. Values below 1 reset to 1
-// (sequential).
+// (sequential), and values above math.MaxInt32 are held there.
 func SetEvalWorkers(n int) { core.SetDefaultEvalWorkers(n) }
 
 // EvalWorkers returns the process-wide default batch-evaluation worker
