@@ -28,6 +28,9 @@
 // power) is ~9 orders of magnitude below any physically meaningful
 // crosstalk level.
 //
+// Whole-set evaluation has one implementation, Evaluator's; the
+// incremental engine (Incremental) is an Evaluator plus an undo log.
+//
 // One pair kernel serves every evaluation path (kernel.go). Each element
 // keeps an occupancy list of the path steps traversing it, with what the
 // kernel reads from a step inline: ports, kind and ring state packed in
@@ -136,8 +139,8 @@ func noiseFromFixed(a int64) float64 { return float64(a) / noiseScale }
 
 // Evaluator computes worst-case loss and SNR for communication sets on
 // one network. It reuses internal buffers across calls and is therefore
-// not safe for concurrent use; use Clone to obtain independent evaluators
-// for parallel search.
+// not safe for concurrent use; parallel searches give each worker an
+// evaluator of its own.
 type Evaluator struct {
 	nw *network.Network
 	// tab, when non-nil, is nw's path table: Evaluate, Detailed and
@@ -148,7 +151,8 @@ type Evaluator struct {
 	idx   []int32 // each communication's path index (table engine)
 	acc   []int64 // per-communication fixed-point noise
 	// weights, when non-nil, turn AvgLossDB into a weighted mean (set
-	// transiently by EvaluateWeighted).
+	// transiently by EvaluateWeighted, and by Incremental.InitWeighted
+	// for the seated set).
 	weights []float64
 }
 
@@ -166,14 +170,6 @@ func NewTableEvaluator(t *PathTable) *Evaluator {
 	e := NewEvaluator(t.nw)
 	e.tab = t
 	return e
-}
-
-// Clone returns an independent evaluator sharing the (immutable) network
-// and path table.
-func (e *Evaluator) Clone() *Evaluator {
-	c := NewEvaluator(e.nw)
-	c.tab = e.tab
-	return c
 }
 
 // Rebind points the evaluator at another network, such as one built with
@@ -211,25 +207,34 @@ func (e *Evaluator) Detailed(comms []Communication, dst []Detail) (Result, []Det
 // EvaluateWeighted is Evaluate with per-communication weights (typically
 // CG edge bandwidths): Result.AvgLossDB becomes the weight-averaged
 // insertion loss, the cost proxy of bandwidth-aware mapping objectives.
-// Weights must be non-negative with a positive sum.
+// Weights must be finite and non-negative, with a positive sum.
 func (e *Evaluator) EvaluateWeighted(comms []Communication, weights []float64) (Result, error) {
-	if len(weights) != len(comms) {
-		return Result{}, fmt.Errorf("analysis: %d weights for %d communications", len(weights), len(comms))
-	}
-	sum := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return Result{}, fmt.Errorf("analysis: invalid weight %v at %d", w, i)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return Result{}, fmt.Errorf("analysis: weights sum to %v, need > 0", sum)
+	if err := checkWeights(len(comms), weights); err != nil {
+		return Result{}, err
 	}
 	e.weights = weights
 	res, err := e.run(comms, nil, nil)
 	e.weights = nil
 	return res, err
+}
+
+// checkWeights checks one weight per communication, each finite and
+// non-negative, with a positive sum.
+func checkWeights(m int, weights []float64) error {
+	if len(weights) != m {
+		return fmt.Errorf("analysis: %d weights for %d communications", len(weights), m)
+	}
+	sum := 0.0
+	for i, w := range weights {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("analysis: invalid weight %v at %d", w, i)
+		}
+		sum += w
+	}
+	if sum <= 0 {
+		return fmt.Errorf("analysis: weights sum to %v, need > 0", sum)
+	}
+	return nil
 }
 
 // EvaluateChanneled is Evaluate under wavelength-division multiplexing:
@@ -244,9 +249,22 @@ func (e *Evaluator) EvaluateChanneled(comms []Communication, channel []int) (Res
 	return e.run(comms, nil, channel)
 }
 
+// run is the one whole-set evaluation: resolve the set, score it, fold
+// the accumulators into a Result.
 func (e *Evaluator) run(comms []Communication, details []Detail, channel []int) (Result, error) {
+	if err := e.resolve(comms); err != nil {
+		return Result{}, err
+	}
+	conflicts := e.score(channel)
+	return fold(e.paths, e.acc, e.weights, conflicts, details), nil
+}
+
+// resolve checks every communication and looks up its path and path
+// index in one pass, sizing paths, idx and acc to the set. On an error
+// they hold a partly resolved set.
+func (e *Evaluator) resolve(comms []Communication) error {
 	if len(comms) == 0 {
-		return Result{}, fmt.Errorf("analysis: no communications to evaluate")
+		return fmt.Errorf("analysis: no communications to evaluate")
 	}
 	n := e.nw.NumTiles()
 	m := len(comms)
@@ -257,27 +275,31 @@ func (e *Evaluator) run(comms []Communication, details []Detail, channel []int) 
 	}
 	e.paths = e.paths[:m]
 	e.idx = e.idx[:m]
+	e.acc = e.acc[:m]
 	for i, c := range comms {
 		if c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n {
-			return Result{}, fmt.Errorf("analysis: communication %d: tile out of range (%d->%d)", i, c.Src, c.Dst)
+			return fmt.Errorf("analysis: communication %d: tile out of range (%d->%d)", i, c.Src, c.Dst)
 		}
 		if c.Src == c.Dst {
-			return Result{}, fmt.Errorf("analysis: communication %d: source and destination coincide at tile %d", i, c.Src)
+			return fmt.Errorf("analysis: communication %d: source and destination coincide at tile %d", i, c.Src)
 		}
 		if e.paths[i] = e.nw.Path(c.Src, c.Dst); e.paths[i] == nil {
-			return Result{}, noPath(i, c)
+			return noPath(i, c)
 		}
 		e.idx[i] = int32(int(c.Src)*n + int(c.Dst))
 	}
+	return nil
+}
 
-	acc := e.acc[:m]
-	var conflicts int
+// score is the whole-set pass over the resolved set: it fills acc and
+// returns the set's conflicts, from the path table when there is one and
+// no channel assignment, otherwise by seating the occupancy map and
+// running the pair kernel.
+func (e *Evaluator) score(channel []int) int {
 	if e.tab != nil && channel == nil {
-		conflicts = e.tab.sum(e.idx, acc)
-	} else {
-		e.occ.seat(e.paths)
-		clear(acc)
-		conflicts = e.occ.pass(acc, channel)
+		return e.tab.sum(e.idx, e.acc)
 	}
-	return fold(e.paths, acc, e.weights, conflicts, details), nil
+	e.occ.seat(e.paths)
+	clear(e.acc)
+	return e.occ.pass(e.acc, channel)
 }

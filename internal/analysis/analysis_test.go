@@ -352,12 +352,12 @@ func TestEvaluateDeterministicAndCloneIndependent(t *testing.T) {
 	if r1 != r2 {
 		t.Errorf("re-evaluation differs: %+v vs %+v", r1, r2)
 	}
-	r3, err := ev.Clone().Evaluate(comms)
+	r3, err := NewEvaluator(nw).Evaluate(comms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r3 {
-		t.Errorf("clone differs: %+v vs %+v", r1, r3)
+		t.Errorf("fresh evaluator differs: %+v vs %+v", r1, r3)
 	}
 	if ev.Network() != nw {
 		t.Error("Network() identity lost")

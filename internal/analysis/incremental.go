@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"phonocmap/internal/network"
 )
@@ -13,6 +11,12 @@ import (
 // of one communication set alive across calls, so that changing a few
 // communications (the edges incident to two swapped tiles) costs only
 // the work local to the changed paths instead of a full re-evaluation.
+//
+// An Incremental is an Evaluator plus an undo log: Init runs the
+// Evaluator's whole-set evaluation and keeps its paths, path indices,
+// occupancy map and accumulators for the deltas that follow. A rejected
+// Init leaves the engine unseated, so ApplyDelta and Undo fail until the
+// next Init succeeds.
 //
 // An Incremental scores with one of two engines, chosen when it is made:
 // the pair kernel (NewIncremental), described below, or the network's
@@ -57,30 +61,16 @@ import (
 //
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
-	nw *network.Network
-	// tab, when non-nil, is nw's path table, and the engine scores from
-	// it instead of the occupancy map (see tableRecomputeNum).
-	tab *PathTable
-	occ occupancy
-	// occNet is the network occ is bound to, nil before the first bind.
-	occNet *network.Network
+	// ev scores the seated set and keeps what deltas patch: its paths,
+	// path indices, occupancy map, per-victim noise (ev.acc) and weights
+	// (set by InitWeighted, constant across deltas).
+	ev Evaluator
 
-	// Current communication set, its resolved paths and their path
-	// indices (src*n+dst).
-	comms []Communication
-	paths []*network.Path
-	idx   []int32
-	// weights, when non-nil, turn AvgLossDB into a weighted mean (set by
-	// InitWeighted, constant across deltas). weightsBuf is the reusable
-	// backing store weights points into, so re-Init on a pooled engine
-	// copies instead of allocating.
-	weights    []float64
+	// conflicts is the seated set's contention total. weightsBuf is the
+	// reusable backing store of ev.weights, so re-Init copies instead of
+	// allocating.
+	conflicts  int
 	weightsBuf []float64
-
-	// noiseAcc is each communication's fixed-point noise (see
-	// noiseScale); conflicts is the set's contention total.
-	noiseAcc  []int64
-	conflicts int
 
 	res    Result
 	inited bool
@@ -98,7 +88,6 @@ type Incremental struct {
 	// empty.
 	undoValid   bool
 	undoChanged []int
-	undoComms   []Communication
 	undoPaths   []*network.Path
 	undoIdx     []int32
 	undoTouched []int
@@ -123,66 +112,29 @@ type Incremental struct {
 // tied, and a third was kept.
 const tableRecomputeNum, tableRecomputeDen = 1, 3
 
-// incPool recycles released engines: the occupancy map and the
-// per-victim accumulator slices dominate the cost of standing up an
-// Incremental, and every swap searcher's run, in every sweep cell and
-// service job, creates one engine for its session. Pooled engines are
-// re-adopted onto whatever network the next NewIncremental asks for.
-var incPool sync.Pool
-
 // NewIncremental returns an incremental evaluator for the network,
-// reusing a released engine's buffers when one is pooled. Call Init
-// before anything else.
+// scoring with the pair kernel. Call Init before anything else.
 func NewIncremental(nw *network.Network) *Incremental {
-	return newIncremental(nw, nil)
-}
-
-// NewTableIncremental is NewIncremental on the table's network, scoring
-// from the table.
-func NewTableIncremental(t *PathTable) *Incremental {
-	return newIncremental(t.nw, t)
-}
-
-func newIncremental(nw *network.Network, tab *PathTable) *Incremental {
-	var inc *Incremental
-	if v := incPool.Get(); v != nil {
-		inc = v.(*Incremental)
-	} else {
-		inc = &Incremental{}
-	}
-	inc.adopt(nw, tab)
+	inc := &Incremental{ev: Evaluator{nw: nw}}
+	inc.ev.occ.bind(nw)
 	return inc
 }
 
-// adopt re-seats a pooled engine on a network. The kernel's occupancy
-// map is bound only when the engine scores with the kernel; its buffers
-// are kept when the element count matches (Init clears stale
-// occupancy), otherwise it is rebuilt at the new size.
-func (inc *Incremental) adopt(nw *network.Network, tab *PathTable) {
-	inc.nw = nw
-	inc.tab = tab
-	if tab == nil && inc.occNet != nw {
-		inc.occNet = nw
-		inc.occ.bind(nw)
-	}
+// NewTableIncremental is NewIncremental on the table's network, scoring
+// from the table; it binds no occupancy map.
+func NewTableIncremental(t *PathTable) *Incremental {
+	return &Incremental{ev: Evaluator{nw: t.nw, tab: t}}
 }
 
-// Release returns the engine's buffers to the package pool for reuse by
-// a future NewIncremental. The engine must not be used afterwards; the
-// caller gives up its reference.
+// Release ends the engine's use: it unseats the engine, so ApplyDelta
+// and Undo fail afterwards.
 func (inc *Incremental) Release() {
 	inc.inited = false
 	inc.undoValid = false
-	inc.weights = nil
-	inc.tab = nil
-	incPool.Put(inc)
 }
 
-// Network returns the evaluated network.
-func (inc *Incremental) Network() *network.Network { return inc.nw }
-
 // Init seats the engine on a communication set, evaluating it in full.
-// The slice is copied; later deltas do not touch the caller's data.
+// The caller's slice is not retained.
 func (inc *Incremental) Init(comms []Communication) (Result, error) {
 	return inc.init(comms, nil)
 }
@@ -192,89 +144,39 @@ func (inc *Incremental) Init(comms []Communication) (Result, error) {
 // insertion loss. The weights persist across deltas — they belong to the
 // CG edges, whose order never changes.
 func (inc *Incremental) InitWeighted(comms []Communication, weights []float64) (Result, error) {
-	if len(weights) != len(comms) {
-		return Result{}, fmt.Errorf("analysis: %d weights for %d communications", len(weights), len(comms))
-	}
-	sum := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return Result{}, fmt.Errorf("analysis: invalid weight %v at %d", w, i)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return Result{}, fmt.Errorf("analysis: weights sum to %v, need > 0", sum)
+	if err := checkWeights(len(comms), weights); err != nil {
+		inc.inited, inc.undoValid = false, false
+		return Result{}, err
 	}
 	inc.weightsBuf = append(inc.weightsBuf[:0], weights...)
 	return inc.init(comms, inc.weightsBuf)
 }
 
+// init runs the Evaluator's whole-set evaluation of comms under weights
+// and keeps its result and state for deltas.
 func (inc *Incremental) init(comms []Communication, weights []float64) (Result, error) {
-	if len(comms) == 0 {
-		return Result{}, fmt.Errorf("analysis: no communications to evaluate")
+	inc.inited, inc.undoValid = false, false
+	inc.ev.weights = weights
+	res, err := inc.ev.run(comms, nil, nil)
+	if err != nil {
+		return Result{}, err
 	}
-	n := inc.nw.NumTiles()
-	inc.resolved = inc.resolved[:0]
-	for i, c := range comms {
-		if c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n {
-			return Result{}, fmt.Errorf("analysis: communication %d: tile out of range (%d->%d)", i, c.Src, c.Dst)
-		}
-		if c.Src == c.Dst {
-			return Result{}, fmt.Errorf("analysis: communication %d: source and destination coincide at tile %d", i, c.Src)
-		}
-		p := inc.nw.Path(c.Src, c.Dst)
-		if p == nil {
-			return Result{}, noPath(i, c)
-		}
-		inc.resolved = append(inc.resolved, p)
-	}
-
 	m := len(comms)
-	inc.comms = append(inc.comms[:0], comms...)
-	inc.weights = weights
-	if cap(inc.paths) < m {
-		inc.paths = make([]*network.Path, m)
-		inc.idx = make([]int32, m)
-		inc.noiseAcc = make([]int64, m)
+	if cap(inc.changedMark) < m {
 		inc.changedMark = make([]bool, m)
 		inc.touchedMark = make([]bool, m)
 	}
-	inc.paths = inc.paths[:m]
-	inc.idx = inc.idx[:m]
-	inc.noiseAcc = inc.noiseAcc[:m]
 	inc.changedMark = inc.changedMark[:m]
 	inc.touchedMark = inc.touchedMark[:m]
 	clear(inc.changedMark)
 	clear(inc.touchedMark)
-	copy(inc.paths, inc.resolved)
-	for i, c := range comms {
-		inc.idx[i] = int32(int(c.Src)*n + int(c.Dst))
-	}
-	inc.rebuild()
-	inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
+	inc.res, inc.conflicts = res, res.Conflicts
 	inc.inited = true
-	inc.undoValid = false
-	return inc.res, nil
-}
-
-// rebuild recomputes every accumulator from the current set: from the
-// table, or by refilling the occupancy map and running the whole-set
-// pass.
-func (inc *Incremental) rebuild() {
-	if inc.tab != nil {
-		inc.conflicts = inc.tab.sum(inc.idx, inc.noiseAcc)
-		return
-	}
-	inc.occ.seat(inc.paths)
-	clear(inc.noiseAcc)
-	inc.conflicts = inc.occ.pass(inc.noiseAcc, nil)
+	return res, nil
 }
 
 // Result returns the metrics of the current communication set.
 func (inc *Incremental) Result() Result { return inc.res }
-
-// NumComms returns the size of the seated communication set.
-func (inc *Incremental) NumComms() int { return len(inc.comms) }
 
 // ApplyDelta replaces comms[changed[i]] with newComms[i] and returns the
 // metrics of the updated set, patching only the victims that share
@@ -287,19 +189,19 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 	if len(changed) != len(newComms) {
 		return Result{}, fmt.Errorf("analysis: %d indices for %d communications", len(changed), len(newComms))
 	}
-	n := inc.nw.NumTiles()
+	n, m := inc.ev.nw.NumTiles(), len(inc.ev.paths)
 	inc.resolved = inc.resolved[:0]
 	for i, ci := range changed {
 		var err error
 		switch c := newComms[i]; {
-		case ci < 0 || ci >= len(inc.comms):
-			err = fmt.Errorf("analysis: changed index %d out of range [0,%d)", ci, len(inc.comms))
+		case ci < 0 || ci >= m:
+			err = fmt.Errorf("analysis: changed index %d out of range [0,%d)", ci, m)
 		case inc.changedMark[ci]:
 			err = fmt.Errorf("analysis: changed index %d listed twice", ci)
 		case c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n || c.Src == c.Dst:
 			err = fmt.Errorf("analysis: communication %d: invalid replacement (%d->%d)", ci, c.Src, c.Dst)
 		default:
-			p := inc.nw.Path(c.Src, c.Dst)
+			p := inc.ev.nw.Path(c.Src, c.Dst)
 			if p == nil {
 				err = noPath(ci, c)
 			}
@@ -316,26 +218,24 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 
 	// Open the undo log.
 	inc.undoChanged = append(inc.undoChanged[:0], changed...)
-	inc.undoComms = inc.undoComms[:0]
 	inc.undoPaths = inc.undoPaths[:0]
 	inc.undoTouched = inc.undoTouched[:0]
 	inc.undoNoise = inc.undoNoise[:0]
 	inc.undoIdx = inc.undoIdx[:0]
 	inc.undoRes = inc.res
 	for _, ci := range changed {
-		inc.undoComms = append(inc.undoComms, inc.comms[ci])
-		inc.undoPaths = append(inc.undoPaths, inc.paths[ci])
-		inc.undoIdx = append(inc.undoIdx, inc.idx[ci])
+		inc.undoPaths = append(inc.undoPaths, inc.ev.paths[ci])
+		inc.undoIdx = append(inc.undoIdx, inc.ev.idx[ci])
 	}
 
-	if inc.tab != nil {
+	if inc.ev.tab != nil {
 		// An O(m) snapshot, then a patch or a fresh sum.
-		inc.undoNoise = append(inc.undoNoise, inc.noiseAcc...)
+		inc.undoNoise = append(inc.undoNoise, inc.ev.acc...)
 		inc.reroute(changed, newComms)
-		if len(changed)*tableRecomputeDen > len(inc.comms)*tableRecomputeNum {
-			inc.conflicts = inc.tab.sum(inc.idx, inc.noiseAcc)
+		if len(changed)*tableRecomputeDen > m*tableRecomputeNum {
+			inc.conflicts = inc.ev.score(nil)
 		} else {
-			inc.conflicts += inc.tab.delta(inc.idx, inc.noiseAcc, changed, inc.undoIdx, inc.changedMark)
+			inc.conflicts += inc.ev.tab.delta(inc.ev.idx, inc.ev.acc, changed, inc.undoIdx, inc.changedMark)
 		}
 	} else {
 		// Every victim snapshots its accumulator the moment it is first
@@ -349,7 +249,7 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 		}
 		inc.reroute(changed, newComms)
 		for _, ci := range changed {
-			inc.noiseAcc[ci] = 0
+			inc.ev.acc[ci] = 0
 		}
 		for _, ci := range changed {
 			inc.attach(ci)
@@ -361,19 +261,18 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 	for _, ci := range changed {
 		inc.changedMark[ci] = false
 	}
-	inc.res = fold(inc.paths, inc.noiseAcc, inc.weights, inc.conflicts, nil)
+	inc.res = fold(inc.ev.paths, inc.ev.acc, inc.ev.weights, inc.conflicts, nil)
 	inc.undoValid = true
 	return inc.res, nil
 }
 
 // reroute points the changed communications at their new paths.
 func (inc *Incremental) reroute(changed []int, newComms []Communication) {
-	n := inc.nw.NumTiles()
+	n := inc.ev.nw.NumTiles()
 	for i, ci := range changed {
 		c := newComms[i]
-		inc.comms[ci] = c
-		inc.paths[ci] = inc.resolved[i]
-		inc.idx[ci] = int32(int(c.Src)*n + int(c.Dst))
+		inc.ev.paths[ci] = inc.resolved[i]
+		inc.ev.idx[ci] = int32(int(c.Src)*n + int(c.Dst))
 	}
 }
 
@@ -383,11 +282,11 @@ func (inc *Incremental) reroute(changed []int, newComms []Communication) {
 // occupants. What it takes from another changed communication is
 // discarded when that one's accumulator restarts from zero.
 func (inc *Incremental) detach(c int) {
-	p := inc.paths[c]
+	p := inc.ev.paths[c]
 	for si := range p.Steps {
 		s := &p.Steps[si]
 		a := entryOf(c, s)
-		occ := inc.occ.lists[s.Node]
+		occ := inc.ev.occ.lists[s.Node]
 		w := 0
 		for r := range occ {
 			v := &occ[r]
@@ -398,14 +297,14 @@ func (inc *Incremental) detach(c int) {
 			inc.conflicts -= int(t & contends)
 			if t&leaksIntoFirst != 0 {
 				inc.touch(int(v.comm))
-				inc.noiseAcc[v.comm] -= inc.occ.noise(v, &a)
+				inc.ev.acc[v.comm] -= inc.ev.occ.noise(v, &a)
 			}
 			if w != r {
 				occ[w] = *v
 			}
 			w++
 		}
-		inc.occ.lists[s.Node] = occ[:w]
+		inc.ev.occ.lists[s.Node] = occ[:w]
 	}
 }
 
@@ -415,12 +314,12 @@ func (inc *Incremental) detach(c int) {
 // Occupants include the changed communications attached before c, so
 // each changed-changed pair is handled here exactly once.
 func (inc *Incremental) attach(c int) {
-	p := inc.paths[c]
+	p := inc.ev.paths[c]
 	var own int64
 	for si := range p.Steps {
 		s := &p.Steps[si]
 		a := entryOf(c, s)
-		occ := inc.occ.lists[s.Node]
+		occ := inc.ev.occ.lists[s.Node]
 		for r := range occ {
 			v := &occ[r]
 			if v.comm == a.comm {
@@ -430,15 +329,15 @@ func (inc *Incremental) attach(c int) {
 			inc.conflicts += int(t & contends)
 			if t&leaksIntoFirst != 0 {
 				inc.touch(int(v.comm))
-				inc.noiseAcc[v.comm] += inc.occ.noise(v, &a)
+				inc.ev.acc[v.comm] += inc.ev.occ.noise(v, &a)
 			}
 			if t&leaksIntoSecond != 0 {
-				own += inc.occ.noise(&a, v)
+				own += inc.ev.occ.noise(&a, v)
 			}
 		}
-		inc.occ.add(s.Node, a)
+		inc.ev.occ.add(s.Node, a)
 	}
-	inc.noiseAcc[c] = own
+	inc.ev.acc[c] = own
 }
 
 // Undo reverts the last ApplyDelta, restoring paths, occupancy and every
@@ -456,33 +355,31 @@ func (inc *Incremental) Undo() (Result, error) {
 	if !inc.undoValid {
 		return Result{}, fmt.Errorf("analysis: nothing to undo")
 	}
-	if inc.tab != nil {
+	if inc.ev.tab != nil {
 		// Restore the snapshot of every accumulator.
 		for i, ci := range inc.undoChanged {
-			inc.comms[ci] = inc.undoComms[i]
-			inc.paths[ci] = inc.undoPaths[i]
-			inc.idx[ci] = inc.undoIdx[i]
+			inc.ev.paths[ci] = inc.undoPaths[i]
+			inc.ev.idx[ci] = inc.undoIdx[i]
 		}
-		copy(inc.noiseAcc, inc.undoNoise)
+		copy(inc.ev.acc, inc.undoNoise)
 	} else {
 		// Pop the new paths' entries, re-append the old ones, and restore
 		// the snapshotted accumulators (no pair work: the stored values
 		// are the previous values).
 		for _, ci := range inc.undoChanged {
-			p := inc.paths[ci]
+			p := inc.ev.paths[ci]
 			for si := range p.Steps {
-				occ := inc.occ.lists[p.Steps[si].Node]
-				inc.occ.lists[p.Steps[si].Node] = occ[:len(occ)-1]
+				occ := inc.ev.occ.lists[p.Steps[si].Node]
+				inc.ev.occ.lists[p.Steps[si].Node] = occ[:len(occ)-1]
 			}
 		}
 		for i, ci := range inc.undoChanged {
-			inc.comms[ci] = inc.undoComms[i]
-			inc.paths[ci] = inc.undoPaths[i]
-			inc.idx[ci] = inc.undoIdx[i]
-			inc.occ.addPath(ci, inc.paths[ci])
+			inc.ev.paths[ci] = inc.undoPaths[i]
+			inc.ev.idx[ci] = inc.undoIdx[i]
+			inc.ev.occ.addPath(ci, inc.ev.paths[ci])
 		}
 		for i, vi := range inc.undoTouched {
-			inc.noiseAcc[vi] = inc.undoNoise[i]
+			inc.ev.acc[vi] = inc.undoNoise[i]
 		}
 	}
 	inc.res = inc.undoRes
@@ -498,5 +395,5 @@ func (inc *Incremental) touch(vi int) {
 	}
 	inc.touchedMark[vi] = true
 	inc.undoTouched = append(inc.undoTouched, vi)
-	inc.undoNoise = append(inc.undoNoise, inc.noiseAcc[vi])
+	inc.undoNoise = append(inc.undoNoise, inc.ev.acc[vi])
 }

@@ -231,6 +231,40 @@ func TestIncrementalErrors(t *testing.T) {
 	if _, err := inc.Undo(); err == nil {
 		t.Error("second Undo should fail (single-level log)")
 	}
+
+	// A rejected Init or InitWeighted on a seated engine, with a delta
+	// pending, unseats it: deltas and undo fail until the next Init.
+	rejects := []struct {
+		name string
+		init func() (Result, error)
+	}{
+		{"Init", func() (Result, error) { return inc.Init([]Communication{{Src: 0, Dst: 1}, {Src: 3, Dst: 3}}) }},
+		{"InitWeighted", func() (Result, error) { return inc.InitWeighted(comms, []float64{1, -1}) }},
+	}
+	for _, r := range rejects {
+		if _, err := inc.ApplyDelta([]int{0}, []Communication{{Src: 4, Dst: 5}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.init(); err == nil {
+			t.Fatalf("rejected %s: want an error", r.name)
+		}
+		if _, err := inc.ApplyDelta([]int{0}, []Communication{{Src: 6, Dst: 7}}); err == nil {
+			t.Errorf("rejected %s: ApplyDelta should fail", r.name)
+		}
+		if _, err := inc.Undo(); err == nil {
+			t.Errorf("rejected %s: Undo should fail", r.name)
+		}
+		got, err := inc.Init(comms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, 0, got, want)
+	}
+	got, err = inc.ApplyDelta([]int{0}, []Communication{{Src: 4, Dst: 5}})
+	if err != nil {
+		t.Fatalf("delta after re-Init: %v", err)
+	}
+	requireSameResult(t, 0, got, fullRes)
 }
 
 // BenchmarkPathTableBuild5x5 measures building the path table of a 5×5

@@ -461,8 +461,8 @@ func TestIncrementalMatchesReference(t *testing.T) {
 // occupancyOf copies every element's occupancy list, each sorted by
 // communication then class, so two states compare as multisets.
 func occupancyOf(inc *Incremental) [][]entry {
-	lists := make([][]entry, len(inc.occ.lists))
-	for g, occ := range inc.occ.lists {
+	lists := make([][]entry, len(inc.ev.occ.lists))
+	for g, occ := range inc.ev.occ.lists {
 		lists[g] = slices.Clone(occ)
 		slices.SortFunc(lists[g], func(a, b entry) int {
 			return cmp.Or(cmp.Compare(a.comm, b.comm), cmp.Compare(a.class, b.class))

@@ -10,6 +10,7 @@ package cg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -97,8 +98,8 @@ func (g *Graph) AddEdge(src, dst TaskID, bandwidth float64) error {
 	if g.edgeSet[[2]TaskID{src, dst}] {
 		return fmt.Errorf("cg: %s: duplicate edge %q -> %q", g.name, g.tasks[src], g.tasks[dst])
 	}
-	if bandwidth < 0 {
-		return fmt.Errorf("cg: %s: negative bandwidth %v on %q -> %q", g.name, bandwidth, g.tasks[src], g.tasks[dst])
+	if bandwidth < 0 || math.IsNaN(bandwidth) || math.IsInf(bandwidth, 0) {
+		return fmt.Errorf("cg: %s: bandwidth %v on %q -> %q is negative or not finite", g.name, bandwidth, g.tasks[src], g.tasks[dst])
 	}
 	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{Src: src, Dst: dst, Bandwidth: bandwidth})
@@ -221,8 +222,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("cg: %s: duplicate edge %d", g.name, i)
 		}
 		seen[k] = true
-		if e.Bandwidth < 0 {
-			return fmt.Errorf("cg: %s: edge %d has negative bandwidth", g.name, i)
+		if bw := e.Bandwidth; bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
+			return fmt.Errorf("cg: %s: edge %d has bandwidth %v, negative or not finite", g.name, i, bw)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cg
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -97,6 +98,9 @@ func TestAddEdgeErrors(t *testing.T) {
 		{"bad src", TaskID(-1), b, 1},
 		{"bad dst", a, TaskID(7), 1},
 		{"negative bw", a, b, -1},
+		{"NaN bw", a, b, math.NaN()},
+		{"+Inf bw", a, b, math.Inf(1)},
+		{"-Inf bw", a, b, math.Inf(-1)},
 	}
 	for _, c := range cases {
 		if err := g.AddEdge(c.src, c.dst, c.bw); err == nil {
@@ -233,8 +237,10 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Error("Validate missed a self-loop")
 	}
-	g.edges[0] = Edge{Src: a, Dst: b, Bandwidth: -5}
-	if err := g.Validate(); err == nil {
-		t.Error("Validate missed a negative bandwidth")
+	for _, bw := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g.edges[0] = Edge{Src: a, Dst: b, Bandwidth: bw}
+		if err := g.Validate(); err == nil {
+			t.Errorf("Validate missed bandwidth %v", bw)
+		}
 	}
 }

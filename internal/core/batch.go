@@ -82,10 +82,11 @@ func (c *Context) EvalWorkers() int {
 	return DefaultEvalWorkers()
 }
 
-// Close releases the swap session seated by StartSwaps/AttachSwaps back
-// to the analysis buffer pool and drops EvaluateBatch's per-worker
-// problems. Call it when the run is over and the context will not
-// evaluate again; reading Best/Evals afterwards is fine.
+// Close releases and drops the swap session seated by
+// StartSwaps/AttachSwaps and drops EvaluateBatch's per-worker problems,
+// so their buffers are garbage even while the context is still held.
+// Call it when the run is over and the context will not evaluate again;
+// reading Best/Evals afterwards is fine.
 func (c *Context) Close() {
 	if c.sess != nil {
 		c.sess.Release()

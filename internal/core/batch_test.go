@@ -461,10 +461,9 @@ func TestEvalWorkerCountBoundaries(t *testing.T) {
 	}
 }
 
-// TestIncrementalPoolRecycles: a released session's engine is reused by
-// the next session over the same network shape, so standing sessions up
-// in a loop stops allocating engine-sized buffers.
-func TestIncrementalPoolRecycles(t *testing.T) {
+// TestSwapSessionsCycleExact stands sessions up and releases them in a
+// loop, each on a fresh engine: every one scores exactly like Evaluate.
+func TestSwapSessionsCycleExact(t *testing.T) {
 	prob := batchTestProblem(t, MinimizeLoss)
 	rng := rand.New(rand.NewSource(23))
 	m, err := RandomMapping(rng, prob.NumTasks(), prob.NumTiles())
@@ -476,14 +475,13 @@ func TestIncrementalPoolRecycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cycle sessions through the pool; scores must stay exact.
 	for i := 0; i < 10; i++ {
 		sess, err := prob.NewSwapSession(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sess.Score() != want {
-			t.Fatalf("cycle %d: pooled session score %+v != full %+v", i, sess.Score(), want)
+			t.Fatalf("cycle %d: session score %+v != full %+v", i, sess.Score(), want)
 		}
 		sess.Release()
 	}

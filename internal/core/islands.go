@@ -157,13 +157,14 @@ func RunParallel(prob *Problem, factory func() (Searcher, error), opts ParallelO
 }
 
 // SeedSequence derives n distinct exploration seeds from a base seed:
-// base, base+1, ..., base+n-1. A zero base defaults to 1 so the derived
-// explorations do not all collapse onto the Options.Seed default.
+// base, base+1, ..., base+n-1, and none for n <= 0. A zero base defaults
+// to 1 so the derived explorations do not all collapse onto the
+// Options.Seed default.
 func SeedSequence(base int64, n int) []int64 {
 	if base == 0 {
 		base = 1
 	}
-	seeds := make([]int64, n)
+	seeds := make([]int64, max(n, 0))
 	for i := range seeds {
 		seeds[i] = base + int64(i)
 	}

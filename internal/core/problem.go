@@ -238,14 +238,8 @@ func (p *Problem) NumTiles() int { return p.nw.NumTiles() }
 // communication induced by the mapping and runs the worst-case analysis.
 // The mapping must satisfy Eqs. 5-6.
 func (p *Problem) Evaluate(m Mapping) (Score, error) {
-	if len(m) != p.app.NumTasks() {
-		return Score{}, fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), p.app.NumTasks())
-	}
-	if err := m.validate(p.nw.NumTiles(), p.seenTiles); err != nil {
+	if err := p.commsOf(m, p.comms, p.seenTiles); err != nil {
 		return Score{}, err
-	}
-	for i, e := range p.edges {
-		p.comms[i] = analysis.Communication{Src: m[e.Src], Dst: m[e.Dst]}
 	}
 	var res analysis.Result
 	var err error
@@ -258,6 +252,23 @@ func (p *Problem) Evaluate(m Mapping) (Score, error) {
 		return Score{}, err
 	}
 	return p.scoreFrom(res)
+}
+
+// commsOf checks that m places every task of the app on its own tile of
+// the network (Eqs. 5-6), with seen as the check's scratch (one slot per
+// tile), and writes into comms, one slot per CG edge, the communication
+// each edge induces under m.
+func (p *Problem) commsOf(m Mapping, comms []analysis.Communication, seen []bool) error {
+	if len(m) != p.app.NumTasks() {
+		return fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), p.app.NumTasks())
+	}
+	if err := m.validate(p.nw.NumTiles(), seen); err != nil {
+		return err
+	}
+	for i, e := range p.edges {
+		comms[i] = analysis.Communication{Src: m[e.Src], Dst: m[e.Dst]}
+	}
+	return nil
 }
 
 // scoreFrom converts an analysis result into the objective's Score — the
@@ -287,14 +298,8 @@ func (p *Problem) scoreFrom(res analysis.Result) (Score, error) {
 // Details returns the per-communication breakdown of a mapping, in CG
 // edge order, for reporting and plotting.
 func (p *Problem) Details(m Mapping) (analysis.Result, []analysis.Detail, error) {
-	if err := m.validate(p.nw.NumTiles(), p.seenTiles); err != nil {
+	if err := p.commsOf(m, p.comms, p.seenTiles); err != nil {
 		return analysis.Result{}, nil, err
-	}
-	if len(m) != p.app.NumTasks() {
-		return analysis.Result{}, nil, fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), p.app.NumTasks())
-	}
-	for i, e := range p.edges {
-		p.comms[i] = analysis.Communication{Src: m[e.Src], Dst: m[e.Dst]}
 	}
 	return p.evaluator().Detailed(p.comms, nil)
 }

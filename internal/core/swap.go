@@ -68,7 +68,6 @@ func (p *Problem) NewSwapSession(m Mapping) (*SwapSession, error) {
 		seenTiles: make([]bool, p.nw.NumTiles()),
 	}
 	if _, err := ss.seat(m); err != nil {
-		ss.Release()
 		return nil, err
 	}
 	return ss, nil
@@ -77,10 +76,8 @@ func (p *Problem) NewSwapSession(m Mapping) (*SwapSession, error) {
 // Problem returns the problem the session evaluates against.
 func (ss *SwapSession) Problem() *Problem { return ss.prob }
 
-// Release returns the session's incremental engine to the analysis
-// package's buffer pool, so the next session stood up anywhere in the
-// process reuses its occupancy map and accumulators instead of
-// allocating fresh ones. The session must not be used afterwards.
+// Release ends the session's use: it releases the session's engine and
+// drops it. The session must not be used afterwards.
 func (ss *SwapSession) Release() {
 	if ss.inc != nil {
 		ss.inc.Release()
@@ -184,24 +181,17 @@ func (ss *SwapSession) Reseat(m Mapping) (Score, error) {
 
 // seat validates m, initialises the engine on the communications m
 // induces and, once m has scored, takes m as the session's mapping,
-// occupancy view and score. Until then nothing of the session changes,
-// so on an error it stays where it was (a session that NewSwapSession
+// occupancy view and score. Until then none of those changes, so on an
+// error the session stays where it was (a session that NewSwapSession
 // has not yet seated holds no mapping).
 //
 //phonocmap:noalloc
 func (ss *SwapSession) seat(m Mapping) (Score, error) {
-	p := ss.prob
-	if len(m) != p.app.NumTasks() {
-		return Score{}, fmt.Errorf("core: mapping covers %d tasks, app has %d", len(m), p.app.NumTasks())
-	}
-	if err := m.validate(len(ss.taskOf), ss.seenTiles); err != nil {
-		return Score{}, err
-	}
 	res, err := ss.initEngine(m)
 	if err != nil {
 		return Score{}, err
 	}
-	s, err := p.scoreFrom(res)
+	s, err := ss.prob.scoreFrom(res)
 	if err != nil {
 		// NaN cost: physically impossible on a valid mapping, but seat
 		// the engine back on the session's mapping so the two still agree.
@@ -223,12 +213,13 @@ func (ss *SwapSession) seat(m Mapping) (Score, error) {
 	return s, nil
 }
 
-// initEngine initialises the engine on the communications m induces,
-// evaluating them in full.
+// initEngine validates m and initialises the engine on the
+// communications m induces, evaluating them in full. A mapping that
+// fails validation leaves the engine as it was.
 func (ss *SwapSession) initEngine(m Mapping) (analysis.Result, error) {
 	p := ss.prob
-	for i, e := range p.edges {
-		ss.comms[i] = analysis.Communication{Src: m[e.Src], Dst: m[e.Dst]}
+	if err := p.commsOf(m, ss.comms, ss.seenTiles); err != nil {
+		return analysis.Result{}, err
 	}
 	if p.obj == MinimizeWeightedLoss {
 		return ss.inc.InitWeighted(ss.comms, p.weights)

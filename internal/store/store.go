@@ -134,7 +134,9 @@ func encode(e Entry) ([]byte, error) {
 
 // decode parses and verifies an on-disk entry. Every failure mode —
 // short header, unknown version, length or checksum mismatch, JSON
-// damage — comes back as errCorrupt.
+// damage, a payload other than the entry's canonical encoding (such as
+// an empty list, which encode leaves out and so would not come back) —
+// comes back as errCorrupt.
 func decode(b []byte) (Entry, error) {
 	nl := bytes.IndexByte(b, '\n')
 	if nl < 0 {
@@ -162,6 +164,9 @@ func decode(b []byte) (Entry, error) {
 	var e Entry
 	if err := json.Unmarshal(payload, &e); err != nil {
 		return Entry{}, errCorrupt{"payload: " + err.Error()}
+	}
+	if canon, err := json.Marshal(e); err != nil || !bytes.Equal(canon, payload) {
+		return Entry{}, errCorrupt{"payload is not the entry's canonical encoding"}
 	}
 	return e, nil
 }

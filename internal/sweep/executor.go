@@ -160,13 +160,14 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return ctx.Err()
 }
 
-// RunCell is the in-process Runner behind every local front end: it
-// compiles the cell through the scenario compiler and runs it through
+// RunCell is the unshared reference Runner: it compiles the cell, with a
+// network of its own, through the scenario compiler and runs it through
 // the scenario executor — the same seed derivation and cancellation
 // policy as a service job, so local and service sweeps produce
-// bit-identical results for equal cells. A cancelled cell keeps
-// its best-so-far run (Run.Cancelled set) without a report. RunCell
-// builds each cell's network; NewCellRunner shares them.
+// bit-identical results for equal cells. A cancelled cell keeps its
+// best-so-far run (Run.Cancelled set) without a report. Local front ends
+// run cells through NewCellRunner, which shares networks; tests compare
+// it against RunCell.
 func RunCell(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, error) {
 	comp, err := c.Compile()
 	if err != nil {

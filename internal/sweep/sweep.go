@@ -8,10 +8,11 @@
 // Each cell is exactly one job specification as the optimization service
 // understands it: the same application/architecture normalization
 // (config.ArchSpec.Normalize + config.Experiment.Normalize) and the same
-// scenario executor (scenario.Compiled.Execute, through RunCell or
-// NewCellRunner), so a cell run locally, by phonocmap-bench, or through
-// the service's /v1/sweeps endpoint produces bit-identical results and
-// shares one content-addressed cache identity. The aggregators leave failed cells
+// scenario executor (scenario.Compiled.Execute; local front ends reach it
+// through NewCellRunner, and RunCell is its unshared reference), so a
+// cell run locally, by phonocmap-bench, or through the service's
+// /v1/sweeps endpoint produces bit-identical results and shares one
+// content-addressed cache identity. The aggregators leave failed cells
 // and cancelled runs out, so every backend reports a sweep the same way.
 package sweep
 
@@ -157,16 +158,6 @@ func (c Cell) Scenario() scenario.Spec {
 // concurrent use).
 func (c Cell) Compile() (*scenario.Compiled, error) {
 	return scenario.Compile(c.Scenario())
-}
-
-// BuildProblem is Compile reduced to the problem instance, for callers
-// that only optimize.
-func (c Cell) BuildProblem() (*core.Problem, error) {
-	comp, err := c.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return comp.Problem, nil
 }
 
 // MaxExpandCells is the absolute ceiling on a grid's cell count: an

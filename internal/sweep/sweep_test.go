@@ -364,7 +364,7 @@ func TestAggregators(t *testing.T) {
 	}
 }
 
-func TestCellLabelAndBuildProblem(t *testing.T) {
+func TestCellLabelAndCompile(t *testing.T) {
 	cells, err := Expand(Spec{Apps: []config.AppSpec{builtin("PIP")}, Budgets: []int{10}})
 	if err != nil {
 		t.Fatal(err)
@@ -372,11 +372,11 @@ func TestCellLabelAndBuildProblem(t *testing.T) {
 	if cells[0].Label() == "" {
 		t.Error("empty label")
 	}
-	prob, err := cells[0].BuildProblem()
+	comp, err := cells[0].Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prob.NumTasks() != 8 || prob.NumTiles() != 9 {
+	if prob := comp.Problem; prob.NumTasks() != 8 || prob.NumTiles() != 9 {
 		t.Errorf("PIP problem = %d tasks on %d tiles", prob.NumTasks(), prob.NumTiles())
 	}
 	if s := fmt.Sprint(cells[0]); s == "" {

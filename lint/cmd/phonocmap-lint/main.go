@@ -1,6 +1,6 @@
-// phonocmap-lint is the project's static-analysis suite: five analyzers
-// that enforce the determinism, pooled-session, metric-naming,
-// error-envelope and hot-path-allocation contracts at `go vet` time.
+// phonocmap-lint is the project's static-analysis suite: four analyzers
+// that enforce the determinism, metric-naming, error-envelope and
+// hot-path-allocation contracts at `go vet` time.
 //
 // Run it through the vet driver so results are cached per package:
 //
@@ -13,14 +13,12 @@ import (
 	"phonocmap/lint/analyzers/errenvelope"
 	"phonocmap/lint/analyzers/metricname"
 	"phonocmap/lint/analyzers/noalloc"
-	"phonocmap/lint/analyzers/poolrelease"
 	"phonocmap/lint/unitchecker"
 )
 
 func main() {
 	unitchecker.Main(
 		determinism.Analyzer,
-		poolrelease.Analyzer,
 		metricname.Analyzer,
 		errenvelope.Analyzer,
 		noalloc.Analyzer,

@@ -5,7 +5,6 @@
 //	//phonocmap:wallclock <why this wall-clock read is contractually allowed>
 //	//phonocmap:noalloc            (on a func: opt in to the allocation check)
 //	//phonocmap:envelope           (on a func: this IS the error-envelope writer)
-//	//phonocmap:release-ok <why the pooled value provably cannot leak>
 //
 // A directive attaches to the statement on its own line (trailing
 // comment) or to the line directly below it (preceding comment line),

@@ -1,10 +1,7 @@
-// Package search deliberately violates two phonocmap-lint contracts:
-// it leaks map iteration order into a slice and never releases a
-// pooled session. The integration test asserts the multichecker fails
-// this module.
+// Package search deliberately violates a phonocmap-lint contract: it
+// leaks map iteration order into a slice. The integration test asserts
+// the multichecker fails this module.
 package search
-
-import "brokenfix/internal/core"
 
 // Keys leaks map iteration order into the returned slice.
 func Keys(m map[string]int) []string {
@@ -13,14 +10,4 @@ func Keys(m map[string]int) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// Leak acquires a pooled session and never releases it.
-func Leak(p *core.Problem) error {
-	ss, err := p.NewSwapSession(nil)
-	if err != nil {
-		return err
-	}
-	_ = ss
-	return nil
 }

@@ -2,6 +2,7 @@ package phonocmap_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -87,5 +88,31 @@ func TestOptimizeParallelUnknownAlgorithm(t *testing.T) {
 	prob := testProblem(t)
 	if _, err := phonocmap.OptimizeParallel(context.Background(), prob, "nope", 100, phonocmap.Seeds(1, 2), 2); err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+// TestSeedsCounts: Seeds returns n seeds counting up from the base, and
+// none for n <= 0, where OptimizeParallel then reports that it needs a
+// seed instead of running.
+func TestSeedsCounts(t *testing.T) {
+	prob := testProblem(t)
+	for _, tc := range []struct {
+		n    int
+		want []int64
+	}{
+		{-1, nil},
+		{0, nil},
+		{1, []int64{5}},
+		{3, []int64{5, 6, 7}},
+	} {
+		got := phonocmap.Seeds(5, tc.n)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("Seeds(5, %d) = %v, want %v", tc.n, got, tc.want)
+		}
+		if len(got) == 0 {
+			if _, err := phonocmap.OptimizeParallel(context.Background(), prob, "rs", 100, got, 2); err == nil {
+				t.Errorf("OptimizeParallel ran with Seeds(5, %d)", tc.n)
+			}
+		}
 	}
 }

@@ -291,7 +291,7 @@ func OptimizeParallel(ctx context.Context, prob *Problem, algorithm string, budg
 }
 
 // Seeds derives n distinct seeds from a base seed (base, base+1, ...) for
-// OptimizeParallel.
+// OptimizeParallel; n <= 0 gives none.
 func Seeds(base int64, n int) []int64 { return core.SeedSequence(base, n) }
 
 // Compare runs several algorithms under identical budgets (the Table II
