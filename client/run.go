@@ -23,17 +23,7 @@ import (
 // result with Cancelled set when the server retained one, ctx's error
 // otherwise.
 func (c *Client) RunScenario(ctx context.Context, spec scenario.Spec) (runner.ScenarioResult, error) {
-	req := service.Request{
-		App:       spec.App,
-		Arch:      spec.Arch,
-		Objective: spec.Objective,
-		Algorithm: spec.Algorithm,
-		Budget:    spec.Budget,
-		Seed:      spec.Seed,
-		Seeds:     spec.Seeds,
-		Analyses:  spec.Analyses,
-		NoCache:   c.noCache,
-	}
+	req := service.Request{Spec: spec, NoCache: c.noCache}
 	var st service.JobStatus
 	if _, err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &st, 0, false); err != nil {
 		return runner.ScenarioResult{}, err
@@ -56,7 +46,9 @@ func (c *Client) RunScenario(ctx context.Context, spec scenario.Spec) (runner.Sc
 			fetchCtx, cancel = detachedContext()
 			defer cancel()
 		}
-		var res service.JobResult
+		// The result payload carries every other field under the same
+		// keys; its id, state and cached keys have no field here.
+		res := runner.ScenarioResult{Spec: st.Spec, IslandEvals: st.IslandEvals}
 		if _, err := c.do(fetchCtx, http.MethodGet, "/v1/jobs/"+st.ID+"/result", nil, &res, http.StatusOK, true); err != nil {
 			if apiErr, ok := err.(*APIError); ok && apiErr.Code == service.CodeNoResult {
 				// Cancelled before any evaluation: nothing to salvage.
@@ -67,20 +59,7 @@ func (c *Client) RunScenario(ctx context.Context, spec scenario.Spec) (runner.Sc
 			}
 			return runner.ScenarioResult{}, err
 		}
-		return runner.ScenarioResult{
-			Spec:        st.Spec,
-			Algorithm:   res.Algorithm,
-			Objective:   res.Objective,
-			Mapping:     res.Mapping,
-			Score:       res.Score,
-			Evals:       res.Evals,
-			IslandEvals: st.IslandEvals,
-			Seed:        res.Seed,
-			DurationMs:  res.DurationMs,
-			Cancelled:   res.Cancelled,
-			Report:      res.Report,
-			Trace:       res.Trace,
-		}, nil
+		return res, nil
 	default:
 		return runner.ScenarioResult{}, fmt.Errorf("client: job %s settled in unexpected state %q", st.ID, st.State)
 	}
@@ -237,17 +216,7 @@ func (c *Client) CancelSweep(ctx context.Context, id string) error {
 // retained (unfinished cells report their cancellation as Error), or
 // ctx's error when nothing could be salvaged.
 func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec, opts runner.SweepOptions) (runner.SweepResult, error) {
-	req := service.SweepRequest{
-		Apps:       spec.Apps,
-		Archs:      spec.Archs,
-		Objectives: spec.Objectives,
-		Algorithms: spec.Algorithms,
-		Budgets:    spec.Budgets,
-		Seeds:      spec.Seeds,
-		Islands:    spec.Islands,
-		Analyses:   spec.Analyses,
-		NoCache:    opts.NoCache || c.noCache,
-	}
+	req := service.SweepRequest{Spec: spec, NoCache: opts.NoCache || c.noCache}
 	var st service.SweepStatus
 	if _, err := c.do(ctx, http.MethodPost, "/v1/sweeps", req, &st, 0, false); err != nil {
 		return runner.SweepResult{}, err
@@ -295,31 +264,15 @@ func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec, opts runner.Swee
 	return c.fetchSweepResult(ctx, id)
 }
 
-// fetchSweepResult downloads and converts a terminal sweep's result.
+// fetchSweepResult downloads a terminal sweep's result. The payload
+// carries the runner's fields under the same keys; its id, state and
+// per-cell job_id and cached keys have no field there.
 func (c *Client) fetchSweepResult(ctx context.Context, id string) (runner.SweepResult, error) {
-	var res service.SweepResult
+	var res runner.SweepResult
 	if _, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+id+"/result", nil, &res, http.StatusOK, true); err != nil {
 		return runner.SweepResult{}, err
 	}
-	out := runner.SweepResult{
-		Cells:        make([]runner.SweepCellResult, 0, len(res.Cells)),
-		Table:        res.Table,
-		BudgetCurves: res.BudgetCurves,
-		Pareto:       res.Pareto,
-		Analysis:     res.Analysis,
-	}
-	for _, cr := range res.Cells {
-		out.Cells = append(out.Cells, runner.SweepCellResult{
-			Index:   cr.Index,
-			Cell:    cr.Cell,
-			Score:   cr.Score,
-			Mapping: cr.Mapping,
-			Evals:   cr.Evals,
-			Report:  cr.Report,
-			Error:   cr.Error,
-		})
-	}
-	return out, nil
+	return res, nil
 }
 
 // salvageSweep cancels the sweep remotely and waits (bounded, detached

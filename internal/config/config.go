@@ -168,6 +168,24 @@ func (s *ArchSpec) Normalize(numTasks int) {
 	}
 }
 
+// NumTiles returns the tile count the spec describes, without building
+// the network: Tiles for a ring, Width×Height otherwise. A negative
+// dimension counts as no tiles, and the product saturates at
+// math.MaxInt instead of overflowing, so no size can wrap past a limit
+// check.
+func (s ArchSpec) NumTiles() int {
+	if s.Topology == "ring" {
+		return max(s.Tiles, 0)
+	}
+	if s.Width <= 0 || s.Height <= 0 {
+		return 0
+	}
+	if s.Width > math.MaxInt/s.Height {
+		return math.MaxInt
+	}
+	return s.Width * s.Height
+}
+
 // canonicalFailedLinks sorts each pair (a cut is undirected) and the
 // list, dropping duplicates, so specs naming the same cuts in any order
 // or direction share one canonical form — and one cache identity.

@@ -282,3 +282,24 @@ func TestArchSpecParamsOverride(t *testing.T) {
 		t.Error("params override ignored")
 	}
 }
+
+func TestArchSpecNumTiles(t *testing.T) {
+	cases := []struct {
+		arch ArchSpec
+		want int
+	}{
+		{DefaultArch(4, 3), 12},
+		{ArchSpec{Topology: "torus", Width: 8, Height: 8}, 64},
+		{ArchSpec{Topology: "ring", Tiles: 6, Width: 9, Height: 9}, 6},
+		{ArchSpec{Topology: "ring", Tiles: -6}, 0},
+		{DefaultArch(-2, -3), 0},
+		{DefaultArch(0, 4), 0},
+		{DefaultArch(math.MaxInt/2+1, 2), math.MaxInt},
+		{DefaultArch(math.MaxInt, math.MaxInt), math.MaxInt},
+	}
+	for _, c := range cases {
+		if got := c.arch.NumTiles(); got != c.want {
+			t.Errorf("%+v: NumTiles() = %d, want %d", c.arch, got, c.want)
+		}
+	}
+}

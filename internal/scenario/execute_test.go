@@ -38,7 +38,7 @@ func TestExecuteRecordsProgress(t *testing.T) {
 	if len(out.Events) == 0 {
 		t.Fatal("no improvements recorded")
 	}
-	if best := tr.Best(); best == nil || *best != out.Run.Score {
+	if _, best, ok := tr.Progress(); !ok || best != out.Run.Score {
 		t.Errorf("tracer best %v, want the winning score %v", best, out.Run.Score)
 	}
 	if got := tr.Events(); len(got) != len(out.Events) {
@@ -75,7 +75,7 @@ func TestExecuteCancelledRunSkipsAnalyses(t *testing.T) {
 		defer close(done)
 		out, err = c.Execute(ctx, tr)
 	}()
-	for tr.Best() == nil {
+	for _, _, ok := tr.Progress(); !ok; _, _, ok = tr.Progress() {
 		select {
 		case <-done:
 			t.Fatalf("run ended before its first improvement: %v", err)

@@ -146,21 +146,21 @@ func (t *Tracer) IslandEvals() []int {
 	return append([]int(nil), t.islandEvals...)
 }
 
+// Progress sums the per-island evaluation counters and returns the best
+// score reached so far (ok false before the first improvement), copying
+// neither.
+func (t *Tracer) Progress() (evals int, best core.Score, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, e := range t.islandEvals {
+		evals += e
+	}
+	return evals, t.best, len(t.events) > 0
+}
+
 // Events copies the improvements recorded so far, in arrival order.
 func (t *Tracer) Events() []TraceEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]TraceEvent(nil), t.events...)
-}
-
-// Best returns the best score any island has reached so far, nil before
-// the first improvement.
-func (t *Tracer) Best() *core.Score {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.events) == 0 {
-		return nil
-	}
-	b := t.best
-	return &b
 }

@@ -50,12 +50,14 @@ func TestJobAnalysesReportAndCacheReplay(t *testing.T) {
 	base := ts.URL
 
 	req := Request{
-		Algorithm: "rs",
-		Budget:    300,
-		Seed:      4,
-		Analyses: &scenario.AnalysesSpec{
-			Power:      &scenario.PowerSpec{},
-			Robustness: &scenario.RobustnessSpec{Samples: 5},
+		Spec: Spec{
+			Algorithm: "rs",
+			Budget:    300,
+			Seed:      4,
+			Analyses: &scenario.AnalysesSpec{
+				Power:      &scenario.PowerSpec{},
+				Robustness: &scenario.RobustnessSpec{Samples: 5},
+			},
 		},
 	}
 	req.App.Builtin = "PIP"
@@ -128,7 +130,7 @@ func TestAnalysesDistinctCacheIdentity(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL
 
-	plain := Request{Algorithm: "rs", Budget: 200, Seed: 3}
+	plain := Request{Spec: Spec{Algorithm: "rs", Budget: 200, Seed: 3}}
 	plain.App.Builtin = "PIP"
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", plain, &st); code != http.StatusAccepted {
@@ -185,7 +187,7 @@ func TestDegradedSpecBitIdenticalAcrossPaths(t *testing.T) {
 	base := ts.URL
 
 	// Service job path (no_cache so the sweep below recomputes too).
-	jreq := Request{App: app, Arch: arch, Algorithm: "rs", Budget: 250, Seed: 11, Analyses: analyses, NoCache: true}
+	jreq := Request{Spec: Spec{App: app, Arch: arch, Algorithm: "rs", Budget: 250, Seed: 11, Analyses: analyses}, NoCache: true}
 	var jst JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", jreq, &jst); code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
@@ -205,13 +207,15 @@ func TestDegradedSpecBitIdenticalAcrossPaths(t *testing.T) {
 
 	// 1-cell sweep path.
 	sreq := SweepRequest{
-		Apps:       []config.AppSpec{app},
-		Archs:      []config.ArchSpec{arch},
-		Algorithms: []string{"rs"},
-		Budgets:    []int{250},
-		Seeds:      []int64{11},
-		Analyses:   analyses,
-		NoCache:    true,
+		Spec: sweep.Spec{
+			Apps:       []config.AppSpec{app},
+			Archs:      []config.ArchSpec{arch},
+			Algorithms: []string{"rs"},
+			Budgets:    []int{250},
+			Seeds:      []int64{11},
+			Analyses:   analyses,
+		},
+		NoCache: true,
 	}
 	var sst SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", sreq, &sst); code != http.StatusAccepted {
@@ -272,12 +276,14 @@ func TestSweepAnalysisColumnsMatchLocal(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	base := ts.URL
 	req := SweepRequest{
-		Apps:       grid.Apps,
-		Objectives: grid.Objectives,
-		Algorithms: grid.Algorithms,
-		Budgets:    grid.Budgets,
-		Seeds:      grid.Seeds,
-		Analyses:   grid.Analyses,
+		Spec: sweep.Spec{
+			Apps:       grid.Apps,
+			Objectives: grid.Objectives,
+			Algorithms: grid.Algorithms,
+			Budgets:    grid.Budgets,
+			Seeds:      grid.Seeds,
+			Analyses:   grid.Analyses,
+		},
 	}
 	var sst SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", req, &sst); code != http.StatusAccepted {

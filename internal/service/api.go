@@ -40,31 +40,20 @@ package service
 import (
 	"fmt"
 
-	"phonocmap/internal/config"
 	"phonocmap/internal/core"
 	"phonocmap/internal/scenario"
 	"phonocmap/internal/topo"
 )
 
-// Request is the POST /v1/jobs payload. App is required; everything else
-// defaults like the CLI: smallest square mesh of Crux routers with XY
-// routing, SNR objective, R-PBLA, budget 20000, seed 1, single seed.
+// Request is the POST /v1/jobs payload: a scenario spec and the
+// service's cache switch. App is required; everything else defaults
+// like the CLI: smallest square mesh of Crux routers with XY routing,
+// SNR objective, R-PBLA, budget 20000, seed 1, single seed. Seeds > 1
+// runs that many independent seeded searches and the best wins; the
+// analyses block selects post-optimization analyses whose typed report
+// comes back in JobResult, and is part of the job's cache identity.
 type Request struct {
-	App       config.AppSpec  `json:"app"`
-	Arch      config.ArchSpec `json:"arch,omitempty"`
-	Objective string          `json:"objective,omitempty"`
-	Algorithm string          `json:"algorithm,omitempty"`
-	Budget    int             `json:"budget,omitempty"`
-	Seed      int64           `json:"seed,omitempty"`
-	// Seeds > 1 switches to islands mode: that many independent seeded
-	// searches (seeds Seed, Seed+1, ...) run concurrently and the best
-	// result wins.
-	Seeds int `json:"seeds,omitempty"`
-	// Analyses selects post-optimization analyses (wdm, power,
-	// robustness, link_failures, sim) to run on the winning mapping; the
-	// typed report comes back in JobResult. The block is part of the
-	// job's cache identity.
-	Analyses *scenario.AnalysesSpec `json:"analyses,omitempty"`
+	Spec
 	// NoCache skips the result cache on both lookup and fill.
 	NoCache bool `json:"no_cache,omitempty"`
 }
@@ -90,26 +79,40 @@ type Limits struct {
 // the expensive network/problem construction is deferred to compile so
 // cache hits skip it entirely.
 func normalize(req Request, lim Limits) (Spec, error) {
-	spec := Spec{
-		App:       req.App,
-		Arch:      req.Arch,
-		Objective: req.Objective,
-		Algorithm: req.Algorithm,
-		Budget:    req.Budget,
-		Seed:      req.Seed,
-		Seeds:     req.Seeds,
-		Analyses:  req.Analyses,
-	}
+	spec := req.Spec
 	if _, err := spec.Normalize(); err != nil {
 		return Spec{}, err
 	}
-	if spec.Budget < 0 || (lim.MaxBudget > 0 && spec.Budget > lim.MaxBudget) {
-		return Spec{}, fmt.Errorf("service: budget %d out of range (1..%d)", spec.Budget, lim.MaxBudget)
-	}
-	if spec.Seeds < 0 || (lim.MaxSeeds > 0 && spec.Seeds > lim.MaxSeeds) {
-		return Spec{}, fmt.Errorf("service: seeds %d out of range (1..%d)", spec.Seeds, lim.MaxSeeds)
+	if err := lim.check(spec); err != nil {
+		return Spec{}, err
 	}
 	return spec, nil
+}
+
+// maxTiles caps the architecture a request may build. A network's
+// memory grows about as tiles^2.5 (Crux routers, XY routing, measured
+// on an Intel Xeon): a 4×4 mesh takes 0.3 MB, 6×6 2.7 MB, 8×8 11.8 MB
+// in 22 ms, 9×9 21.5 MB, 10×10 36.7 MB and 12×12 92.3 MB, so a 32×32
+// mesh would take more than 10 GB. Rings grow faster: a 64-tile ring of
+// Cygnus routers with BFS routing takes 36.3 MB. The cap admits the
+// largest architecture any workload, test or example uses, perfbench
+// dense's 8×8 mesh.
+const maxTiles = 64
+
+// check validates a normalized spec — a job's, or a sweep cell's, which
+// sweep.Expand normalized already — against the limits and the tile
+// cap, before anything is compiled.
+func (lim Limits) check(spec Spec) error {
+	if spec.Budget < 0 || (lim.MaxBudget > 0 && spec.Budget > lim.MaxBudget) {
+		return fmt.Errorf("service: budget %d out of range (1..%d)", spec.Budget, lim.MaxBudget)
+	}
+	if spec.Seeds < 0 || (lim.MaxSeeds > 0 && spec.Seeds > lim.MaxSeeds) {
+		return fmt.Errorf("service: seeds %d out of range (1..%d)", spec.Seeds, lim.MaxSeeds)
+	}
+	if tiles := spec.Arch.NumTiles(); tiles > maxTiles {
+		return fmt.Errorf("service: %s architecture has %d tiles, limit %d", spec.Arch.Topology, tiles, maxTiles)
+	}
+	return nil
 }
 
 // JobStatus is the wire representation of a job's lifecycle state.

@@ -34,6 +34,9 @@ const (
 	// CodeUnsupported marks a request the transport cannot satisfy, e.g.
 	// an SSE stream over a connection that cannot flush.
 	CodeUnsupported ErrorCode = "unsupported"
+	// CodeInternal marks a response the server failed to encode: a
+	// server bug, not a fault of the request.
+	CodeInternal ErrorCode = "internal"
 )
 
 // ErrorDetail is the body of the structured error envelope.

@@ -3,7 +3,9 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -71,7 +73,7 @@ func TestNoResultEnvelope(t *testing.T) {
 
 	// Occupy the single worker so the next job stays queued, then cancel
 	// it there: cancelled before any evaluation, so no result exists.
-	long := Request{Algorithm: "rs", Budget: 50_000_000, Seed: 1}
+	long := Request{Spec: Spec{Algorithm: "rs", Budget: 50_000_000, Seed: 1}}
 	long.App.Builtin = "VOPD"
 	var blocker JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", long, &blocker); code != http.StatusAccepted {
@@ -108,7 +110,7 @@ func TestListFilters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL
 
-	req := Request{Algorithm: "rs", Budget: 60}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 60}}
 	req.App.Builtin = "PIP"
 	var ids []string
 	for seed := int64(1); seed <= 3; seed++ {
@@ -169,7 +171,7 @@ func TestJobEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxBudget: 10_000_000})
 	base := ts.URL
 
-	req := Request{Algorithm: "rs", Budget: 150_000, Seed: 1}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 150_000, Seed: 1}}
 	req.App.Builtin = "VOPD"
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &st); code != http.StatusAccepted {
@@ -245,5 +247,20 @@ func TestHealthzVersion(t *testing.T) {
 	}
 	if h.Version == "" {
 		t.Error("healthz reports an empty version")
+	}
+}
+
+// TestWriteJSONUnencodable: a value encoding/json cannot encode is
+// answered with the internal envelope, never with the requested 2xx
+// status and an empty body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.NaN())
+	var env ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("body %q is not an error envelope: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || env.Error.Code != CodeInternal || env.Error.Message == "" {
+		t.Errorf("got HTTP %d %+v, want 500 %s with a message", rec.Code, env.Error, CodeInternal)
 	}
 }

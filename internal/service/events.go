@@ -20,7 +20,7 @@ const sseInterval = 100 * time.Millisecond
 // snapshot — a push alternative to polling GET /v1/jobs/{id} that makes
 // remote runs as observable as local ones.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown job", nil)
 		return

@@ -165,26 +165,37 @@ func (j *Job) finish(state State, e *store.Entry, err error) {
 	j.closeDoneLocked()
 }
 
-// progressLocked returns the per-island evaluation counts and the best
-// score so far: the settled entry's, the tracer's while the job runs,
-// zeros before it starts.
-func (j *Job) progressLocked() ([]int, *core.Score) {
+// islandsLocked copies the per-island evaluation counts: the settled
+// entry's, the tracer's while the job runs, zeros before it starts.
+func (j *Job) islandsLocked() []int {
 	switch {
 	case j.entry != nil:
-		best := j.entry.Result.Score
-		return append([]int(nil), j.entry.IslandEvals...), &best
+		return append([]int(nil), j.entry.IslandEvals...)
 	case j.tracer != nil:
-		return j.tracer.IslandEvals(), j.tracer.Best()
+		return j.tracer.IslandEvals()
 	default:
-		return make([]int, j.spec.Seeds), nil
+		return make([]int, j.spec.Seeds)
+	}
+}
+
+// tallyLocked returns the evaluation total and the best score so far
+// (ok false before the first improvement), copying nothing.
+func (j *Job) tallyLocked() (evals int, best core.Score, ok bool) {
+	switch {
+	case j.entry != nil:
+		return j.evalsLocked(j.entry.IslandEvals), j.entry.Result.Score, true
+	case j.tracer != nil:
+		return j.tracer.Progress()
+	default:
+		return 0, core.Score{}, false
 	}
 }
 
 // totalEvalsLocked sums the per-island counters (falling back to the
 // final result when it counts more).
 func (j *Job) totalEvalsLocked() int {
-	islands, _ := j.progressLocked()
-	return j.evalsLocked(islands)
+	evals, _, _ := j.tallyLocked()
+	return evals
 }
 
 // evalsLocked totals a per-island breakdown of the job.
@@ -289,8 +300,10 @@ func (j *Job) snapshotResult() (JobResult, State, bool) {
 func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	islands, best := j.progressLocked()
-	return JobStatus{
+	// Evals totals the copied breakdown rather than a second read of a
+	// running job's tracer, so the two agree.
+	islands := j.islandsLocked()
+	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
 		Cached:      j.cached,
@@ -301,26 +314,25 @@ func (j *Job) status() JobStatus {
 		Evals:       j.evalsLocked(islands),
 		IslandEvals: islands,
 		Budget:      j.spec.Budget * max(j.spec.Seeds, 1),
-		Best:        best,
 		Error:       j.errMsg,
 	}
+	if _, best, ok := j.tallyLocked(); ok {
+		st.Best = &best
+	}
+	return st
 }
 
 // cellStatus is the part of the job's status a sweep cell shows, read
-// under one lock: no spec copy and no timestamps. The caller fills in
-// the cell's index, grid cell and budget.
-func (j *Job) cellStatus() SweepCellStatus {
+// under one lock without copying the per-island breakdown: no spec copy,
+// no timestamps, and the best score so far (ok false before the first
+// improvement) returned by value. The caller fills in the cell's index,
+// grid cell, budget and Best.
+func (j *Job) cellStatus() (cs SweepCellStatus, best core.Score, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	islands, best := j.progressLocked()
-	return SweepCellStatus{
-		JobID:  j.id,
-		State:  j.state,
-		Cached: j.cached,
-		Evals:  j.evalsLocked(islands),
-		Best:   best,
-		Error:  j.errMsg,
-	}
+	cs = SweepCellStatus{JobID: j.id, State: j.state, Cached: j.cached, Error: j.errMsg}
+	cs.Evals, best, ok = j.tallyLocked()
+	return cs, best, ok
 }
 
 func rfc3339(t time.Time) string {

@@ -101,10 +101,10 @@ func (s *Server) initMetrics() {
 		func() float64 { return m.workersBusy.Value() / float64(s.cfg.Workers) })
 	reg.GaugeFn("phonocmap_jobs_active",
 		"Registered jobs not yet in a terminal state.",
-		func() float64 { return float64(s.activeJobs()) })
+		func() float64 { return float64(s.jobs.active()) })
 	reg.GaugeFn("phonocmap_sweeps_active",
 		"Registered sweeps not yet in a terminal state.",
-		func() float64 { return float64(s.activeSweeps()) })
+		func() float64 { return float64(s.sweeps.active()) })
 	reg.CounterFn("phonocmap_cache_hits_total",
 		"Result-cache hits.",
 		func() float64 { return float64(s.cache.hits.Value()) })
@@ -165,12 +165,10 @@ func (s *Server) MetricsRegistry() *obs.Registry { return s.metrics.reg }
 // done — a transient undercount, never a double count.
 func (s *Server) totalEvalsNow() int64 {
 	done := s.metrics.evalsDone.Value()
-	s.mu.Lock()
 	unfolded := int64(0)
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.all() {
 		unfolded += int64(j.unfoldedEvals())
 	}
-	s.mu.Unlock()
 	return done + unfolded
 }
 
@@ -181,23 +179,6 @@ func (s *Server) totalEvalsNow() int64 {
 // evals/sec), which poisons dashboards and autoscaling signals.
 func (s *Server) evalsPerSec(total int64) float64 {
 	return float64(total) / math.Max(time.Since(s.started).Seconds(), 1)
-}
-
-// activeJobs counts registered jobs not yet in a terminal state.
-func (s *Server) activeJobs() int {
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	active := 0
-	for _, j := range jobs {
-		if !j.currentState().Terminal() {
-			active++
-		}
-	}
-	return active
 }
 
 // handleMetrics serves GET /metrics in Prometheus text format.

@@ -129,7 +129,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	base := ts.URL
 
-	req := Request{Objective: "snr", Algorithm: "rs", Budget: 200, Seed: 1}
+	req := Request{Spec: Spec{Objective: "snr", Algorithm: "rs", Budget: 200, Seed: 1}}
 	req.App.Builtin = "PIP"
 	var submitted JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &submitted); code != http.StatusAccepted {
@@ -254,12 +254,24 @@ func TestMetricsNetworkBuilds(t *testing.T) {
 		}
 	}
 
-	cuts := Request{Algorithm: "rs", Budget: 100, Seed: 1,
-		Analyses: &scenario.AnalysesSpec{LinkFailures: &scenario.LinkFailuresSpec{}}}
+	cuts := Request{
+		Spec: Spec{
+			Algorithm: "rs",
+			Budget:    100,
+			Seed:      1,
+			Analyses:  &scenario.AnalysesSpec{LinkFailures: &scenario.LinkFailuresSpec{}},
+		},
+	}
 	cuts.App.Builtin = "PIP"
 	cuts.Arch.Router = "cygnus"
-	samples := Request{Algorithm: "rs", Budget: 100, Seed: 1,
-		Analyses: &scenario.AnalysesSpec{Robustness: &scenario.RobustnessSpec{Samples: 8}}}
+	samples := Request{
+		Spec: Spec{
+			Algorithm: "rs",
+			Budget:    100,
+			Seed:      1,
+			Analyses:  &scenario.AnalysesSpec{Robustness: &scenario.RobustnessSpec{Samples: 8}},
+		},
+	}
 	samples.App.Builtin = "MWD"
 	fresh := samples
 	fresh.Seed = 2
@@ -310,7 +322,7 @@ func TestMetricsWithStore(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2, Store: st})
 	base := ts.URL
 
-	req := Request{Objective: "snr", Algorithm: "rs", Budget: 200, Seed: 1}
+	req := Request{Spec: Spec{Objective: "snr", Algorithm: "rs", Budget: 200, Seed: 1}}
 	req.App.Builtin = "PIP"
 	var submitted JobStatus
 	doJSON(t, http.MethodPost, base+"/v1/jobs", req, &submitted)
@@ -368,7 +380,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			req := Request{Objective: "snr", Algorithm: "rs", Budget: 100, Seed: int64(g + 1)}
+			req := Request{Spec: Spec{Objective: "snr", Algorithm: "rs", Budget: 100, Seed: int64(g + 1)}}
 			req.App.Builtin = "PIP"
 			var st JobStatus
 			doJSON(t, http.MethodPost, base+"/v1/jobs", req, &st)

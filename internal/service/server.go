@@ -146,11 +146,8 @@ type Server struct {
 
 	started time.Time
 
-	mu         sync.Mutex
-	jobs       map[string]*Job
-	order      []string // insertion order, for listing and eviction
-	sweeps     map[string]*Sweep
-	sweepOrder []string
+	jobs   *registry[*Job]
+	sweeps *registry[*Sweep]
 }
 
 // New builds a server and starts its worker pool. Call Shutdown to stop
@@ -168,8 +165,8 @@ func New(cfg Config) *Server {
 		logger:  cfg.Logger,
 		baseCtx: ctx,
 		stop:    cancel,
-		jobs:    make(map[string]*Job),
-		sweeps:  make(map[string]*Sweep),
+		jobs:    newRegistry[*Job](cfg.MaxJobs),
+		sweeps:  newRegistry[*Sweep](cfg.MaxSweeps),
 		started: time.Now(),
 	}
 	core.SetDefaultEvalWorkers(cfg.EvalWorkers)
@@ -365,44 +362,10 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// evictOldestTerminal compacts an insertion-ordered registry down
-// toward limit by deleting the oldest entries that reached a terminal
-// state (live entries are never evicted, so the registry may
-// transiently exceed the limit). It returns the compacted order.
-func evictOldestTerminal[T any](order []string, entries map[string]T, limit int, terminal func(T) bool) []string {
-	if len(order) <= limit {
-		return order
-	}
-	kept := order[:0]
-	excess := len(order) - limit
-	for _, id := range order {
-		e, ok := entries[id]
-		if excess > 0 && ok && terminal(e) {
-			delete(entries, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	return kept
-}
-
-// register stores a job, evicting the oldest finished jobs past MaxJobs.
+// register stores a job in the registry and counts it as submitted.
 func (s *Server) register(j *Job) {
 	s.metrics.jobsSubmitted.Inc()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.order = evictOldestTerminal(s.order, s.jobs, s.cfg.MaxJobs,
-		func(j *Job) bool { return j.currentState().Terminal() })
-}
-
-func (s *Server) job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	s.jobs.add(j.id, j)
 }
 
 // newJobID mints the next job identifier.
@@ -410,41 +373,32 @@ func (s *Server) newJobID() string {
 	return fmt.Sprintf("job-%06d", s.nextID.Add(1))
 }
 
-// registerSweep stores a sweep, evicting the oldest finished sweeps past
-// MaxSweeps.
-func (s *Server) registerSweep(sw *Sweep) {
-	s.metrics.sweepsSubmitted.Inc()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sweeps[sw.id] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.id)
-	s.sweepOrder = evictOldestTerminal(s.sweepOrder, s.sweeps, s.cfg.MaxSweeps,
-		func(sw *Sweep) bool { return sw.currentState().Terminal() })
+// limits are the per-job limits every job and sweep cell is checked
+// against.
+func (s *Server) limits() Limits {
+	return Limits{MaxBudget: s.cfg.MaxBudget, MaxSeeds: s.cfg.MaxSeeds}
 }
 
-func (s *Server) sweepByID(id string) (*Sweep, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	return sw, ok
-}
-
-// activeSweeps counts the sweeps that have not yet reached a terminal
-// state — the admission-control gauge for handleSweepSubmit.
-func (s *Server) activeSweeps() int {
-	s.mu.Lock()
-	sweeps := make([]*Sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		sweeps = append(sweeps, sw)
-	}
-	s.mu.Unlock()
-	active := 0
-	for _, sw := range sweeps {
-		if !sw.currentState().Terminal() {
-			active++
+// admit turns a normalized spec into a job, the one admission path of
+// submitted jobs and sweep cells: a replay of the cached result (unless
+// noCache), or a fresh job whose scenario is compiled through the
+// server's network cache. It neither registers nor queues the job. When
+// the compile fails, the job comes back failed along with the error, for
+// the caller's policy.
+func (s *Server) admit(spec Spec, key string, noCache bool, parent context.Context) (*Job, error) {
+	id := s.newJobID()
+	if !noCache {
+		if e, ok := s.cache.get(key); ok {
+			return newCachedJob(id, spec, e), nil
 		}
 	}
-	return active
+	comp, err := s.nets.Compile(spec)
+	j := newJob(id, spec, key, comp, noCache, parent)
+	if err != nil {
+		j.finish(StateFailed, nil, err)
+		j.cancel() // it never runs; release the context registered on parent
+	}
+	return j, err
 }
 
 // --- HTTP handlers ---
@@ -457,13 +411,23 @@ const maxRequestBytes = 4 << 20
 // writeJSON is the service's single response writer; writeError layers
 // the structured error envelope on top of it.
 //
+// It encodes before it writes the status, so a value that cannot be
+// encoded is answered with the internal envelope, never with a 2xx status
+// and an empty body.
+//
 //phonocmap:envelope
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = CodeInternal.httpStatus()
+		b, _ = json.MarshalIndent(ErrorEnvelope{Error: ErrorDetail{
+			Code:    CodeInternal,
+			Message: "encoding the response: " + err.Error(),
+		}}, "", "  ")
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -478,33 +442,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeInvalidRequest, fmt.Sprintf("bad request body: %v", err), nil)
 		return
 	}
-	spec, err := normalize(req, Limits{MaxBudget: s.cfg.MaxBudget, MaxSeeds: s.cfg.MaxSeeds})
+	spec, err := normalize(req, s.limits())
 	if err != nil {
 		writeError(w, CodeInvalidSpec, err.Error(), nil)
 		return
 	}
-	key := spec.Key()
-	id := s.newJobID()
-
-	if !req.NoCache {
-		if e, ok := s.cache.get(key); ok {
-			j := newCachedJob(id, spec, e)
-			s.register(j)
-			s.logger.Info("job replayed from cache", "job", id)
-			writeJSON(w, http.StatusOK, j.status())
-			return
-		}
-	}
-
-	// Cache miss: now pay for the problem construction (and get the
-	// Eq. 2 fit check) before committing the job to the queue.
-	comp, err := s.nets.Compile(spec)
+	// A cache miss pays for the problem construction (and gets the Eq. 2
+	// fit check) here, before the job is committed to the queue.
+	j, err := s.admit(spec, spec.Key(), req.NoCache, s.baseCtx)
 	if err != nil {
 		writeError(w, CodeInvalidSpec, err.Error(), nil)
 		return
 	}
+	// The answer is snapshot before the send: a replay is done, and a
+	// fresh job is queued until a worker takes it, which may happen
+	// before this handler writes.
+	st := j.status()
+	if st.State.Terminal() {
+		s.register(j)
+		s.logger.Info("job replayed from cache", "job", j.id)
+		writeJSON(w, http.StatusOK, st)
+		return
+	}
 
-	j := newJob(id, spec, key, comp, req.NoCache, s.baseCtx)
 	select {
 	case s.queue <- j:
 		// Re-check after the enqueue: a Shutdown that began between the
@@ -514,11 +474,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// terminal state either way.
 		if s.closed.Load() {
 			j.Cancel()
+			st = j.status()
 		}
 		s.register(j)
 		s.logger.Info("job accepted",
-			"job", id, "algorithm", spec.Algorithm, "budget", spec.Budget, "seeds", spec.Seeds)
-		writeJSON(w, http.StatusAccepted, j.status())
+			"job", j.id, "algorithm", spec.Algorithm, "budget", spec.Budget, "seeds", spec.Seeds)
+		writeJSON(w, http.StatusAccepted, st)
 	default:
 		j.cancel() // release the context registered on baseCtx
 		writeError(w, CodeQueueFull,
@@ -574,14 +535,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeInvalidRequest, err.Error(), nil)
 		return
 	}
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
-	}
-	s.mu.Unlock()
+	jobs := s.jobs.all()
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
 		st := j.status()
@@ -594,7 +548,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown job", nil)
 		return
@@ -603,7 +557,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown job", nil)
 		return
@@ -627,7 +581,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown job", nil)
 		return
@@ -637,7 +591,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(r.PathValue("id"))
+	j, ok := s.jobs.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown job", nil)
 		return
@@ -655,7 +609,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	// sweeps from the registry, so without this gate a flood of
 	// submissions would accumulate unbounded in-flight work — the sweep
 	// analogue of the job queue's shedding on saturation.
-	if active := s.activeSweeps(); active >= s.cfg.MaxSweeps {
+	if active := s.sweeps.active(); active >= s.cfg.MaxSweeps {
 		writeError(w, CodeQueueFull,
 			fmt.Sprintf("%d sweeps in flight (limit %d); retry later", active, s.cfg.MaxSweeps),
 			map[string]any{"max_sweeps": s.cfg.MaxSweeps})
@@ -668,36 +622,27 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeInvalidRequest, fmt.Sprintf("bad request body: %v", err), nil)
 		return
 	}
-	grid := req.grid()
 	// Size() saturates instead of overflowing, so adversarially long
 	// dimension lists cannot wrap the product past this check.
-	if size := grid.Size(); size > s.cfg.MaxSweepCells {
+	if size := req.Size(); size > s.cfg.MaxSweepCells {
 		writeError(w, CodeInvalidSpec,
 			fmt.Sprintf("service: sweep expands to %d cells, limit %d", size, s.cfg.MaxSweepCells),
 			map[string]any{"cells": size, "max_sweep_cells": s.cfg.MaxSweepCells})
 		return
 	}
-	cells, err := sweep.Expand(grid)
+	cells, err := sweep.Expand(req.Spec)
 	if err != nil {
 		writeError(w, CodeInvalidSpec, err.Error(), nil)
 		return
 	}
-	// Normalize every cell into a job spec up front so the whole grid is
-	// validated against the per-job limits before any cell runs.
+	// Expand normalized every cell through the scenario compiler, so each
+	// cell's scenario is a normalized job spec: check the whole grid
+	// against the per-job limits before any cell runs.
 	scs := make([]sweepCell, 0, len(cells))
-	lim := Limits{MaxBudget: s.cfg.MaxBudget, MaxSeeds: s.cfg.MaxSeeds}
+	lim := s.limits()
 	for _, c := range cells {
-		spec, err := normalize(Request{
-			App:       c.App,
-			Arch:      c.Arch,
-			Objective: c.Objective,
-			Algorithm: c.Algorithm,
-			Budget:    c.Budget,
-			Seed:      c.Seed,
-			Seeds:     c.Islands,
-			Analyses:  c.Analyses,
-		}, lim)
-		if err != nil {
+		spec := c.Scenario()
+		if err := lim.check(spec); err != nil {
 			writeError(w, CodeInvalidSpec, fmt.Sprintf("cell %s: %v", c.Label(), err),
 				map[string]any{"cell": c.Label()})
 			return
@@ -707,7 +652,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 
 	id := fmt.Sprintf("sweep-%06d", s.nextSweep.Add(1))
 	sw := newSweep(id, scs, req.NoCache, s.baseCtx)
-	s.registerSweep(sw)
+	s.metrics.sweepsSubmitted.Inc()
+	s.sweeps.add(id, sw)
 	s.logger.Info("sweep accepted", "sweep", id, "cells", len(scs))
 	go s.runSweep(sw)
 	writeJSON(w, http.StatusAccepted, sw.status(true))
@@ -719,14 +665,7 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeInvalidRequest, err.Error(), nil)
 		return
 	}
-	s.mu.Lock()
-	sweeps := make([]*Sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		if sw, ok := s.sweeps[id]; ok {
-			sweeps = append(sweeps, sw)
-		}
-	}
-	s.mu.Unlock()
+	sweeps := s.sweeps.all()
 	out := make([]SweepStatus, 0, len(sweeps))
 	for _, sw := range sweeps {
 		st := sw.status(false)
@@ -739,7 +678,7 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepByID(r.PathValue("id"))
+	sw, ok := s.sweeps.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown sweep", nil)
 		return
@@ -748,7 +687,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepByID(r.PathValue("id"))
+	sw, ok := s.sweeps.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown sweep", nil)
 		return
@@ -761,7 +700,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepByID(r.PathValue("id"))
+	sw, ok := s.sweeps.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, CodeNotFound, "unknown sweep", nil)
 		return
@@ -814,12 +753,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	// BEFORE scanning the jobs (inside totalEvalsNow), so a job folding
 	// mid-scan is a transient undercount, never a double count.
 	total := s.totalEvalsNow()
-	s.mu.Lock()
 	counts := make(map[State]int)
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.all() {
 		counts[j.currentState()]++
 	}
-	s.mu.Unlock()
 	status := "ok"
 	if s.closed.Load() {
 		status = "shutting down"

@@ -85,7 +85,7 @@ func TestEndToEndVOPD(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL
 
-	req := Request{Objective: "snr", Algorithm: "rpbla", Budget: 3000, Seed: 1}
+	req := Request{Spec: Spec{Objective: "snr", Algorithm: "rpbla", Budget: 3000, Seed: 1}}
 	req.App.Builtin = "VOPD"
 
 	var submitted JobStatus
@@ -165,7 +165,7 @@ func TestIslandsJob(t *testing.T) {
 	// 1234 is deliberately not a multiple of the progress stride, so this
 	// also checks that the final per-island eval counts are reported
 	// exactly rather than left at the last heartbeat.
-	req := Request{Algorithm: "rs", Budget: 1234, Seed: 1, Seeds: 3}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 1234, Seed: 1, Seeds: 3}}
 	req.App.Builtin = "PIP"
 	var submitted JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &submitted); code != http.StatusAccepted {
@@ -223,7 +223,7 @@ func TestCancelInFlightJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxBudget: 100_000_000})
 	base := ts.URL
 
-	req := Request{Algorithm: "rs", Budget: 50_000_000, Seed: 1}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 50_000_000, Seed: 1}}
 	req.App.Builtin = "VOPD"
 	var submitted JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &submitted); code != http.StatusAccepted {
@@ -250,12 +250,12 @@ func TestCancelQueuedJob(t *testing.T) {
 	base := ts.URL
 
 	// Occupy the single worker.
-	blocker := Request{Algorithm: "rs", Budget: 50_000_000, Seed: 1}
+	blocker := Request{Spec: Spec{Algorithm: "rs", Budget: 50_000_000, Seed: 1}}
 	blocker.App.Builtin = "VOPD"
 	var b1 JobStatus
 	doJSON(t, http.MethodPost, base+"/v1/jobs", blocker, &b1)
 
-	queued := Request{Algorithm: "rs", Budget: 50_000_000, Seed: 2}
+	queued := Request{Spec: Spec{Algorithm: "rs", Budget: 50_000_000, Seed: 2}}
 	queued.App.Builtin = "VOPD"
 	var b2 JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", queued, &b2); code != http.StatusAccepted {
@@ -275,7 +275,7 @@ func TestShutdownCancelsRunningJobs(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, MaxBudget: 100_000_000})
 	base := ts.URL
 
-	req := Request{Algorithm: "rs", Budget: 50_000_000, Seed: 1}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 50_000_000, Seed: 1}}
 	req.App.Builtin = "VOPD"
 	var submitted JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &submitted); code != http.StatusAccepted {
@@ -352,7 +352,7 @@ func TestQueueFull(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueSize: 1, MaxBudget: 100_000_000})
 	base := ts.URL
 
-	req := Request{Algorithm: "rs", Budget: 50_000_000}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 50_000_000}}
 	req.App.Builtin = "VOPD"
 	var ids []string
 	full := false
@@ -434,7 +434,7 @@ func TestHealthzEvalCounters(t *testing.T) {
 		t.Errorf("fresh server reports %d evals", h0.TotalEvals)
 	}
 
-	req := Request{Algorithm: "rs", Budget: 400, Seed: 3}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 400, Seed: 3}}
 	req.App.Builtin = "PIP"
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &st); code != http.StatusAccepted {
@@ -493,7 +493,7 @@ func TestHealthzRateGuard(t *testing.T) {
 
 	// Finish a quick job well inside the first second of uptime; the
 	// clamp caps the reported rate at total_evals / 1s.
-	req := Request{Algorithm: "rs", Budget: 500, Seed: 8}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 500, Seed: 8}}
 	req.App.Builtin = "PIP"
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &st); code != http.StatusAccepted {
@@ -518,7 +518,7 @@ func TestNoCacheBypassesCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL
 
-	req := Request{Algorithm: "rs", Budget: 300, Seed: 5, NoCache: true}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 300, Seed: 5}, NoCache: true}
 	req.App.Builtin = "PIP"
 	for i := 0; i < 2; i++ {
 		var st JobStatus
@@ -533,7 +533,7 @@ func TestNoCacheBypassesCache(t *testing.T) {
 }
 
 func TestSpecKeyStability(t *testing.T) {
-	req := Request{Algorithm: "rpbla", Budget: 100, Seed: 1}
+	req := Request{Spec: Spec{Algorithm: "rpbla", Budget: 100, Seed: 1}}
 	req.App.Builtin = "PIP"
 	s1, err := normalize(req, Limits{MaxBudget: 1000, MaxSeeds: 4})
 	if err != nil {
@@ -563,7 +563,7 @@ func TestSpecKeyStability(t *testing.T) {
 func TestResultBeforeDone(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxBudget: 100_000_000})
 	base := ts.URL
-	req := Request{Algorithm: "rs", Budget: 50_000_000, Seed: 9}
+	req := Request{Spec: Spec{Algorithm: "rs", Budget: 50_000_000, Seed: 9}}
 	req.App.Builtin = "VOPD"
 	var st JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", req, &st); code != http.StatusAccepted {

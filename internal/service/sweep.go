@@ -6,46 +6,20 @@ import (
 	"sync"
 	"time"
 
-	"phonocmap/internal/config"
 	"phonocmap/internal/core"
-	"phonocmap/internal/scenario"
+	"phonocmap/internal/runner"
 	"phonocmap/internal/sweep"
 )
 
 // SweepRequest is the POST /v1/sweeps payload: a declarative design-
-// space grid. Every dimension is a list and the sweep is the cross
-// product; empty dimensions default like single jobs (auto-sized mesh,
-// SNR, R-PBLA, budget 20000, seed 1).
+// space grid and the service's cache switch. Every dimension is a list
+// and the sweep is the cross product; empty dimensions default like
+// single jobs (auto-sized mesh, SNR, R-PBLA, budget 20000, seed 1).
 type SweepRequest struct {
-	Apps       []config.AppSpec  `json:"apps"`
-	Archs      []config.ArchSpec `json:"archs,omitempty"`
-	Objectives []string          `json:"objectives,omitempty"`
-	Algorithms []string          `json:"algorithms,omitempty"`
-	Budgets    []int             `json:"budgets,omitempty"`
-	Seeds      []int64           `json:"seeds,omitempty"`
-	// Islands > 1 runs every cell in multi-seed islands mode.
-	Islands int `json:"islands,omitempty"`
-	// Analyses runs the scenario analysis pipeline on every cell's
-	// winning mapping; per-cell reports come back in the sweep result and
-	// feed the analysis-derived aggregation columns.
-	Analyses *scenario.AnalysesSpec `json:"analyses,omitempty"`
+	sweep.Spec
 	// NoCache skips the result cache on both lookup and fill for every
 	// cell, and disables within-sweep cell deduplication.
 	NoCache bool `json:"no_cache,omitempty"`
-}
-
-// grid converts the request into the sweep engine's spec.
-func (r SweepRequest) grid() sweep.Spec {
-	return sweep.Spec{
-		Apps:       r.Apps,
-		Archs:      r.Archs,
-		Objectives: r.Objectives,
-		Algorithms: r.Algorithms,
-		Budgets:    r.Budgets,
-		Seeds:      r.Seeds,
-		Islands:    r.Islands,
-		Analyses:   r.Analyses,
-	}
 }
 
 // SweepCellStatus is the live progress of one grid cell.
@@ -78,19 +52,12 @@ type SweepStatus struct {
 	Cells    []SweepCellStatus `json:"cells,omitempty"`
 }
 
-// SweepCellResult is one finished cell of a sweep result.
+// SweepCellResult is one finished cell of a sweep result: the runner's
+// cell result and the job that backs it.
 type SweepCellResult struct {
-	Index   int          `json:"index"`
-	Cell    sweep.Cell   `json:"cell"`
-	JobID   string       `json:"job_id,omitempty"`
-	Cached  bool         `json:"cached,omitempty"`
-	Score   core.Score   `json:"score"`
-	Mapping core.Mapping `json:"mapping,omitempty"`
-	Evals   int          `json:"evals"`
-	// Report is the cell's analysis report (cache hits replay the live
-	// run's report verbatim).
-	Report *scenario.Report `json:"report,omitempty"`
-	Error  string           `json:"error,omitempty"`
+	runner.SweepCellResult
+	JobID  string `json:"job_id,omitempty"`
+	Cached bool   `json:"cached,omitempty"`
 }
 
 // SweepResult is the GET /v1/sweeps/{id}/result payload: the per-cell
@@ -99,13 +66,10 @@ type SweepCellResult struct {
 // (report-annotated when analyses ran) and the analysis-derived summary
 // columns.
 type SweepResult struct {
-	ID           string                         `json:"id"`
-	State        State                          `json:"state"`
-	Cells        []SweepCellResult              `json:"cells"`
-	Table        []sweep.TableRow               `json:"table,omitempty"`
-	BudgetCurves []sweep.BudgetPoint            `json:"budget_curves,omitempty"`
-	Pareto       map[string][]sweep.ParetoEntry `json:"pareto,omitempty"`
-	Analysis     []sweep.AnalysisRow            `json:"analysis,omitempty"`
+	ID    string            `json:"id"`
+	State State             `json:"state"`
+	Cells []SweepCellResult `json:"cells"`
+	sweep.Aggregates
 }
 
 // sweepCell binds one expanded grid cell to its normalized job spec and,
@@ -263,13 +227,17 @@ func (sw *Sweep) status(cells bool) SweepStatus {
 		Finished: rfc3339(finished),
 		Counts:   make(map[State]int),
 	}
+	var bests []core.Score // one allocation for every cell's Best
 	if cells {
 		st.Cells = make([]SweepCellStatus, 0, len(sw.cells))
+		bests = make([]core.Score, len(sw.cells))
 	}
 	for i, sc := range sw.cells {
 		cs := SweepCellStatus{State: StateQueued} // not yet materialized
+		var best core.Score
+		var hasBest bool
 		if j := jobs[i]; j != nil {
-			cs = j.cellStatus()
+			cs, best, hasBest = j.cellStatus()
 		} else if state.Terminal() {
 			// The sweep ended before this cell was ever submitted.
 			cs.State = StateCancelled
@@ -280,15 +248,19 @@ func (sw *Sweep) status(cells bool) SweepStatus {
 		st.Evals += cs.Evals
 		st.Budget += cs.Budget
 		if cells {
+			if hasBest {
+				bests[i] = best
+				cs.Best = &bests[i]
+			}
 			st.Cells = append(st.Cells, cs)
 		}
 	}
 	return st
 }
 
-// result builds the terminal result payload: every cell's outcome, and
-// the aggregations from sweep.Aggregate, which leaves failed and
-// cancelled cells out.
+// result builds the terminal result payload: every cell's outcome in
+// the runner's shape plus its backing job, and the aggregations from
+// sweep.Aggregate, which leaves failed and cancelled cells out.
 func (sw *Sweep) result() SweepResult {
 	sw.mu.Lock()
 	state := sw.state
@@ -296,70 +268,55 @@ func (sw *Sweep) result() SweepResult {
 	copy(jobs, sw.jobs)
 	sw.mu.Unlock()
 
-	out := SweepResult{
-		ID:    sw.id,
-		State: state,
-		Cells: make([]SweepCellResult, 0, len(sw.cells)),
-	}
-	results := make([]sweep.Result, 0, len(sw.cells))
+	results := make([]sweep.Result, len(jobs))
 	for i, j := range jobs {
-		cr, r := sw.cellResult(i, j)
-		out.Cells = append(out.Cells, cr)
-		results = append(results, r)
+		results[i] = sw.cellResult(i, j)
 	}
-	agg := sweep.Aggregate(results)
-	out.Table = agg.Table
-	out.BudgetCurves = agg.BudgetCurves
-	out.Pareto = agg.Pareto
-	out.Analysis = agg.Analysis
+	out := SweepResult{
+		ID:         sw.id,
+		State:      state,
+		Cells:      make([]SweepCellResult, len(jobs)),
+		Aggregates: sweep.Aggregate(results),
+	}
+	for i, j := range jobs {
+		out.Cells[i].SweepCellResult = runner.CellResult(results[i])
+		if j != nil {
+			out.Cells[i].JobID, out.Cells[i].Cached = j.id, j.cached
+		}
+	}
 	return out
 }
 
-// cellResult reports cell i, backed by job j (nil when never submitted),
-// both on the wire and in the sweep engine's shape. A cell without a
-// result carries its error in both.
-func (sw *Sweep) cellResult(i int, j *Job) (SweepCellResult, sweep.Result) {
-	sc := sw.cells[i]
-	cr := SweepCellResult{Index: i, Cell: sc.cell}
-	r := sweep.Result{Index: i, Cell: sc.cell}
+// cellResult reads cell i's outcome from job j (nil when never
+// submitted) in the sweep engine's shape, from the job's settled entry
+// under the job's lock. A cell without a result carries its error.
+func (sw *Sweep) cellResult(i int, j *Job) sweep.Result {
+	r := sweep.Result{Index: i, Cell: sw.cells[i].cell}
 	if j == nil {
-		cr.Error = "cancelled before submission"
-		r.Err = errors.New(cr.Error)
-		return cr, r
+		r.Err = errors.New("cancelled before submission")
+		return r
 	}
-	cr.JobID = j.id
-	res, state, ok := j.snapshotResult()
-	if !ok {
-		cr.Error = j.cellStatus().Error
-		if cr.Error == "" {
-			cr.Error = string(state)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.entry == nil {
+		msg := j.errMsg
+		if msg == "" {
+			msg = string(j.state)
 		}
-		r.Err = errors.New(cr.Error)
-		return cr, r
+		r.Err = errors.New(msg)
+		return r
 	}
-	cr.Cached = res.Cached
-	cr.Score = res.Score
-	cr.Mapping = res.Mapping
-	cr.Evals = res.Evals
-	cr.Report = res.Report
-	r.Run = core.RunResult{
-		Algorithm: res.Algorithm,
-		Mapping:   res.Mapping,
-		Score:     res.Score,
-		Evals:     res.Evals,
-		Seed:      res.Seed,
-		Cancelled: res.Cancelled,
-	}
-	r.Report = res.Report
-	return cr, r
+	r.Run, r.Report = j.entry.Result, j.entry.Report
+	return r
 }
 
 // runSweep feeds the sweep's cells to the shared worker pool and waits
 // for them to settle. Cells whose spec was already seen in this sweep
-// share one job; cells whose spec is in the result cache replay
-// instantly; the rest are enqueued as ordinary jobs, so a sweep shards
-// across the pool exactly like independently submitted requests — with
-// the queue's backpressure pacing submission instead of overflowing it.
+// share one job; every other cell is admitted like a submitted job — a
+// replay from the result cache, or a compiled job enqueued on the pool —
+// so a sweep shards across the pool exactly like independently
+// submitted requests, with the queue's backpressure pacing submission
+// instead of overflowing it.
 func (s *Server) runSweep(sw *Sweep) {
 	if !sw.markRunning() {
 		return
@@ -370,42 +327,29 @@ func (s *Server) runSweep(sw *Sweep) {
 		s.logger.Info("sweep finished", "sweep", sw.id, "state", sw.currentState())
 	}()
 
+	// Within-sweep dedup: identical cells (same content address) share
+	// one job, and therefore one computation. A cell whose compile failed
+	// is not shared; a later duplicate is admitted again.
 	byKey := make(map[string]*Job, len(sw.cells))
 	for i, sc := range sw.cells {
 		if sw.ctx.Err() != nil {
 			break
 		}
-		if !sw.noCache {
-			// Within-sweep dedup: identical cells (same content address)
-			// share one job, and therefore one computation.
-			if j, ok := byKey[sc.key]; ok {
-				sw.setJob(i, j)
-				continue
-			}
-			if e, ok := s.cache.get(sc.key); ok {
-				j := newCachedJob(s.newJobID(), sc.spec, e)
-				s.register(j)
-				sw.setJob(i, j)
-				byKey[sc.key] = j
-				continue
-			}
-		}
-		comp, err := s.nets.Compile(sc.spec)
-		if err != nil {
-			// Expansion validated the grid, so a build failure here is
-			// exotic (e.g. pathological custom photonic parameters); it
-			// fails this cell, not the sweep.
-			j := newJob(s.newJobID(), sc.spec, sc.key, nil, sw.noCache, sw.ctx)
-			j.finish(StateFailed, nil, err)
-			s.register(j)
+		if j, ok := byKey[sc.key]; ok {
 			sw.setJob(i, j)
 			continue
 		}
-		j := newJob(s.newJobID(), sc.spec, sc.key, comp, sw.noCache, sw.ctx)
+		// Expansion validated the grid, so a compile failure here is
+		// exotic (e.g. pathological custom photonic parameters); it fails
+		// this cell, not the sweep.
+		j, err := s.admit(sc.spec, sc.key, sw.noCache, sw.ctx)
 		s.register(j)
 		sw.setJob(i, j)
-		if !sw.noCache {
+		if err == nil && !sw.noCache {
 			byKey[sc.key] = j
+		}
+		if j.currentState().Terminal() {
+			continue // a cache replay or a failed compile: nothing to run
 		}
 		select {
 		case s.queue <- j:

@@ -2,13 +2,16 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
 	"phonocmap/internal/config"
+	"phonocmap/internal/core"
 	"phonocmap/internal/runner"
+	"phonocmap/internal/store"
 	"phonocmap/internal/sweep"
 )
 
@@ -56,12 +59,14 @@ func TestSweepMatchesTable2(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	base := ts.URL
 	req := SweepRequest{
-		Apps:       grid.Apps,
-		Archs:      grid.Archs,
-		Objectives: grid.Objectives,
-		Algorithms: grid.Algorithms,
-		Budgets:    grid.Budgets,
-		Seeds:      grid.Seeds,
+		Spec: sweep.Spec{
+			Apps:       grid.Apps,
+			Archs:      grid.Archs,
+			Objectives: grid.Objectives,
+			Algorithms: grid.Algorithms,
+			Budgets:    grid.Budgets,
+			Seeds:      grid.Seeds,
+		},
 	}
 	var submitted SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", req, &submitted); code != http.StatusAccepted {
@@ -110,7 +115,7 @@ func TestSweepReusesJobCache(t *testing.T) {
 	base := ts.URL
 
 	// Prime the cache with an ordinary job.
-	jreq := Request{Algorithm: "rs", Budget: 300, Seed: 2}
+	jreq := Request{Spec: Spec{Algorithm: "rs", Budget: 300, Seed: 2}}
 	jreq.App.Builtin = "PIP"
 	var jst JobStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", jreq, &jst); code != http.StatusAccepted {
@@ -124,11 +129,13 @@ func TestSweepReusesJobCache(t *testing.T) {
 	// Two seeds: seed 2 duplicates the primed job (cache hit), seed 3 is
 	// fresh work.
 	sreq := SweepRequest{
-		Apps:       []config.AppSpec{{Builtin: "PIP"}},
-		Algorithms: []string{"rs"},
-		Objectives: []string{"snr"},
-		Budgets:    []int{300},
-		Seeds:      []int64{2, 3},
+		Spec: sweep.Spec{
+			Apps:       []config.AppSpec{{Builtin: "PIP"}},
+			Algorithms: []string{"rs"},
+			Objectives: []string{"snr"},
+			Budgets:    []int{300},
+			Seeds:      []int64{2, 3},
+		},
 	}
 	var sst SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", sreq, &sst); code != http.StatusAccepted {
@@ -153,11 +160,13 @@ func TestSweepReusesJobCache(t *testing.T) {
 
 	// Duplicate cells inside one sweep share one job.
 	dup := SweepRequest{
-		Apps:       []config.AppSpec{{Builtin: "PIP"}},
-		Algorithms: []string{"rs", "rs"},
-		Objectives: []string{"snr"},
-		Budgets:    []int{150},
-		Seeds:      []int64{9},
+		Spec: sweep.Spec{
+			Apps:       []config.AppSpec{{Builtin: "PIP"}},
+			Algorithms: []string{"rs", "rs"},
+			Objectives: []string{"snr"},
+			Budgets:    []int{150},
+			Seeds:      []int64{9},
+		},
 	}
 	var dst SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", dup, &dst); code != http.StatusAccepted {
@@ -176,10 +185,12 @@ func TestSweepCancel(t *testing.T) {
 	// Many long cells on one worker: the first runs, the rest queue or
 	// wait in the feeder.
 	sreq := SweepRequest{
-		Apps:       []config.AppSpec{{Builtin: "VOPD"}},
-		Algorithms: []string{"rs"},
-		Budgets:    []int{50_000_000},
-		Seeds:      []int64{1, 2, 3, 4},
+		Spec: sweep.Spec{
+			Apps:       []config.AppSpec{{Builtin: "VOPD"}},
+			Algorithms: []string{"rs"},
+			Budgets:    []int{50_000_000},
+			Seeds:      []int64{1, 2, 3, 4},
+		},
 	}
 	var sst SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", sreq, &sst); code != http.StatusAccepted {
@@ -215,17 +226,21 @@ func TestSweepBadRequests(t *testing.T) {
 		req  SweepRequest
 	}{
 		{"no apps", SweepRequest{}},
-		{"unknown app", SweepRequest{Apps: []config.AppSpec{{Builtin: "NOPE"}}}},
-		{"unknown algorithm", SweepRequest{Apps: []config.AppSpec{{Builtin: "PIP"}}, Algorithms: []string{"nope"}}},
-		{"cell over budget limit", SweepRequest{Apps: []config.AppSpec{{Builtin: "PIP"}}, Budgets: []int{2000}}},
+		{"unknown app", SweepRequest{Spec: sweep.Spec{Apps: []config.AppSpec{{Builtin: "NOPE"}}}}},
+		{"unknown algorithm", SweepRequest{Spec: sweep.Spec{Apps: []config.AppSpec{{Builtin: "PIP"}}, Algorithms: []string{"nope"}}}},
+		{"cell over budget limit", SweepRequest{Spec: sweep.Spec{Apps: []config.AppSpec{{Builtin: "PIP"}}, Budgets: []int{2000}}}},
 		{"too many cells", SweepRequest{
-			Apps:    []config.AppSpec{{Builtin: "PIP"}},
-			Budgets: []int{100},
-			Seeds:   []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17},
+			Spec: sweep.Spec{
+				Apps:    []config.AppSpec{{Builtin: "PIP"}},
+				Budgets: []int{100},
+				Seeds:   []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17},
+			},
 		}},
 		{"app too big for arch", SweepRequest{
-			Apps:  []config.AppSpec{{Builtin: "VOPD"}},
-			Archs: []config.ArchSpec{{Topology: "mesh", Width: 2, Height: 2}},
+			Spec: sweep.Spec{
+				Apps:  []config.AppSpec{{Builtin: "VOPD"}},
+				Archs: []config.ArchSpec{{Topology: "mesh", Width: 2, Height: 2}},
+			},
 		}},
 	}
 	for _, c := range cases {
@@ -250,9 +265,11 @@ func TestSweepAdmissionControl(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxSweeps: 1, MaxBudget: 100_000_000})
 	base := ts.URL
 	long := SweepRequest{
-		Apps:    []config.AppSpec{{Builtin: "VOPD"}},
-		Budgets: []int{50_000_000},
-		Seeds:   []int64{1},
+		Spec: sweep.Spec{
+			Apps:    []config.AppSpec{{Builtin: "VOPD"}},
+			Budgets: []int{50_000_000},
+			Seeds:   []int64{1},
+		},
 	}
 	var first SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", long, &first); code != http.StatusAccepted {
@@ -271,9 +288,11 @@ func TestSweepAdmissionControl(t *testing.T) {
 	doJSON(t, http.MethodDelete, base+"/v1/sweeps/"+first.ID, nil, nil)
 	pollSweep(t, base, first.ID, 30*time.Second, func(st SweepStatus) bool { return st.State.Terminal() })
 	quick := SweepRequest{
-		Apps:    []config.AppSpec{{Builtin: "PIP"}},
-		Budgets: []int{50},
-		Seeds:   []int64{3},
+		Spec: sweep.Spec{
+			Apps:    []config.AppSpec{{Builtin: "PIP"}},
+			Budgets: []int{50},
+			Seeds:   []int64{3},
+		},
 	}
 	var third SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", quick, &third); code != http.StatusAccepted {
@@ -286,9 +305,11 @@ func TestSweepResultBeforeDone(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxBudget: 100_000_000})
 	base := ts.URL
 	sreq := SweepRequest{
-		Apps:    []config.AppSpec{{Builtin: "VOPD"}},
-		Budgets: []int{50_000_000},
-		Seeds:   []int64{7},
+		Spec: sweep.Spec{
+			Apps:    []config.AppSpec{{Builtin: "VOPD"}},
+			Budgets: []int{50_000_000},
+			Seeds:   []int64{7},
+		},
 	}
 	var sst SweepStatus
 	if code := doJSON(t, http.MethodPost, base+"/v1/sweeps", sreq, &sst); code != http.StatusAccepted {
@@ -303,5 +324,28 @@ func TestSweepResultBeforeDone(t *testing.T) {
 	var list []SweepStatus
 	if code := doJSON(t, http.MethodGet, base+"/v1/sweeps", nil, &list); code != http.StatusOK || len(list) == 0 {
 		t.Errorf("sweep listing returned %d with %d entries", code, len(list))
+	}
+}
+
+// TestSweepListingAllocs: the listing status of a finished sweep reads
+// each cell's state and evaluation total without copying the job's
+// per-island breakdown or allocating its best score, so it allocates the
+// same at 4 cells and at 16.
+func TestSweepListingAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		e := store.Entry{Result: core.RunResult{Score: core.Score{Cost: -20}, Evals: 30}, IslandEvals: []int{10, 20}}
+		sw := newSweep("sweep-000001", make([]sweepCell, n), false, context.Background())
+		for i := 0; i < n; i++ {
+			sw.setJob(i, newCachedJob(fmt.Sprintf("job-%06d", i+1), Spec{Seeds: 2}, e))
+		}
+		sw.markRunning()
+		sw.finish()
+		if st := sw.status(false); st.Counts[StateDone] != n || st.Evals != 30*n {
+			t.Fatalf("%d-cell listing %+v", n, st)
+		}
+		return testing.AllocsPerRun(50, func() { sw.status(false) })
+	}
+	if a4, a16 := allocs(4), allocs(16); a4 != a16 {
+		t.Errorf("listing a finished sweep allocates %v times at 4 cells and %v at 16", a4, a16)
 	}
 }

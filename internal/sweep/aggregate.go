@@ -15,10 +15,10 @@ func (r Result) counted() bool { return r.Err == nil && !r.Run.Cancelled }
 
 // Aggregates is the standard set of sweep aggregations.
 type Aggregates struct {
-	Table        []TableRow
-	BudgetCurves []BudgetPoint
-	Pareto       map[string][]ParetoEntry
-	Analysis     []AnalysisRow
+	Table        []TableRow               `json:"table,omitempty"`
+	BudgetCurves []BudgetPoint            `json:"budget_curves,omitempty"`
+	Pareto       map[string][]ParetoEntry `json:"pareto,omitempty"`
+	Analysis     []AnalysisRow            `json:"analysis,omitempty"`
 }
 
 // Aggregate folds results through the four standard aggregators — the

@@ -207,7 +207,7 @@ func Expand(spec Spec) ([]Cell, error) {
 		for _, archSpec := range spec.Archs {
 			arch := archSpec
 			arch.Normalize(app.NumTasks())
-			if tiles := archTiles(arch); tiles < app.NumTasks() {
+			if tiles := arch.NumTiles(); tiles < app.NumTasks() {
 				return nil, fmt.Errorf("sweep: %s needs %d tiles but %s %dx%d has %d (Eq. 2)",
 					app.Name(), app.NumTasks(), arch.Topology, arch.Width, arch.Height, tiles)
 			}
@@ -249,13 +249,4 @@ func Expand(spec Spec) ([]Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// archTiles computes the tile count of a normalized architecture spec
-// without building the network.
-func archTiles(a config.ArchSpec) int {
-	if a.Topology == "ring" {
-		return a.Tiles
-	}
-	return a.Width * a.Height
 }
