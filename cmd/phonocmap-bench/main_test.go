@@ -281,7 +281,7 @@ func TestTable2MatchesDirectExplorationLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := cells[algo]
-				if obj == core.MaximizeSNR && got.SNRDB != res.Score.WorstSNRDB {
+				if obj == core.MaximizeSNR && float64(got.SNRDB) != res.Score.WorstSNRDB {
 					t.Errorf("torus=%v %s snr: sweep %v != direct %v", torus, algo, got.SNRDB, res.Score.WorstSNRDB)
 				}
 				if obj == core.MinimizeLoss && got.LossDB != res.Score.WorstLossDB {

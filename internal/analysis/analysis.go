@@ -52,19 +52,24 @@
 // guarantee: no path crosses an element twice, and every step crossing
 // an element has that element's kind.
 //
-// Small networks also have a second engine, the path table (table.go):
-// for every ordered pair of the network's tile-pair paths, the noise one
-// injects into the other summed over their shared elements, and the
-// pair's conflict count, filled once per network by the kernel's own
-// pair loop over a seating of every path. A whole-set evaluation then
-// sums m(m−1) table entries, a delta about 3·|Δ|·m, and an undo restores
-// an O(m) snapshot; integer sums keep every result bit-identical to the
-// kernel's. TableOf builds a network's table at most once, on first use,
-// and the network keeps it; NewTableEvaluator and NewTableIncremental
-// score from it. The table grows as the fourth power of the tile count,
-// so package core uses it only up to a tile cap and the kernel above;
-// evaluations under a channel assignment (EvaluateChanneled) and the
-// robustness and link-failure studies always use the kernel.
+// Networks of up to core's tile cap also have a second engine, the path
+// table (table.go): for every pair of the network's tile-pair paths, the
+// noise each injects into the other summed over their shared elements,
+// and the pair's conflict count, filled once per network from a seating
+// of every path with the kernel's own pair terms. A whole-set evaluation
+// then reads the table for each pair of the set's communications, a delta
+// about 3·|Δ|·m times, and an undo restores an O(m) snapshot; integer
+// sums keep every result bit-identical to the kernel's. TableOf builds a network's table
+// at most once, on first use, and the network keeps it;
+// NewTableEvaluator and NewTableIncremental score from it. A table of up
+// to 16 tiles is dense, a term per ordered pair; above that it is
+// compact, a uint16 code per unordered pair into a dictionary of the
+// network's distinct terms, which keeps a 6×6 table near 2 MB instead of
+// 15 MB. The layout is chosen by size alone, since the dense one reads
+// faster where it fits in cache and the compact one is what lets larger
+// tables stay resident (see PathTable). Evaluations under a channel
+// assignment (EvaluateChanneled) and the robustness and link-failure
+// studies always use the kernel.
 package analysis
 
 import (
@@ -165,11 +170,10 @@ func NewEvaluator(nw *network.Network) *Evaluator {
 }
 
 // NewTableEvaluator returns an evaluator for the table's network that
-// scores from the table (see Evaluator.tab).
+// scores from the table (see Evaluator.tab). It binds no occupancy map
+// until a kernel evaluation (EvaluateChanneled) needs one.
 func NewTableEvaluator(t *PathTable) *Evaluator {
-	e := NewEvaluator(t.nw)
-	e.tab = t
-	return e
+	return &Evaluator{nw: t.nw, tab: t}
 }
 
 // Rebind points the evaluator at another network, such as one built with
@@ -293,11 +297,14 @@ func (e *Evaluator) resolve(comms []Communication) error {
 
 // score is the whole-set pass over the resolved set: it fills acc and
 // returns the set's conflicts, from the path table when there is one and
-// no channel assignment, otherwise by seating the occupancy map and
-// running the pair kernel.
+// no channel assignment, otherwise by seating the occupancy map, bound on
+// first use, and running the pair kernel.
 func (e *Evaluator) score(channel []int) int {
 	if e.tab != nil && channel == nil {
 		return e.tab.sum(e.idx, e.acc)
+	}
+	if e.occ.lists == nil {
+		e.occ.bind(e.nw)
 	}
 	e.occ.seat(e.paths)
 	clear(e.acc)

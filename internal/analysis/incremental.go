@@ -22,7 +22,7 @@ import (
 // the pair kernel (NewIncremental), described below, or the network's
 // path table (NewTableIncremental), where a delta costs about 3·|Δ|·m
 // table reads (PathTable.delta), above tableRecomputeNum/tableRecomputeDen
-// of m changed a fresh m² sum instead, and Undo restores an O(m)
+// of m changed a fresh whole-set sum instead, and Undo restores an O(m)
 // snapshot of the accumulators.
 //
 // Bit-for-bit contract: every Result an Incremental produces is
@@ -97,8 +97,8 @@ type Incremental struct {
 
 // On a path table, a delta changing more than
 // tableRecomputeNum/tableRecomputeDen of the communications is applied by
-// summing the whole table again (PathTable.sum, m² reads) instead of
-// patching (PathTable.delta, about 3·|Δ|·m reads). Both ways snapshot
+// summing the whole table again (PathTable.sum) instead of patching
+// (PathTable.delta). Both ways snapshot
 // and fold all m victims, which bounds what patching saves. Timed both
 // ways, committed and undone, on 120 swaps and 120 multi-task reseats
 // per instance (median of 7 interleaved rounds, Intel Xeon, 2 vCPUs) on
@@ -109,7 +109,9 @@ type Incremental struct {
 // the cheaper way per delta was 4–10 % at a third and 3–10 % at 2/5
 // (8–17 % at 1/4, 12–16 % at 1/2; four runs, committed and undone
 // alike, since Undo restores the same snapshot either way). The two
-// tied, and a third was kept.
+// tied, and a third was kept. Those timings were taken on dense tables,
+// when Wavelet's 5×5 networks had one too; the compact layout, which
+// 5×5 and 6×6 networks now take, was not re-timed.
 const tableRecomputeNum, tableRecomputeDen = 1, 3
 
 // NewIncremental returns an incremental evaluator for the network,

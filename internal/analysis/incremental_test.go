@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"phonocmap/internal/network"
 	"phonocmap/internal/photonic"
@@ -267,65 +269,207 @@ func TestIncrementalErrors(t *testing.T) {
 	requireSameResult(t, 0, got, fullRes)
 }
 
-// BenchmarkPathTableBuild5x5 measures building the path table of a 5×5
-// Crux/XY mesh, the largest network core scores from a table. A build
-// allocates a fixed handful of objects (the element offsets, the slab of
-// exactly sized occupancy lists and the table's two halves), whatever
-// the network's size; the CI allocation gate pins that count.
-func BenchmarkPathTableBuild5x5(b *testing.B) {
-	g, err := topo.NewMesh(5, 5)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkPathTableBuild measures building the path table of a 4×4
+// Crux/XY mesh, the largest network whose table takes the dense layout,
+// and of a 6×6 one, the largest core scores from a table, in the compact
+// layout. A build allocates a fixed handful of objects whatever the
+// network's size (the element offsets, the slab of exactly sized
+// occupancy lists, then the table's two halves, or its codes, row
+// offsets, scratch row, dictionary and dictionary slots); the CI
+// allocation gate pins both counts.
+func BenchmarkPathTableBuild(b *testing.B) {
+	for _, side := range []int{4, 6} {
+		nw := gridNetwork(b, side, false, router.Crux())
+		dense := nw.NumTiles() <= denseMaxTiles
+		name := fmt.Sprintf("compact-%dx%d", side, side)
+		if dense {
+			name = fmt.Sprintf("dense-%dx%d", side, side)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := newPathTable(nw, dense); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	nw, err := network.New(g, router.Crux(), route.XY{}, photonic.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
+}
+
+// gridNetwork builds a side×side XY-routed mesh or torus of the router.
+func gridNetwork(t testing.TB, side int, torus bool, arch *router.Architecture) *network.Network {
+	t.Helper()
+	g, err := topo.NewMesh(side, side)
+	if torus {
+		g, err = topo.NewTorus(side, side)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := newPathTable(nw); err != nil {
-			b.Fatal(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := network.New(g, arch, route.XY{}, photonic.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
+// tableSize is the memory a built table takes, by its slices' lengths.
+func tableSize(t *PathTable) int64 {
+	return int64(len(t.noise))*8 + int64(len(t.conf)) +
+		int64(len(t.codes))*2 + int64(len(t.off))*4 + int64(len(t.terms))*int64(unsafe.Sizeof(term{}))
+}
+
+// TestTableOfBuildsOncePerNetwork asks for a fresh network's path table
+// from several goroutines at once, on a 4×4 network (dense layout) and a
+// 6×6 one (compact): one of them builds it, all get the same table, and
+// TableBytes, asked before the build, gives its size, exactly for the
+// dense layout and as a bound the built compact table stays under. The
+// build counter is process-wide, so this test must not run in parallel
+// with others.
+func TestTableOfBuildsOncePerNetwork(t *testing.T) {
+	for _, side := range []int{4, 6} {
+		nw := gridNetwork(t, side, false, router.Crux())
+		builds := TableBuildsTotal()
+		size := TableBytes(nw)
+		if got := TableBuildsTotal() - builds; got != 0 {
+			t.Fatalf("%dx%d: TableBytes built %d tables", side, side, got)
+		}
+		const n = 8
+		tabs := make([]*PathTable, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range tabs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tabs[i], errs[i] = TableOf(nw)
+			}()
+		}
+		wg.Wait()
+		for i := range tabs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if tabs[i] != tabs[0] {
+				t.Fatalf("%dx%d: caller %d got another table than caller 0", side, side, i)
+			}
+		}
+		if got := TableBuildsTotal() - builds; got != 1 {
+			t.Errorf("%dx%d: %d concurrent callers built %d tables, want 1", side, side, n, got)
+		}
+		dense := tabs[0].codes == nil
+		if want := nw.NumTiles() <= denseMaxTiles; dense != want {
+			t.Errorf("%dx%d: dense layout %v, want %v", side, side, dense, want)
+		}
+		got := tableSize(tabs[0])
+		if dense && got != size || got > size {
+			t.Errorf("%dx%d: the table takes %d bytes, TableBytes said %d", side, side, got, size)
 		}
 	}
 }
 
-// TestTableOfBuildsOncePerNetwork asks for a fresh network's path table
-// from several goroutines at once: one of them builds it, all get the
-// same table, and TableBytes, asked before the build, gives its size.
-// The build counter is process-wide, so this test must not run in
-// parallel with others.
-func TestTableOfBuildsOncePerNetwork(t *testing.T) {
-	nw := incTestNetwork(t, false)
-	builds := TableBuildsTotal()
-	size := TableBytes(nw)
-	if got := TableBuildsTotal() - builds; got != 0 {
-		t.Fatalf("TableBytes built %d tables", got)
+// TestCompactTableMatchesDense builds both layouts of the same networks
+// above the dense layout's tile cap, the Crux/XY 5×5 and 6×6 meshes and
+// tori and a Cygnus 6×6 mesh, and compares every ordered pair of paths:
+// the noise each injects into the other and their conflicts. Then it
+// scores random sets through both tables and the pair kernel, whole and
+// by deltas with undos, bit for bit.
+func TestCompactTableMatchesDense(t *testing.T) {
+	cases := []struct {
+		side  int
+		torus bool
+		arch  *router.Architecture
+	}{
+		{5, false, router.Crux()}, {5, true, router.Crux()},
+		{6, false, router.Crux()}, {6, true, router.Crux()},
+		{6, false, router.Cygnus()},
 	}
-	const n = 8
-	tabs := make([]*PathTable, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range tabs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tabs[i], errs[i] = TableOf(nw)
-		}()
-	}
-	wg.Wait()
-	for i := range tabs {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	for _, c := range cases {
+		nw := gridNetwork(t, c.side, c.torus, c.arch)
+		kind := "mesh"
+		if c.torus {
+			kind = "torus"
 		}
-		if tabs[i] != tabs[0] {
-			t.Fatalf("caller %d got another table than caller 0", i)
-		}
-	}
-	if got := TableBuildsTotal() - builds; got != 1 {
-		t.Errorf("%d concurrent callers built %d tables, want 1", n, got)
-	}
-	if got := int64(len(tabs[0].noise))*8 + int64(len(tabs[0].conf)); got != size {
-		t.Errorf("the table takes %d bytes, TableBytes said %d", got, size)
+		t.Run(fmt.Sprintf("%s-%s-%dx%d", c.arch.Name(), kind, c.side, c.side), func(t *testing.T) {
+			compact, err := newPathTable(nw, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dense, err := newPathTable(nw, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stride := int32(dense.stride)
+			for p := int32(0); p < stride; p++ {
+				for q := int32(0); q < stride; q++ {
+					x, s := compact.term(p, q)
+					pq, qp := p*stride+q, q*stride+p
+					if x.noise[s] != dense.noise[pq] || x.noise[s^1] != dense.noise[qp] || x.conf != int64(dense.conf[pq]) {
+						t.Fatalf("paths %d, %d: compact (%d, %d, %d), dense (%d, %d, %d)", p, q,
+							x.noise[s], x.noise[s^1], x.conf, dense.noise[pq], dense.noise[qp], dense.conf[pq])
+					}
+				}
+			}
+			t.Logf("%d distinct terms, %d bytes (dense %d)", len(compact.terms), tableSize(compact), tableSize(dense))
+
+			n := nw.NumTiles()
+			rng := rand.New(rand.NewSource(11))
+			kernel := NewEvaluator(nw)
+			for trial := 0; trial < 30; trial++ {
+				comms := make([]Communication, 1+rng.Intn(80))
+				for i := range comms {
+					comms[i] = randomComm(rng, n)
+				}
+				want, err := kernel.Evaluate(comms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tab := range []*PathTable{compact, dense} {
+					got, err := NewTableEvaluator(tab).Evaluate(comms)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireBitIdentical(t, fmt.Sprintf("trial %d", trial), got, want)
+				}
+			}
+
+			comms := make([]Communication, 60)
+			for i := range comms {
+				comms[i] = randomComm(rng, n)
+			}
+			inc := NewTableIncremental(compact)
+			if _, err := inc.Init(comms); err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 60; step++ {
+				changed := rng.Perm(len(comms))[:1+rng.Intn(8)]
+				repl := make([]Communication, len(changed))
+				next := append([]Communication(nil), comms...)
+				for i, ci := range changed {
+					repl[i] = randomComm(rng, n)
+					next[ci] = repl[i]
+				}
+				got, err := inc.ApplyDelta(changed, repl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := kernel.Evaluate(next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, fmt.Sprintf("delta %d", step), got, want)
+				if rng.Intn(3) == 0 {
+					if got, err = inc.Undo(); err != nil {
+						t.Fatal(err)
+					}
+					if want, err = kernel.Evaluate(comms); err != nil {
+						t.Fatal(err)
+					}
+					requireBitIdentical(t, fmt.Sprintf("undo %d", step), got, want)
+					continue
+				}
+				comms = next
+			}
+		})
 	}
 }

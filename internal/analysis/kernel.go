@@ -170,11 +170,11 @@ func (o *occupancy) noise(v, a *entry) int64 {
 // apps on Crux/XY meshes and tori, where it takes 2.2× at 4, 1.3–1.4× at
 // 6, 1.05–1.12× at 7, 0.91–0.92× at 8 and 0.63× at 12. Eight is the
 // shortest length where the walk wins on both. Searches on networks of
-// at most core's table cap (25 tiles) now score from a path table, so
-// of the Table II apps only DVOPD (6×6) still searches through this pass
-// (the analyses' per-sample and per-cut evaluations run it at every
-// size), and the dense problem is the search instance the timing speaks
-// for. The length was not re-timed for that.
+// at most core's table cap (36 tiles) now score from a path table, so no
+// Table II app searches through this pass any more (the analyses'
+// per-sample and per-cut evaluations run it at every size), and the
+// dense problem is the search instance the timing speaks for. The length
+// was not re-timed for that.
 const runMin = 8
 
 // pass is the whole-set pair kernel. Element by element, it visits each

@@ -3,6 +3,7 @@ package cg
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // This file contains the eight multimedia benchmark applications of the
@@ -40,9 +41,39 @@ func AppNames() []string {
 func App(name string) (*Graph, error) {
 	b, ok := appBuilders[name]
 	if !ok {
-		return nil, fmt.Errorf("cg: unknown application %q (have %v)", name, AppNames())
+		return nil, unknownApp(name)
 	}
 	return b(), nil
+}
+
+// Builtin returns the named benchmark application's shared graph: one
+// read-only graph per name, built on first use, so the compilers and
+// sweeps that read an application many times build it once. AddTask and
+// AddEdge on it fail; Clone gives a mutable copy.
+func Builtin(name string) (*Graph, error) {
+	get, ok := builtins[name]
+	if !ok {
+		return nil, unknownApp(name)
+	}
+	return get(), nil
+}
+
+// builtins holds Builtin's graphs, each made by its builder on first use
+// and frozen.
+var builtins = func() map[string]func() *Graph {
+	m := make(map[string]func() *Graph, len(appBuilders))
+	for name, b := range appBuilders {
+		m[name] = sync.OnceValue(func() *Graph {
+			g := b()
+			g.frozen = true
+			return g
+		})
+	}
+	return m
+}()
+
+func unknownApp(name string) error {
+	return fmt.Errorf("cg: unknown application %q (have %v)", name, AppNames())
 }
 
 // MustApp is App that panics on unknown names.

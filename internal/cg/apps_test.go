@@ -125,3 +125,48 @@ func TestAppBandwidthsPositive(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinGraphsAreShared checks that Builtin hands out one read-only
+// graph per name, equal to App's, that refuses AddTask and AddEdge and
+// stays unchanged, while App and Clone give mutable graphs.
+func TestBuiltinGraphsAreShared(t *testing.T) {
+	for _, name := range AppNames() {
+		g, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := Builtin(name); again != g {
+			t.Errorf("%s: a second Builtin gave another graph", name)
+		}
+		fresh := MustApp(name)
+		if g.String() != fresh.String() || g.DOT() != fresh.DOT() {
+			t.Errorf("%s: the shared graph %v differs from App's %v", name, g, fresh)
+		}
+		if _, err := g.AddTask("extra"); err == nil {
+			t.Errorf("%s: the shared graph accepted AddTask", name)
+		}
+		// An edge AddEdge would otherwise accept: one the app lacks.
+		src, dst := TaskID(0), TaskID(1)
+		for fresh.HasEdge(src, dst) {
+			dst++
+		}
+		if err := g.AddEdge(src, dst, 1); err == nil {
+			t.Errorf("%s: the shared graph accepted AddEdge", name)
+		}
+		if g.NumTasks() != fresh.NumTasks() || g.NumEdges() != fresh.NumEdges() {
+			t.Errorf("%s: the shared graph changed to %v", name, g)
+		}
+		for _, m := range []*Graph{fresh, g.Clone()} {
+			id, err := m.AddTask("extra")
+			if err != nil {
+				t.Fatalf("%s: a fresh graph refused AddTask: %v", name, err)
+			}
+			if err := m.AddEdge(0, id, 1); err != nil {
+				t.Fatalf("%s: a fresh graph refused AddEdge: %v", name, err)
+			}
+		}
+	}
+	if _, err := Builtin("nope"); err == nil {
+		t.Error("Builtin accepted an unknown name")
+	}
+}

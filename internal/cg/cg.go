@@ -39,6 +39,8 @@ type Graph struct {
 	edgeSet map[[2]TaskID]bool
 	out     [][]int // edge indices by source task
 	in      [][]int // edge indices by destination task
+	// frozen marks a shared graph (Builtin): AddTask and AddEdge fail.
+	frozen bool
 }
 
 // New returns an empty communication graph with the given name.
@@ -61,6 +63,9 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddTask adds a task with a unique, non-empty name and returns its ID.
 func (g *Graph) AddTask(name string) (TaskID, error) {
+	if g.frozen {
+		return 0, g.errFrozen()
+	}
 	if name == "" {
 		return 0, fmt.Errorf("cg: %s: empty task name", g.name)
 	}
@@ -89,6 +94,9 @@ func (g *Graph) MustAddTask(name string) TaskID {
 // bandwidth (MB/s). Self-loops, duplicate edges, unknown task IDs and
 // negative bandwidths are rejected.
 func (g *Graph) AddEdge(src, dst TaskID, bandwidth float64) error {
+	if g.frozen {
+		return g.errFrozen()
+	}
 	if !g.validTask(src) || !g.validTask(dst) {
 		return fmt.Errorf("cg: %s: edge (%d,%d): unknown task", g.name, src, dst)
 	}
@@ -107,6 +115,10 @@ func (g *Graph) AddEdge(src, dst TaskID, bandwidth float64) error {
 	g.out[src] = append(g.out[src], idx)
 	g.in[dst] = append(g.in[dst], idx)
 	return nil
+}
+
+func (g *Graph) errFrozen() error {
+	return fmt.Errorf("cg: %s is a shared built-in graph and read-only; modify a Clone", g.name)
 }
 
 // MustAddEdge is AddEdge that panics on error.
@@ -260,7 +272,8 @@ func (g *Graph) WeaklyConnected() bool {
 	return count == n
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, mutable even when g is a
+// shared built-in one.
 func (g *Graph) Clone() *Graph {
 	c := New(g.name)
 	for _, name := range g.tasks {

@@ -38,13 +38,15 @@ type AppSpec struct {
 	Edges   []EdgeSpec `json:"edges,omitempty"`
 }
 
-// Build returns the communication graph the spec describes.
+// Build returns the communication graph the spec describes. A builtin
+// application is its shared, read-only graph (cg.Builtin), built once per
+// process; a custom one is built afresh.
 func (s AppSpec) Build() (*cg.Graph, error) {
 	if s.Builtin != "" {
 		if s.Name != "" || len(s.Tasks) > 0 || len(s.Edges) > 0 {
 			return nil, fmt.Errorf("config: builtin app %q must not also define a custom graph", s.Builtin)
 		}
-		return cg.App(s.Builtin)
+		return cg.Builtin(s.Builtin)
 	}
 	if s.Name == "" {
 		return nil, fmt.Errorf("config: application needs a builtin or a name")

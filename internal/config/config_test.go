@@ -283,6 +283,17 @@ func TestArchSpecParamsOverride(t *testing.T) {
 	}
 }
 
+// TestArchSpecBuildRejectsOverflowingGrid builds meshes and tori whose
+// tile count overflows an int: Build must return an error, not panic.
+func TestArchSpecBuildRejectsOverflowingGrid(t *testing.T) {
+	for _, topology := range []string{"mesh", "torus"} {
+		spec := ArchSpec{Topology: topology, Width: 4611686018427387904, Height: 4, Router: "crux", Routing: "xy"}
+		if _, err := spec.Build(); err == nil {
+			t.Errorf("%s %dx%d: Build accepted it", topology, spec.Width, spec.Height)
+		}
+	}
+}
+
 func TestArchSpecNumTiles(t *testing.T) {
 	cases := []struct {
 		arch ArchSpec

@@ -18,13 +18,13 @@ func batchTestProblem(t *testing.T, obj Objective) *Problem {
 	return randomProblem(t, obj, 4, 12, 40)
 }
 
-// kernelTestProblem builds a 28-task app on a 6x6 mesh (8 spare tiles),
+// kernelTestProblem builds a 28-task app on a 7x7 mesh (21 spare tiles),
 // above the path table's tile cap, so it scores with the pair kernel.
 func kernelTestProblem(t *testing.T, obj Objective) *Problem {
 	t.Helper()
-	prob := randomProblem(t, obj, 6, 28, 70)
+	prob := randomProblem(t, obj, 7, 28, 70)
 	if tableFor(prob.Network()) != nil {
-		t.Fatal("6x6 problem scores from a path table, want the pair kernel")
+		t.Fatal("7x7 problem scores from a path table, want the pair kernel")
 	}
 	return prob
 }
@@ -239,7 +239,7 @@ func TestEvaluateBatchWorkerGrowth(t *testing.T) {
 // private full-evaluation reference.
 func TestSwapSessionSiblingHammer(t *testing.T) {
 	t.Run("table-4x4", func(t *testing.T) { hammerSiblings(t, batchTestProblem(t, MaximizeSNR)) })
-	t.Run("kernel-6x6", func(t *testing.T) { hammerSiblings(t, kernelTestProblem(t, MaximizeSNR)) })
+	t.Run("kernel-7x7", func(t *testing.T) { hammerSiblings(t, kernelTestProblem(t, MaximizeSNR)) })
 }
 
 func hammerSiblings(t *testing.T, prob *Problem) {

@@ -4,11 +4,12 @@ import "sort"
 
 // ParetoPoint is one non-dominated mapping of the two-objective space
 // (worst-case loss, worst-case SNR). For both axes, greater is better:
-// losses are negative dB (closer to zero wins) and SNR is positive dB.
+// losses are negative dB (closer to zero wins) and SNR is positive dB,
+// +Inf for a mapping without crosstalk.
 type ParetoPoint struct {
 	Mapping     Mapping
 	WorstLossDB float64
-	WorstSNRDB  float64
+	WorstSNRDB  JSONFloat
 }
 
 // dominates reports whether a is at least as good as b on both axes and
@@ -31,7 +32,7 @@ type ParetoFront struct {
 // the mapping enters the front (evicting any points it dominates) and
 // false when an archived point dominates or duplicates it.
 func (f *ParetoFront) Offer(m Mapping, s Score) bool {
-	cand := ParetoPoint{WorstLossDB: s.WorstLossDB, WorstSNRDB: s.WorstSNRDB}
+	cand := ParetoPoint{WorstLossDB: s.WorstLossDB, WorstSNRDB: JSONFloat(s.WorstSNRDB)}
 	for _, p := range f.points {
 		if dominates(p, cand) ||
 			(p.WorstLossDB == cand.WorstLossDB && p.WorstSNRDB == cand.WorstSNRDB) {

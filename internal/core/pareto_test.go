@@ -121,7 +121,7 @@ func TestParetoAttachCollectsDuringSearch(t *testing.T) {
 	_, best, _ := ctx.Best()
 	found := false
 	for _, pt := range front.Points() {
-		if pt.WorstSNRDB == best.WorstSNRDB {
+		if float64(pt.WorstSNRDB) == best.WorstSNRDB {
 			found = true
 		}
 	}

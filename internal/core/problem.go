@@ -97,18 +97,21 @@ type Problem struct {
 }
 
 // tableMaxTiles is the largest network, in tiles, whose problems score
-// from a path table (analysis.TableOf) instead of the pair kernel. A
-// table takes 9 bytes per pair of path indices, (n²)² pairs for n
-// tiles: 59 KB, 0.6 MB and 3.5 MB on the 3×3, 4×4 and 5×5 networks of
-// Table II, built in 0.05–0.1, 0.3–0.9 and 4–9 ms (Intel Xeon, 2
-// vCPUs), and a full evaluation from it takes a fourth to a sixth of the
-// pair kernel's time (PIP 3.3 → 0.77 µs, VOPD 14.9 → 2.5 µs). On DVOPD's
-// 6×6 mesh a table would take 15 MB and 10–35 ms to build and cut a full
-// evaluation from 59 to 17 µs: the table2 sweep's two 6×6 tables would
-// pay for their builds over its 1,000 evaluations per network, but add
-// about 30 MB to its peak RSS of about 40 MB, past that metric's bound
-// of a quarter. At 8×8 a table would take 144 MiB.
-const tableMaxTiles = 25
+// from a path table (analysis.TableOf) instead of the pair kernel: every
+// Table II network, DVOPD's 6×6 included. Up to 16 tiles a table is
+// dense, 9 bytes per ordered pair of path indices: 59 KB and 0.6 MB on
+// the 3×3 and 4×4 networks, built in 0.05–0.1 and 0.3–0.9 ms (Intel
+// Xeon, 2 vCPUs), and a full evaluation from it takes a fourth to a
+// sixth of the pair kernel's time (PIP 3.3 → 0.77 µs, VOPD 14.9 → 2.5
+// µs). Above 16 tiles it is compact, a uint16 code per unordered pair
+// into a dictionary of distinct terms: 0.62 and 0.44 MB on the 5×5 mesh
+// and torus, 2.27 and 1.80 MB on the 6×6, built in about 6, 4, 15–24 and
+// 15 ms, and a full DVOPD evaluation falls from 47 to 15 µs (medians of
+// 8 rounds of BenchmarkFig3EvalDVOPD against the kernel). A 7×7 table
+// would take 6.0–7.1 MB and 45–86 ms to build, its mesh's dictionary
+// (54,107 terms) near the 65,535 a table can code, and an 8×8 one 16.8
+// MB for its codes alone, so networks above 6×6 keep the kernel.
+const tableMaxTiles = 36
 
 // tableFor returns the path table problems on nw score from: nw's
 // table, built on the first call for nw, when nw has at most
@@ -129,9 +132,10 @@ func tableFor(nw *network.Network) *analysis.PathTable {
 // TableBytes returns the memory nw's path table takes once a problem on
 // nw first evaluates: analysis.TableBytes up to tableMaxTiles tiles, 0
 // above. It builds nothing, so a network cache can charge an entry for
-// its table before any problem asks for it. (A network whose paths are
-// too long for a table is charged as if it had one; no built-in router
-// has such paths at 25 tiles or fewer.)
+// its table before any problem asks for it. (A network that gets no table,
+// because its paths are too long for a dense one or its terms too many
+// for a compact one, is charged as if it had one; no built-in router
+// gives such a network at 36 tiles or fewer.)
 func TableBytes(nw *network.Network) int64 {
 	if nw.NumTiles() > tableMaxTiles {
 		return 0

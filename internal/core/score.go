@@ -43,19 +43,22 @@ func (s *Score) UnmarshalJSON(b []byte) error {
 // scoreJSON is Score's wire form: the same fields, with floats whose
 // infinities have an encoding.
 type scoreJSON struct {
-	Cost, WorstLossDB, WorstSNRDB, AvgLossDB jsonFloat
+	Cost, WorstLossDB, WorstSNRDB, AvgLossDB JSONFloat
 	Conflicts                                int
 }
 
 func (s Score) wire() scoreJSON {
-	return scoreJSON{jsonFloat(s.Cost), jsonFloat(s.WorstLossDB), jsonFloat(s.WorstSNRDB), jsonFloat(s.AvgLossDB), s.Conflicts}
+	return scoreJSON{JSONFloat(s.Cost), JSONFloat(s.WorstLossDB), JSONFloat(s.WorstSNRDB), JSONFloat(s.AvgLossDB), s.Conflicts}
 }
 
-// jsonFloat is a float64 that encodes +Inf and -Inf as the strings
-// "+Inf" and "-Inf", and any other value as encoding/json does.
-type jsonFloat float64
+// JSONFloat is a float64 that encodes +Inf and -Inf as the strings
+// "+Inf" and "-Inf", and any other value as encoding/json does: the
+// encoding of a score's fields, and of the worst-case SNR columns that
+// sweep aggregates copy from scores (ParetoPoint, sweep.TableCell,
+// sweep.BudgetPoint), where a mapping without crosstalk reads +Inf.
+type JSONFloat float64
 
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
+func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	switch {
 	case math.IsInf(float64(f), 1):
 		return []byte(`"+Inf"`), nil
@@ -65,12 +68,12 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(float64(f))
 }
 
-func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 	switch string(b) {
 	case `"+Inf"`:
-		*f = jsonFloat(math.Inf(1))
+		*f = JSONFloat(math.Inf(1))
 	case `"-Inf"`:
-		*f = jsonFloat(math.Inf(-1))
+		*f = JSONFloat(math.Inf(-1))
 	default:
 		return json.Unmarshal(b, (*float64)(f))
 	}

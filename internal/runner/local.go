@@ -13,17 +13,29 @@ import (
 // Local executes scenarios and sweeps in-process through the scenario
 // compiler and executor — the pipeline phonocmap-serve workers run, so
 // Local and the remote client return identical results for equal specs.
-// The zero value is ready to use.
-type Local struct{}
+//
+// A Local made by NewLocal keeps the networks it compiles, and their path
+// tables, in one scenario.NetworkCache bounded by
+// scenario.NetworkCacheBytes, across all its scenarios and sweeps, as a
+// server does across its jobs: within the bound it builds each
+// architecture's network and table once, beyond it the least recently
+// used are evicted and built again when asked for. Sharing changes no
+// result. The zero value is ready to use and builds a network per
+// compile.
+type Local struct {
+	nets *scenario.NetworkCache
+}
 
 // NewLocal returns the in-process backend.
-func NewLocal() *Local { return &Local{} }
+func NewLocal() *Local {
+	return &Local{nets: scenario.NewNetworkCache(scenario.NetworkCacheBytes)}
+}
 
 var _ Runner = (*Local)(nil)
 
 // RunScenario compiles and executes the scenario on this machine.
 func (l *Local) RunScenario(ctx context.Context, spec scenario.Spec) (ScenarioResult, error) {
-	comp, err := scenario.Compile(spec)
+	comp, err := l.nets.Compile(spec)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
@@ -49,9 +61,8 @@ func (l *Local) RunScenario(ctx context.Context, spec scenario.Spec) (ScenarioRe
 }
 
 // RunSweep expands the grid and executes every cell on a bounded local
-// worker pool through a sweep.NewCellRunner of its own, so the sweep's
-// cells share networks and the networks go when it returns, then
-// assembles the result.
+// worker pool through a sweep.NewCellRunner on the runner's network
+// cache, then assembles the result.
 func (l *Local) RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions) (SweepResult, error) {
 	cells, err := sweep.Expand(spec)
 	if err != nil {
@@ -61,7 +72,7 @@ func (l *Local) RunSweep(ctx context.Context, spec sweep.Spec, opts SweepOptions
 	if opts.OnCellDone != nil {
 		onCell = func(r sweep.Result) { opts.OnCellDone(CellResult(r)) }
 	}
-	results, err := sweep.Run(cells, sweep.NewCellRunner(cells), sweep.Options{
+	results, err := sweep.Run(cells, sweep.NewCellRunner(l.nets), sweep.Options{
 		Workers:    opts.Workers,
 		Context:    ctx,
 		OnCellDone: onCell,

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"phonocmap/internal/analysis"
+	"phonocmap/internal/cg"
 	"phonocmap/internal/config"
 	"phonocmap/internal/core"
+	"phonocmap/internal/network"
 	"phonocmap/internal/scenario"
 	"phonocmap/internal/search"
 	"phonocmap/internal/sweep"
@@ -184,6 +187,53 @@ func TestLocalSweepMatchesEngine(t *testing.T) {
 	}
 	if len(res.Pareto["PIP"]) == 0 {
 		t.Error("empty Pareto front")
+	}
+}
+
+// TestLocalKeepsNetworksAcrossSweeps runs the Table II grid (the eight
+// apps on a mesh and a torus, both objectives, each searcher family)
+// twice through one Local: the first sweep builds the eight networks and
+// their path tables, the second builds none, and every cell of both
+// equals sweep.RunCell's, which builds its own. The counters are
+// process-wide, so this test must not run in parallel with others.
+func TestLocalKeepsNetworksAcrossSweeps(t *testing.T) {
+	var apps []config.AppSpec
+	for _, name := range cg.AppNames() {
+		apps = append(apps, config.AppSpec{Builtin: name})
+	}
+	grid := sweep.Spec{
+		Apps:       apps,
+		Archs:      []config.ArchSpec{{Topology: "mesh"}, {Topology: "torus"}},
+		Objectives: []string{"snr", "loss"},
+		Algorithms: []string{"rs", "ga", "rpbla"},
+		Budgets:    []int{40},
+	}
+	cells, err := sweep.Expand(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := NewLocal()
+	for round, want := range []int64{8, 0} {
+		builds, tables := network.BuildsTotal(), analysis.TableBuildsTotal()
+		res, err := local.RunSweep(context.Background(), grid, SweepOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := network.BuildsTotal() - builds; got != want {
+			t.Errorf("sweep %d built %d networks, want %d", round, got, want)
+		}
+		if got := analysis.TableBuildsTotal() - tables; got != want {
+			t.Errorf("sweep %d built %d path tables, want %d", round, got, want)
+		}
+		for i, cr := range res.Cells {
+			run, _, err := sweep.RunCell(context.Background(), cells[i])
+			if err != nil || cr.Error != "" {
+				t.Fatalf("cell %s: %v / %s", cells[i].Label(), err, cr.Error)
+			}
+			if !cr.Mapping.Equal(run.Mapping) || cr.Score != run.Score || cr.Evals != run.Evals {
+				t.Errorf("sweep %d cell %s: %+v, RunCell %+v", round, cells[i].Label(), cr.Score, run.Score)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // NetworkCache shares networks between compiles: a compile through the
 // cache takes its network from the cache, built on the first request for
 // its architecture, so every cell or job on one architecture shares one
-// network and, below core's tile cap, the one path table its problems
+// network and, up to core's tile cap, the one path table its problems
 // build on their first evaluation. Networks are immutable and each
 // Problem owns its own scratch, so sharing changes no result. The cache
 // is keyed by the normalized ArchSpec's canonical JSON (NetworkKey) and
@@ -22,6 +22,9 @@ import (
 // not, evicting the least recently used; a network larger than the bound
 // is handed out but not kept. It is safe for concurrent use:
 // concurrent first requests for one architecture build it once.
+//
+// A local runner and a server each keep one cache, bounded by
+// NetworkCacheBytes, across all their sweeps and jobs.
 type NetworkCache struct {
 	maxBytes int64 // 0: unbounded
 
@@ -42,6 +45,23 @@ type netEntry struct {
 	size  int64
 	elem  *list.Element
 }
+
+// NetworkCacheBytes bounds the network cache of a local runner
+// (runner.NewLocal) and of a server: the summed size of the networks
+// their compiles share and of their path tables, as NewNetworkCache
+// charges them. It is set from the two workloads that share networks.
+// perfbench's table2 grid compiles over the eight Table II
+// architectures, 3×3 to 6×6 meshes and tori, which take 13.1 MiB as
+// built (networks 7.0 MiB, tables 6.1 MiB) and are charged 18.2 MiB
+// before their tables exist, since a compact table's dictionary is
+// charged at its bound (analysis.TableBytes). The bound keeps all eight,
+// so a runner builds each once across its sweeps. perfbench's service
+// workload compiles over three architectures, the 3×3 Crux and Cygnus
+// meshes and the 4×4 Crux mesh, 1.13 MiB with their tables, so a server
+// that receives many architectures keeps at most about 19 MiB more than
+// that workload does. A network above the bound, such as an 8×8 mesh
+// (11.8 MB, no table), is handed out but not kept.
+const NetworkCacheBytes = 20 << 20
 
 // networkReuses counts compiles served a network from a cache,
 // process-wide; the service exposes it as phonocmap_network_reuses_total.
@@ -92,19 +112,6 @@ func (nc *NetworkCache) Compile(spec Spec) (*Compiled, error) {
 	return &Compiled{Spec: spec, App: app, Network: nw, Problem: prob}, nil
 }
 
-// Forget drops a normalized architecture's network from the cache; the
-// compiles it was handed to keep it, and a later compile builds it again.
-func (nc *NetworkCache) Forget(arch config.ArchSpec) {
-	key := NetworkKey(arch)
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	if e, ok := nc.entries[key]; ok && e.elem != nil {
-		nc.lru.Remove(e.elem)
-		delete(nc.entries, key)
-		nc.bytes -= e.size
-	}
-}
-
 // network returns the normalized architecture's network, from the cache
 // when it holds one. The first request builds it; its path table is left
 // to the first problem that evaluates on it, but the entry is charged
@@ -136,8 +143,6 @@ func (nc *NetworkCache) network(arch config.ArchSpec) (*network.Network, error) 
 	if e.err == nil {
 		e.size = e.nw.Bytes() + core.TableBytes(e.nw)
 	}
-	// Settle the entry before waking the waiters, so that one of them
-	// can Forget it as soon as it has the network.
 	nc.mu.Lock()
 	if e.err != nil {
 		delete(nc.entries, key)

@@ -74,8 +74,8 @@ func TestNetworkCacheBuildsOncePerArch(t *testing.T) {
 // TestNetworkCacheEvictsLeastRecentlyUsed bounds a cache to about two
 // 4×4 networks with their path tables and checks that a third
 // architecture evicts the least recently used one, which a later
-// compile builds again, that Forget drops a network, and that a network
-// larger than the whole bound is handed out but not kept.
+// compile builds again, and that a network larger than the whole bound
+// is handed out but not kept.
 func TestNetworkCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	compile := func(nc *NetworkCache, topology, router string) *network.Network {
 		t.Helper()
@@ -106,16 +106,6 @@ func TestNetworkCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	if nc.bytes > nc.maxBytes {
 		t.Errorf("cache holds %d bytes, bound %d", nc.bytes, nc.maxBytes)
-	}
-	held := nc.bytes
-	meshArch := config.ArchSpec{Topology: "mesh"}
-	meshArch.Normalize(12)
-	nc.Forget(meshArch)
-	if nc.bytes >= held || nc.lru.Len() != 1 {
-		t.Errorf("Forget left %d bytes in %d entries (held %d)", nc.bytes, nc.lru.Len(), held)
-	}
-	if compile(nc, "mesh", "") == mesh {
-		t.Error("a forgotten network was handed out again")
 	}
 
 	tiny := NewNetworkCache(one / 2)

@@ -296,6 +296,14 @@ type LinkFailuresSpec struct{}
 // MaxSimLoadPoints bounds the simulated load sweep per scenario.
 const MaxSimLoadPoints = 32
 
+// MaxSimDurationNs bounds a traffic simulation's window, in simulated
+// nanoseconds: 1e7, 100 times the default window (sim.Config's 1e5).
+// Simulation time grows with the window, and a job holds a service worker
+// while it runs: a PIP job took 1.7 ms at 1e6 ns and 13 ms at 1e7 ns on
+// one worker (Intel Xeon, 2 vCPUs), so an unbounded window such as 1e15
+// ns would hold its worker for about two weeks.
+const MaxSimDurationNs = 1e7
+
 // SimSpec configures the traffic simulation. Zero-valued physical
 // parameters resolve to sim.Config's defaults; LoadScales defaults to a
 // single point at the application's nominal load.
@@ -330,6 +338,9 @@ func (s *SimSpec) normalize() error {
 	s.DurationNs = cfg.DurationNs
 	s.WarmupNs = cfg.WarmupNs
 	s.Seed = cfg.Seed
+	if !(s.DurationNs <= MaxSimDurationNs) {
+		return fmt.Errorf("scenario: sim duration %v ns, limit %v", s.DurationNs, float64(MaxSimDurationNs))
+	}
 	if len(s.LoadScales) == 0 {
 		s.LoadScales = []float64{1}
 	}
@@ -372,12 +383,13 @@ type Compiled struct {
 // and builds the runtime problem it describes, including the Eq. 2 fit
 // check. This is the single spec-to-problem path shared by the CLI, the
 // runners, the optimization service and the sweep engine. Compile builds
-// the spec's network; a compile through a NetworkCache (the local
-// runner's sweeps, the service) takes it from the cache instead, and
-// both give bit-identical problems.
+// the spec's network; a compile through a NetworkCache (a local
+// runner's, a server's) takes it from the cache instead, and both give
+// bit-identical problems.
 // Normalization is idempotent and cheap next to any optimization run,
 // so callers that normalized earlier (the service, sweep expansion) pay
-// only a redundant graph build here — a deliberate trade for one
+// only a redundant validation here, plus a graph build for a custom app
+// (a builtin app's graph is shared) — a deliberate trade for one
 // unconditional validation path.
 func Compile(spec Spec) (*Compiled, error) {
 	return (*NetworkCache)(nil).Compile(spec)

@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"phonocmap/internal/network"
+	"phonocmap/internal/scenario"
 )
 
 // TestArchitectureOverTileCapRejected submits jobs and a sweep whose
@@ -46,5 +48,44 @@ func TestArchitectureOverTileCapRejected(t *testing.T) {
 		if got := network.BuildsTotal() - builds; got != 0 {
 			t.Errorf("%s: %d networks built for a rejected request", c.name, got)
 		}
+	}
+}
+
+// TestSimWindowCapped submits PIP jobs whose traffic simulation asks for
+// a window above scenario.MaxSimDurationNs, which must be answered 400
+// invalid_spec in the error envelope before any network is built, and
+// one at the cap, which must be accepted and run.
+func TestSimWindowCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	job := func(durationNs string) string {
+		return `{"app":{"builtin":"PIP"},"budget":50,"analyses":{"sim":{"duration_ns":` + durationNs + `}}}`
+	}
+	for _, d := range []string{"1e15", fmt.Sprint(2 * scenario.MaxSimDurationNs)} {
+		builds := network.BuildsTotal()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(job(d)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("duration %s: body is not an error envelope: %v", d, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeInvalidSpec {
+			t.Errorf("duration %s: got %d %q (%s), want 400 invalid_spec", d, resp.StatusCode, env.Error.Code, env.Error.Message)
+		}
+		if got := network.BuildsTotal() - builds; got != 0 {
+			t.Errorf("duration %s: %d networks built for a rejected request", d, got)
+		}
+	}
+
+	var st JobStatus
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", json.RawMessage(job(fmt.Sprint(scenario.MaxSimDurationNs))), &st); code != http.StatusAccepted {
+		t.Fatalf("a job at the cap was answered %d, want 202", code)
+	}
+	final, _ := pollUntil(t, ts.URL, st.ID, 60*time.Second, func(st JobStatus) bool { return st.State.Terminal() })
+	if final.State != StateDone {
+		t.Fatalf("a job at the cap finished %q (%s), want done", final.State, final.Error)
 	}
 }

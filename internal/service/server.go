@@ -104,20 +104,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// networkCacheBytes bounds a server's network cache: the summed size of
-// the networks its compiles share and of their path tables. It is set
-// from measured traffic. perfbench's service workload (seeds 11 and 41,
-// 10 s each, Intel Xeon, 2 vCPUs) compiled its jobs over three
-// architectures, the 3×3 Crux and Cygnus meshes and the 4×4 Crux mesh,
-// which with their tables take 1.13 MiB, and the whole process peaked at
-// 23.4–23.8 MiB (VmHWM). The bound holds those three plus one 5×5
-// network with its table (4.4 MiB), and a server that receives many
-// architectures keeps at most 4.9 MiB more than that workload did,
-// under a quarter of its peak, which is the bound on that workload's
-// peak_rss_mb. A network above the bound, such as an 8×8 mesh (11.8 MB,
-// no table), is handed out but not kept.
-const networkCacheBytes = 6 << 20
-
 // Server is the phonocmap-serve service: an HTTP API over a bounded job
 // queue, a worker pool of optimization runners, a result cache, and a
 // network cache its compiles share.
@@ -128,7 +114,7 @@ type Server struct {
 	queue   chan *Job
 	cache   *resultCache
 	// nets shares networks between the jobs and sweep cells this server
-	// compiles (see networkCacheBytes).
+	// compiles (see scenario.NetworkCacheBytes).
 	nets   *scenario.NetworkCache
 	logger *slog.Logger
 
@@ -161,7 +147,7 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		queue:   make(chan *Job, cfg.QueueSize),
 		cache:   newResultCache(cfg.CacheSize, cfg.Store),
-		nets:    scenario.NewNetworkCache(networkCacheBytes),
+		nets:    scenario.NewNetworkCache(scenario.NetworkCacheBytes),
 		logger:  cfg.Logger,
 		baseCtx: ctx,
 		stop:    cancel,

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"testing"
@@ -347,5 +348,44 @@ func TestSweepListingAllocs(t *testing.T) {
 	}
 	if a4, a16 := allocs(4), allocs(16); a4 != a16 {
 		t.Errorf("listing a finished sweep allocates %v times at 4 cells and %v at 16", a4, a16)
+	}
+}
+
+// TestSweepCrosstalkFree sweeps the two-task, one-edge custom app, whose
+// only communication meets no other, under snr and loss: every cell's
+// worst-case SNR is +Inf, and the result must come back 200 with it
+// encoded "+Inf" in the table, the budget curves and the Pareto front.
+func TestSweepCrosstalkFree(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	req := SweepRequest{Spec: sweep.Spec{
+		Apps: []config.AppSpec{{Name: "pair", Tasks: []string{"a", "b"},
+			Edges: []config.EdgeSpec{{Src: "a", Dst: "b", Bandwidth: 1}}}},
+		Objectives: []string{"snr", "loss"},
+		Algorithms: []string{"rs"},
+		Budgets:    []int{20, 40},
+	}}
+	var st SweepStatus
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sweeps", req, &st); code != http.StatusAccepted {
+		t.Fatalf("submit returned %d, want 202", code)
+	}
+	pollSweep(t, ts.URL, st.ID, 30*time.Second, func(s SweepStatus) bool { return s.State.Terminal() })
+	var res SweepResult
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/sweeps/"+st.ID+"/result", nil, &res); code != http.StatusOK {
+		t.Fatalf("result returned %d, want 200", code)
+	}
+	if len(res.Table) != 1 || !math.IsInf(float64(res.Table[0].Mesh["rs"].SNRDB), 1) {
+		t.Errorf("table %+v, want one row with a +Inf SNR", res.Table)
+	}
+	if len(res.BudgetCurves) != 4 {
+		t.Errorf("%d budget points, want 4", len(res.BudgetCurves))
+	}
+	for _, p := range res.BudgetCurves {
+		if !math.IsInf(float64(p.SNRDB), 1) {
+			t.Errorf("budget point %+v, want a +Inf SNR", p)
+		}
+	}
+	front := res.Pareto["pair"]
+	if len(front) != 1 || !math.IsInf(float64(front[0].WorstSNRDB), 1) {
+		t.Errorf("Pareto front %+v, want one point with a +Inf SNR", front)
 	}
 }

@@ -35,11 +35,12 @@ func Aggregate(results []Result) Aggregates {
 
 // TableCell is one algorithm/topology cell of a comparison table: the
 // best worst-case SNR found under the "snr" objective and the best
-// worst-case loss found under the "loss" objective, à la Table II.
+// worst-case loss found under the "loss" objective, à la Table II. The
+// SNR is +Inf for a mapping without crosstalk, encoded "+Inf".
 type TableCell struct {
-	SNRDB  float64 `json:"snr_db"`
-	LossDB float64 `json:"loss_db"`
-	Evals  int     `json:"evals"`
+	SNRDB  core.JSONFloat `json:"snr_db"`
+	LossDB float64        `json:"loss_db"`
+	Evals  int            `json:"evals"`
 }
 
 // TableRow is one application row of the comparison table: per-algorithm
@@ -99,7 +100,7 @@ func Table(results []Result) []TableRow {
 		bestCost[k] = r.Run.Score.Cost
 		cell := cells[r.Cell.Algorithm]
 		if r.Cell.Objective == "snr" {
-			cell.SNRDB = r.Run.Score.WorstSNRDB
+			cell.SNRDB = core.JSONFloat(r.Run.Score.WorstSNRDB)
 		} else {
 			cell.LossDB = r.Run.Score.WorstLossDB
 		}
@@ -117,14 +118,14 @@ func Table(results []Result) []TableRow {
 // quality one algorithm reached on one application, topology and
 // objective at one budget.
 type BudgetPoint struct {
-	App       string  `json:"app"`
-	Topology  string  `json:"topology"`
-	Objective string  `json:"objective"`
-	Algorithm string  `json:"algorithm"`
-	Budget    int     `json:"budget"`
-	SNRDB     float64 `json:"snr_db"`
-	LossDB    float64 `json:"loss_db"`
-	Evals     int     `json:"evals"`
+	App       string         `json:"app"`
+	Topology  string         `json:"topology"`
+	Objective string         `json:"objective"`
+	Algorithm string         `json:"algorithm"`
+	Budget    int            `json:"budget"`
+	SNRDB     core.JSONFloat `json:"snr_db"` // +Inf without crosstalk, encoded "+Inf"
+	LossDB    float64        `json:"loss_db"`
+	Evals     int            `json:"evals"`
 }
 
 // BudgetCurves folds sweep results into budget-ablation curves, sorted
@@ -145,7 +146,7 @@ func BudgetCurves(results []Result) []BudgetPoint {
 			Objective: r.Cell.Objective,
 			Algorithm: r.Cell.Algorithm,
 			Budget:    r.Cell.Budget,
-			SNRDB:     r.Run.Score.WorstSNRDB,
+			SNRDB:     core.JSONFloat(r.Run.Score.WorstSNRDB),
 			LossDB:    r.Run.Score.WorstLossDB,
 			Evals:     r.Run.Evals,
 		})
@@ -321,7 +322,7 @@ func AnnotatedParetoFronts(results []Result) map[string][]ParetoEntry {
 				if !r.counted() || r.Cell.AppName() != app {
 					continue
 				}
-				if r.Run.Score.WorstLossDB == p.WorstLossDB && r.Run.Score.WorstSNRDB == p.WorstSNRDB {
+				if r.Run.Score.WorstLossDB == p.WorstLossDB && core.JSONFloat(r.Run.Score.WorstSNRDB) == p.WorstSNRDB {
 					e.CellIndex = r.Index
 					e.Report = r.Report
 					break

@@ -176,28 +176,14 @@ func RunCell(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, err
 	return execute(ctx, comp)
 }
 
-// NewCellRunner returns RunCell with networks shared among the given
-// cells, the ones a Run will execute: every cell compiles through one
-// scenario.NetworkCache, so cells on equal architectures share one
-// network and its path table, and results stay bit-identical to
-// RunCell's. The cache drops a network once the last of the cells on its
-// architecture has compiled, and goes with the returned Runner, so a
-// sweep holds only the networks its pending cells need.
-func NewCellRunner(cells []Cell) Runner {
-	nets := scenario.NewNetworkCache(0)
-	var mu sync.Mutex
-	pending := make(map[string]int)
-	for _, c := range cells {
-		pending[scenario.NetworkKey(c.Arch)]++
-	}
+// NewCellRunner returns RunCell with every cell compiled through nets,
+// so cells on equal architectures share one network and its path table
+// while the cache keeps them, and results stay bit-identical to
+// RunCell's. A runner.Local passes the one cache it keeps across its
+// sweeps; a nil cache builds a network per cell, as RunCell does.
+func NewCellRunner(nets *scenario.NetworkCache) Runner {
 	return func(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, error) {
 		comp, err := nets.Compile(c.Scenario())
-		key := scenario.NetworkKey(c.Arch)
-		mu.Lock()
-		if pending[key]--; pending[key] == 0 {
-			nets.Forget(c.Arch)
-		}
-		mu.Unlock()
 		if err != nil {
 			return core.RunResult{}, nil, err
 		}

@@ -14,8 +14,9 @@ import (
 // TestCellRunnerBuildsEachNetworkOnce runs a grid shaped like perfbench's
 // table2 sweep (the eight Table II apps on a mesh and a torus, two
 // objectives: 32 cells over 8 distinct networks, 3×3 to 6×6) through one
-// NewCellRunner, and counts the network builds and reuses. The counters
-// are process-wide, so this test must not run in parallel with others.
+// NewCellRunner on a cache bounded as a local runner's is, and counts the
+// network builds and reuses. The counters are process-wide, so this test
+// must not run in parallel with others.
 func TestCellRunnerBuildsEachNetworkOnce(t *testing.T) {
 	var apps []config.AppSpec
 	for _, name := range cg.AppNames() {
@@ -35,7 +36,7 @@ func TestCellRunnerBuildsEachNetworkOnce(t *testing.T) {
 		t.Fatalf("grid has %d cells, want 32", len(cells))
 	}
 	builds, reuses := network.BuildsTotal(), scenario.NetworkReusesTotal()
-	results, err := Run(cells, NewCellRunner(cells), Options{Workers: 2})
+	results, err := Run(cells, NewCellRunner(scenario.NewNetworkCache(scenario.NetworkCacheBytes)), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestCellRunnerBuildsEachNetworkOnce(t *testing.T) {
 // through RunCell, which builds every cell's network. Every cell's
 // result must be bit-identical across the three. The grid covers each
 // searcher family (full evaluations, batch reseats, incremental swaps),
-// islands, both engines (3×3 to 5×5 on the table, DVOPD's 6×6 on the
-// pair kernel) and the weighted objective.
+// islands, both table layouts (dense on 3×3 and 4×4, compact on 5×5 and
+// DVOPD's 6×6) and the weighted objective.
 func TestSharedNetworksBitIdentical(t *testing.T) {
 	cells, err := Expand(Spec{
 		Apps:       []config.AppSpec{builtin("PIP"), builtin("VOPD"), builtin("MWD"), builtin("Wavelet"), builtin("DVOPD")},
@@ -85,8 +86,8 @@ func TestSharedNetworksBitIdentical(t *testing.T) {
 		}
 		return results
 	}
-	shared4 := run(NewCellRunner(cells), 4)
-	shared1 := run(NewCellRunner(cells), 1)
+	shared4 := run(NewCellRunner(scenario.NewNetworkCache(0)), 4)
+	shared1 := run(NewCellRunner(scenario.NewNetworkCache(0)), 1)
 	unshared := run(RunCell, 1)
 	for i := range cells {
 		for _, other := range []struct {

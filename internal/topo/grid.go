@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DefaultDieCm is the default die edge length in centimetres used to
 // derive tile pitch and hence waveguide link lengths. A 2 cm x 2 cm die is
@@ -62,6 +65,9 @@ func NewTorus(w, h int, opts ...GridOption) (*Grid, error) {
 func newGrid(w, h int, wrap bool, opts ...GridOption) (*Grid, error) {
 	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("topo: grid needs at least 2x2 tiles, got %dx%d", w, h)
+	}
+	if w > math.MaxInt/h {
+		return nil, fmt.Errorf("topo: a %dx%d grid has more tiles than an int counts", w, h)
 	}
 	cfg := gridConfig{dieCm: DefaultDieCm}
 	for _, o := range opts {

@@ -73,6 +73,19 @@ func TestNewMeshRejectsTiny(t *testing.T) {
 	}
 }
 
+// TestGridRejectsOverflowingTileCount asks for grids whose tile count
+// overflows an int: each must be an error, not a panic or an allocation.
+func TestGridRejectsOverflowingTileCount(t *testing.T) {
+	for _, c := range [][2]int{{1 << 62, 4}, {4, 1 << 62}, {math.MaxInt, 2}, {math.MaxInt, math.MaxInt}} {
+		if _, err := NewMesh(c[0], c[1]); err == nil {
+			t.Errorf("accepted a %dx%d mesh", c[0], c[1])
+		}
+		if _, err := NewTorus(c[0], c[1]); err == nil {
+			t.Errorf("accepted a %dx%d torus", c[0], c[1])
+		}
+	}
+}
+
 func TestMeshCoordRoundTrip(t *testing.T) {
 	m, _ := NewMesh(5, 3)
 	for y := 0; y < 3; y++ {

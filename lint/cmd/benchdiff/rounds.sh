@@ -19,7 +19,7 @@ benchtime=${BENCHTIME:-100ms}
 out=${BENCH_OUT:-$(mktemp -d)}
 mkdir -p "$out"
 
-pattern='^(BenchmarkEvaluateFullVsIncremental|BenchmarkNetworkBuild8x8|BenchmarkAnalyses|BenchmarkFig3Eval(PIP|VOPD|DVOPD)|BenchmarkTable2(VOPDMeshGA|DVOPDMeshGA|DVOPDMeshRPBLA))$'
+pattern='^(BenchmarkEvaluateFullVsIncremental|BenchmarkNetworkBuild8x8|BenchmarkAnalyses|BenchmarkFig3Eval(PIP|VOPD|Wavelet|DVOPD)|BenchmarkTable2(VOPDMeshGA|DVOPDMeshGA|DVOPDMeshRPBLA))$'
 
 (cd "$base" && go test -c -o "$out/base.test" .)
 (cd "$head" && go test -c -o "$out/head.test" .)

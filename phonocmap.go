@@ -358,7 +358,8 @@ func ExpandSweep(spec SweepSpec) ([]SweepCell, error) { return sweep.Expand(spec
 // worker pool (workers <= 0 means GOMAXPROCS), returning one result per
 // cell in grid order. Cells are independent seeded runs, so the results
 // are identical at any worker count; ctx cancels the whole sweep. Cells
-// on equal architectures share one network for the call's duration.
+// on equal architectures share one network, and its path table, through
+// a network cache of the call's own (bounded as a local runner's is).
 // Individual cell failures are recorded in their result, not returned.
 // A cell whose run ctx cancelled keeps its best-so-far point with
 // Run.Cancelled set and no report, and the Sweep* aggregators leave it
@@ -370,7 +371,8 @@ func RunSweep(ctx context.Context, spec SweepSpec, workers int) ([]SweepCellResu
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Run(cells, sweep.NewCellRunner(cells), sweep.Options{Workers: workers, Context: ctx})
+	nets := scenario.NewNetworkCache(scenario.NetworkCacheBytes)
+	return sweep.Run(cells, sweep.NewCellRunner(nets), sweep.Options{Workers: workers, Context: ctx})
 }
 
 // SweepTable folds sweep results into Table II-style comparison rows:
@@ -417,7 +419,9 @@ func RunScenario(ctx context.Context, spec Scenario) (ScenarioResult, error) {
 // NewLocalRunner returns the in-process execution backend: scenarios
 // and sweeps run on this machine's worker pool through the scenario
 // compiler and the sweep engine — the exact pipeline phonocmap-serve
-// workers run.
+// workers run. Like a server, the runner keeps the networks and path
+// tables it compiles across its scenarios and sweeps, within a fixed
+// memory bound.
 func NewLocalRunner() Runner { return runner.NewLocal() }
 
 // NewClient returns the remote execution backend: a typed client for
