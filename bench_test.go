@@ -303,7 +303,10 @@ func BenchmarkWDMAllocate(b *testing.B) {
 // quality, so this ratio is the effective search-budget multiplier. The
 // dense random CGs stress the worst case (many communications per task).
 // The incremental cases commit every swap, the revert cases revert every
-// swap (EvaluateSwap then Revert), over the same swap sequence.
+// swap (EvaluateSwap then Revert), over the same swap sequence. The 4x4
+// case scores from a dense path table, the 6x6 one, DVOPD's size (32
+// tasks, 44 edges), from a compact one, and the 8x8 one, above the
+// table's tile cap, with the pair kernel.
 func BenchmarkEvaluateFullVsIncremental(b *testing.B) {
 	cases := []struct {
 		name         string
@@ -311,6 +314,7 @@ func BenchmarkEvaluateFullVsIncremental(b *testing.B) {
 		tasks, edges int
 	}{
 		{"4x4", 4, 14, 48},
+		{"6x6", 6, 32, 44},
 		{"8x8", 8, 56, 220},
 	}
 	for _, tc := range cases {

@@ -57,9 +57,12 @@
 // noise each injects into the other summed over their shared elements,
 // and the pair's conflict count, filled once per network from a seating
 // of every path with the kernel's own pair terms. A whole-set evaluation
-// then reads the table for each pair of the set's communications, a delta
-// about 3·|Δ|·m times, and an undo restores an O(m) snapshot; integer
-// sums keep every result bit-identical to the kernel's. TableOf builds a network's table
+// then reads the table for each pair of the set's communications (a
+// compact table in path-index order, so each row streams), a delta about
+// 2·|Δ|·m times on the compact layout, reading each changed pair once for
+// both directions, and 3·|Δ|·m on the dense one, and an undo restores an
+// O(m) snapshot; integer sums keep every result bit-identical to the
+// kernel's. TableOf builds a network's table
 // at most once, on first use, and the network keeps it;
 // NewTableEvaluator and NewTableIncremental score from it. A table of up
 // to 16 tiles is dense, a term per ordered pair; above that it is
@@ -70,6 +73,15 @@
 // tables stay resident (see PathTable). Evaluations under a channel
 // assignment (EvaluateChanneled) and the robustness and link-failure
 // studies always use the kernel.
+//
+// Both engines fold the per-victim noise into a Result the same way
+// (fold), in communication order. Without a per-victim breakdown, fold
+// takes a victim's log10 only while it can still be the worst SNR: a
+// victim's linear noise-to-signal ratio, its noise times the path's
+// precomputed 10^(−TotalLoss/10), is compared with the largest one so
+// far, and one more than a relative 1e-9 below it is skipped, a margin
+// four orders of magnitude above the rounding of both the ratio and the
+// dB SNR (snrSlack), so the Result stays bit-identical.
 package analysis
 
 import (
@@ -155,6 +167,11 @@ type Evaluator struct {
 	paths []*network.Path
 	idx   []int32 // each communication's path index (table engine)
 	acc   []int64 // per-communication fixed-point noise
+	// byPath, byDst and tileCount are a compact table's scratch: the set
+	// sorted by path index, the destination pass of that sort, and its
+	// n+1 counters (sortByPath).
+	byPath, byDst []pathComm
+	tileCount     []int32
 	// weights, when non-nil, turn AvgLossDB into a weighted mean (set
 	// transiently by EvaluateWeighted, and by Incremental.InitWeighted
 	// for the seated set).
@@ -276,10 +293,17 @@ func (e *Evaluator) resolve(comms []Communication) error {
 		e.paths = make([]*network.Path, m)
 		e.idx = make([]int32, m)
 		e.acc = make([]int64, m)
+		e.byPath = make([]pathComm, m)
+		e.byDst = make([]pathComm, m)
 	}
 	e.paths = e.paths[:m]
 	e.idx = e.idx[:m]
 	e.acc = e.acc[:m]
+	e.byPath = e.byPath[:m]
+	e.byDst = e.byDst[:m]
+	if len(e.tileCount) != n+1 {
+		e.tileCount = make([]int32, n+1)
+	}
 	for i, c := range comms {
 		if c.Src < 0 || int(c.Src) >= n || c.Dst < 0 || int(c.Dst) >= n {
 			return fmt.Errorf("analysis: communication %d: tile out of range (%d->%d)", i, c.Src, c.Dst)
@@ -297,11 +321,16 @@ func (e *Evaluator) resolve(comms []Communication) error {
 
 // score is the whole-set pass over the resolved set: it fills acc and
 // returns the set's conflicts, from the path table when there is one and
-// no channel assignment, otherwise by seating the occupancy map, bound on
-// first use, and running the pair kernel.
+// no channel assignment (a compact table's sum reads the set sorted by
+// path index), otherwise by seating the occupancy map, bound on first
+// use, and running the pair kernel.
 func (e *Evaluator) score(channel []int) int {
-	if e.tab != nil && channel == nil {
-		return e.tab.sum(e.idx, e.acc)
+	if t := e.tab; t != nil && channel == nil {
+		if t.codes == nil {
+			return t.sumDense(e.idx, e.acc)
+		}
+		sortByPath(e.idx, e.nw.NumTiles(), e.byPath, e.byDst, e.tileCount)
+		return t.sumCompact(e.byPath, e.acc)
 	}
 	if e.occ.lists == nil {
 		e.occ.bind(e.nw)

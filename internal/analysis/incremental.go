@@ -20,10 +20,12 @@ import (
 //
 // An Incremental scores with one of two engines, chosen when it is made:
 // the pair kernel (NewIncremental), described below, or the network's
-// path table (NewTableIncremental), where a delta costs about 3·|Δ|·m
-// table reads (PathTable.delta), above tableRecomputeNum/tableRecomputeDen
-// of m changed a fresh whole-set sum instead, and Undo restores an O(m)
-// snapshot of the accumulators.
+// path table (NewTableIncremental), where a delta costs about 2·|Δ|·m
+// table reads on the compact layout and 3·|Δ|·m on the dense one
+// (PathTable.delta); a delta of more than a third of m on the dense
+// layout, or a fifth on the compact one, sums the whole table again
+// instead (tableRecomputeNum). Undo restores an O(m) snapshot of the
+// accumulators.
 //
 // Bit-for-bit contract: every Result an Incremental produces is
 // identical — to the last bit — to Evaluator.Evaluate (or
@@ -48,8 +50,9 @@ import (
 //     once, when the later one attaches. Untouched pairs are never
 //     visited.
 //   - O(m) to fold the cached per-victim values into the worst-case
-//     trackers and the (weighted) mean: float compares plus one log10
-//     per noisy victim, no pairwise work.
+//     trackers and the (weighted) mean: float compares, plus one log10
+//     per noisy victim that can still be the worst (fold), no pairwise
+//     work.
 //
 // Scans are exact at any |Δ|. Only swaps make kernel deltas, the edges
 // incident to two moved tasks; a mapping that is not a neighbour of the
@@ -95,24 +98,31 @@ type Incremental struct {
 	undoRes     Result
 }
 
-// On a path table, a delta changing more than
-// tableRecomputeNum/tableRecomputeDen of the communications is applied by
-// summing the whole table again (PathTable.sum) instead of patching
-// (PathTable.delta). Both ways snapshot
-// and fold all m victims, which bounds what patching saves. Timed both
-// ways, committed and undone, on 120 swaps and 120 multi-task reseats
-// per instance (median of 7 interleaved rounds, Intel Xeon, 2 vCPUs) on
-// PIP (3×3), MWD, VOPD (mesh and torus) and 263dec (4×4), Wavelet (5×5
-// mesh and torus) and the 4×4 mesh with 48 communications, a patch of
-// 5–10 % of the set costs 0.44–0.84× a sum, and patches break even at
-// 25–45 %. Summed over the eight instances, the loss against picking
-// the cheaper way per delta was 4–10 % at a third and 3–10 % at 2/5
-// (8–17 % at 1/4, 12–16 % at 1/2; four runs, committed and undone
-// alike, since Undo restores the same snapshot either way). The two
-// tied, and a third was kept. Those timings were taken on dense tables,
-// when Wavelet's 5×5 networks had one too; the compact layout, which
-// 5×5 and 6×6 networks now take, was not re-timed.
-const tableRecomputeNum, tableRecomputeDen = 1, 3
+// On a path table, a delta changing more than a fraction of the
+// communications is applied by summing the whole table again (the
+// Evaluator's score) instead of patching (PathTable.delta): above
+// tableRecomputeNum/tableRecomputeDen of them on the dense layout, above
+// compactRecomputeNum/compactRecomputeDen on the compact one. Both ways
+// snapshot and fold all m victims, which bounds what patching saves.
+// Only swaps make deltas, so the fractions were timed on swaps: 120
+// random committed swaps per instance, each applied both ways (median of
+// 7 interleaved rounds of 10 replays, Intel Xeon, 2 vCPUs), on PIP (3×3),
+// MWD, VOPD (mesh and torus), 263dec and a 48-communication CG (4×4),
+// all dense, and Wavelet (5×5) and DVOPD (6×6), mesh and torus, compact.
+// On the dense layout a patch of 10–20 % of the set cost 0.53–0.89× a
+// sum and one of 30–40 % 0.80–1.05×: patches break even at 30–50 %, and
+// summed over those instances the loss against picking the cheaper way
+// per delta was 0.6–1.2 % at a third, 0.1–0.5 % at 2/5 and 4–10 % at a
+// quarter (three runs). A third and 2/5 are within a percent of each
+// other, and a third was kept. On the compact layout, where the sorted
+// sum is cheap, a patch of at most 10 % cost 0.47–0.55× a sum, one of
+// 10–20 % 0.73–0.87× and one of 20–30 % 1.02–1.18×: the loss was 4–9 %
+// at a fifth against 5–18 % at a third, where nearly every swap of those
+// instances patches.
+const (
+	tableRecomputeNum, tableRecomputeDen     = 1, 3
+	compactRecomputeNum, compactRecomputeDen = 1, 5
+)
 
 // NewIncremental returns an incremental evaluator for the network,
 // scoring with the pair kernel. Call Init before anything else.
@@ -234,7 +244,11 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 		// An O(m) snapshot, then a patch or a fresh sum.
 		inc.undoNoise = append(inc.undoNoise, inc.ev.acc...)
 		inc.reroute(changed, newComms)
-		if len(changed)*tableRecomputeDen > m*tableRecomputeNum {
+		num, den := tableRecomputeNum, tableRecomputeDen
+		if inc.ev.tab.codes != nil {
+			num, den = compactRecomputeNum, compactRecomputeDen
+		}
+		if len(changed)*den > m*num {
 			inc.conflicts = inc.ev.score(nil)
 		} else {
 			inc.conflicts += inc.ev.tab.delta(inc.ev.idx, inc.ev.acc, changed, inc.undoIdx, inc.changedMark)

@@ -60,14 +60,8 @@ func refEvaluate(nw *network.Network, comms []Communication, weights []float64, 
 		}
 	}
 
-	details := make([]Detail, len(comms))
-	res := Result{
-		WorstLossDB:  0,
-		WorstSNRDB:   math.Inf(1),
-		WorstLossIdx: -1,
-		WorstSNRIdx:  -1,
-	}
-	lossSum, weightSum := 0.0, 0.0
+	accs := make([]int64, len(comms))
+	conflicts := 0
 	for vi, vp := range paths {
 		var acc int64
 		for si := range vp.Steps {
@@ -85,12 +79,32 @@ func refEvaluate(nw *network.Network, comms []Communication, weights []float64, 
 				}
 				conflict, contrib := refStepEffect(&leakLin, vs, &paths[o.comm].Steps[o.step])
 				if conflict {
-					res.Conflicts++
+					conflicts++
 					continue
 				}
 				acc += contrib
 			}
 		}
+		accs[vi] = acc
+	}
+	return refFold(paths, accs, weights, conflicts)
+}
+
+// refFold is the reference's per-victim loop: each victim's loss and
+// SNR, from its accumulated noise, into the worst-case trackers, the
+// (weighted) mean and the details.
+func refFold(paths []*network.Path, accs []int64, weights []float64, conflicts int) (Result, []Detail) {
+	details := make([]Detail, len(paths))
+	res := Result{
+		WorstLossDB:  0,
+		WorstSNRDB:   math.Inf(1),
+		WorstLossIdx: -1,
+		WorstSNRIdx:  -1,
+		Conflicts:    conflicts,
+	}
+	lossSum, weightSum := 0.0, 0.0
+	for vi, vp := range paths {
+		acc := accs[vi]
 		loss := vp.TotalLoss
 		if res.WorstLossIdx < 0 || loss < res.WorstLossDB {
 			res.WorstLossDB = loss
@@ -139,6 +153,20 @@ func requireBitIdentical(t testing.TB, what string, got, want Result) {
 	if got.WorstLossIdx != want.WorstLossIdx || got.WorstSNRIdx != want.WorstSNRIdx || got.Conflicts != want.Conflicts {
 		t.Fatalf("%s: indices/conflicts (%d, %d, %d), reference (%d, %d, %d)", what,
 			got.WorstLossIdx, got.WorstSNRIdx, got.Conflicts, want.WorstLossIdx, want.WorstSNRIdx, want.Conflicts)
+	}
+}
+
+// requireSameDetails compares two per-communication breakdowns, floats
+// by their bit patterns.
+func requireSameDetails(t testing.TB, what string, got, want []Detail) {
+	t.Helper()
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g.LossDB) != math.Float64bits(w.LossDB) ||
+			math.Float64bits(g.NoiseDB) != math.Float64bits(w.NoiseDB) ||
+			math.Float64bits(g.SNRDB) != math.Float64bits(w.SNRDB) {
+			t.Fatalf("%s: detail %d = %+v, reference %+v", what, i, g, w)
+		}
 	}
 }
 
@@ -317,14 +345,7 @@ func checkEvaluatorForms(t *testing.T, ev *Evaluator, comms []Communication, wei
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, what+" Detailed", got, want)
-	for i := range details {
-		g, w := details[i], wantDetails[i]
-		if math.Float64bits(g.LossDB) != math.Float64bits(w.LossDB) ||
-			math.Float64bits(g.NoiseDB) != math.Float64bits(w.NoiseDB) ||
-			math.Float64bits(g.SNRDB) != math.Float64bits(w.SNRDB) {
-			t.Fatalf("%s: detail %d = %+v, reference %+v", what, i, g, w)
-		}
-	}
+	requireSameDetails(t, what, details, wantDetails)
 
 	want, _ = refEvaluate(nw, comms, weights, nil)
 	if got, err = ev.EvaluateWeighted(comms, weights); err != nil {
@@ -371,8 +392,8 @@ func TestPairTableMatchesReference(t *testing.T) {
 
 // TestIncrementalMatchesReference drives ApplyDelta/Undo sequences on
 // both engines whose deltas range from single communications through a
-// quarter, a third, half and most of the set to all of it, on both
-// sides of the table's recompute threshold, and checks every state
+// fifth, a quarter, a third, half and most of the set to all of it, on
+// both sides of each table layout's recompute threshold, and checks every state
 // against the frozen reference. Every Undo
 // must restore the previous result, and on the kernel every occupancy
 // list.
@@ -416,7 +437,8 @@ func TestIncrementalMatchesReference(t *testing.T) {
 						requireBitIdentical(t, "Init", got, want)
 
 						sizes := []int{1, 2, 3, m / 3, m / 4, m/4 + 1,
-							m * tableRecomputeNum / tableRecomputeDen, m*tableRecomputeNum/tableRecomputeDen + 1, m / 2, m * 9 / 10, m}
+							m * tableRecomputeNum / tableRecomputeDen, m*tableRecomputeNum/tableRecomputeDen + 1,
+							m * compactRecomputeNum / compactRecomputeDen, m*compactRecomputeNum/compactRecomputeDen + 1, m / 2, m * 9 / 10, m}
 						for step := 0; step < 120; step++ {
 							k := sizes[step%len(sizes)]
 							changed := rng.Perm(m)[:k]
@@ -625,4 +647,70 @@ func fuzzIncremental(t *testing.T, rn refNet, engine string, seed int64, ops []b
 		requireBitIdentical(t, fmt.Sprintf("%s (|Δ|=%d of %d)", what, len(changed), len(edges)), got, want)
 		undoMapping = prev
 	}
+}
+
+// FuzzFoldMatchesReference checks fold, which takes a victim's log10
+// only while the victim can still be the worst SNR (snrSlack), against
+// the reference's per-victim loop, refFold, bit for bit, with and
+// without details. The seed picks a reference network, the fresh paths,
+// the weights (odd seeds) and the conflict count; each 3-byte group
+// (op, x, y) of the input adds one victim. Bit 0 of op reuses an earlier
+// victim's path (picked by x) instead of a fresh one; bits 1–2 pick its
+// noise: none, a fresh level (10^(−y/25) of the injected power plus x
+// quanta), an earlier victim's noise (picked by x) moved by y%3−1
+// quanta, or noise whose key is an earlier victim's moved by (y−128)·1e-11
+// relative, across the skip rule's margin of 1e-9. One group is a single
+// communication. The seed corpus lives in testdata/fuzz, so plain go
+// test replays it.
+func FuzzFoldMatchesReference(f *testing.F) {
+	f.Add(int64(1), []byte{2, 0, 40, 5, 0, 1, 7, 0, 128})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		nets := refNetworks(t)
+		nw := nets[int(uint64(seed)%uint64(len(nets)))].nw
+		rng := rand.New(rand.NewSource(seed))
+		var paths []*network.Path
+		var accs []int64
+		for ; len(data) >= 3 && len(paths) < 128; data = data[3:] {
+			op, x, y := data[0], int(data[1]), data[2]
+			var p *network.Path
+			if op&1 != 0 && len(paths) > 0 {
+				p = paths[x%len(paths)]
+			} else {
+				c := randomComm(rng, nw.NumTiles())
+				p = nw.Path(c.Src, c.Dst)
+			}
+			var a int64
+			switch op >> 1 & 3 {
+			case 1:
+				a = fixedNoise(math.Pow(10, -float64(y)/25)) + int64(x)
+			case 2:
+				if len(accs) > 0 {
+					a = accs[x%len(accs)] + int64(y%3) - 1
+				}
+			case 3:
+				if len(accs) > 0 {
+					u := x % len(accs)
+					a = int64(float64(accs[u]) * paths[u].InvLinLoss / p.InvLinLoss * (1 + (float64(y)-128)*1e-11))
+				}
+			}
+			paths = append(paths, p)
+			accs = append(accs, a)
+		}
+		if len(paths) == 0 {
+			return
+		}
+		var weights []float64
+		if seed%2 != 0 {
+			weights = make([]float64, len(paths))
+			for i := range weights {
+				weights[i] = 1 + float64(rng.Intn(9))
+			}
+		}
+		conflicts := rng.Intn(100)
+		want, wantDetails := refFold(paths, accs, weights, conflicts)
+		requireBitIdentical(t, "fold", fold(paths, accs, weights, conflicts, nil), want)
+		details := make([]Detail, len(paths))
+		requireBitIdentical(t, "fold with details", fold(paths, accs, weights, conflicts, details), want)
+		requireSameDetails(t, "fold", details, wantDetails)
+	})
 }

@@ -69,6 +69,11 @@ type Path struct {
 	// TotalLoss is the end-to-end insertion loss in dB (ILdB of the
 	// paper; <= 0).
 	TotalLoss float64
+	// InvLinLoss is 10^(-TotalLoss/10), the inverse of the path's linear
+	// transmission (>= 1), precomputed at build like the steps' factors:
+	// a victim's noise times InvLinLoss is its linear noise-to-signal
+	// ratio, which the analysis compares without a logarithm.
+	InvLinLoss float64
 	// Hops is the number of links traversed.
 	Hops int
 }
@@ -265,7 +270,7 @@ func build(t topo.Topology, arch *router.Architecture, algo route.Algorithm, p p
 				s.LinLossBefore = lin.of(s.LossBefore)
 				s.LinDownstream = lin.of(acc - s.LossBefore - s.Loss)
 			}
-			pathSlab = append(pathSlab, Path{Src: src, Dst: dst, Steps: steps, TotalLoss: acc, Hops: len(links)})
+			pathSlab = append(pathSlab, Path{Src: src, Dst: dst, Steps: steps, TotalLoss: acc, InvLinLoss: lin.of(-acc), Hops: len(links)})
 			row[dst] = &pathSlab[len(pathSlab)-1]
 		}
 	}
@@ -378,15 +383,15 @@ func (nw *Network) Routing() route.Algorithm { return nw.algo }
 func (nw *Network) Params() photonic.Params { return nw.params }
 
 // Path returns the precomputed path from src to dst. For src == dst it
-// returns an empty zero-loss path; out-of-range tiles, and a pair that
-// NewForPairs left out, return nil.
+// returns an empty zero-loss path (InvLinLoss 1); out-of-range tiles, and
+// a pair that NewForPairs left out, return nil.
 func (nw *Network) Path(src, dst topo.TileID) *Path {
 	n := nw.NumTiles()
 	if src < 0 || int(src) >= n || dst < 0 || int(dst) >= n {
 		return nil
 	}
 	if src == dst {
-		return &Path{Src: src, Dst: dst}
+		return &Path{Src: src, Dst: dst, InvLinLoss: 1}
 	}
 	return nw.paths[src][dst]
 }

@@ -110,6 +110,7 @@ func referenceExpand(nw *Network, src, dst topo.TileID) (*Path, error) {
 		}
 	}
 	path.TotalLoss = acc
+	path.InvLinLoss = photonic.DBToLinear(-path.TotalLoss)
 	for i := range path.Steps {
 		s := &path.Steps[i]
 		s.LinLossBefore = photonic.DBToLinear(s.LossBefore)
@@ -167,10 +168,10 @@ func diffNetworks(got, want *Network) string {
 // every path field and every step field matches, floats by bits.
 func diffPath(g, w *Path) string {
 	if g.Src != w.Src || g.Dst != w.Dst || g.Hops != w.Hops ||
-		!sameFloat(g.TotalLoss, w.TotalLoss) || len(g.Steps) != len(w.Steps) {
-		return fmt.Sprintf("%d->%d: path {%d %d %d %v %d steps}, want {%d %d %d %v %d steps}",
-			w.Src, w.Dst, g.Src, g.Dst, g.Hops, g.TotalLoss, len(g.Steps),
-			w.Src, w.Dst, w.Hops, w.TotalLoss, len(w.Steps))
+		!sameFloat(g.TotalLoss, w.TotalLoss) || !sameFloat(g.InvLinLoss, w.InvLinLoss) || len(g.Steps) != len(w.Steps) {
+		return fmt.Sprintf("%d->%d: path {%d %d %d %v %v %d steps}, want {%d %d %d %v %v %d steps}",
+			w.Src, w.Dst, g.Src, g.Dst, g.Hops, g.TotalLoss, g.InvLinLoss, len(g.Steps),
+			w.Src, w.Dst, w.Hops, w.TotalLoss, w.InvLinLoss, len(w.Steps))
 	}
 	for i := range w.Steps {
 		gs, ws := g.Steps[i], w.Steps[i]

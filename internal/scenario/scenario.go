@@ -105,7 +105,7 @@ func (s *Spec) Normalize() (*cg.Graph, error) {
 		// before filling defaults so normalizing one spec copy never
 		// mutates another (e.g. sweep cells sharing one grid block).
 		s.Analyses = s.Analyses.clone()
-		if err := s.Analyses.normalize(s.Arch); err != nil {
+		if err := s.Analyses.normalize(s.Arch, app); err != nil {
 			return nil, err
 		}
 	}
@@ -180,8 +180,8 @@ func (a *AnalysesSpec) clone() *AnalysesSpec {
 }
 
 // normalize fills analysis defaults and validates them against the
-// normalized architecture.
-func (a *AnalysesSpec) normalize(arch config.ArchSpec) error {
+// normalized architecture and the application.
+func (a *AnalysesSpec) normalize(arch config.ArchSpec, app *cg.Graph) error {
 	if a.Power != nil {
 		if err := a.Power.normalize(); err != nil {
 			return err
@@ -204,7 +204,7 @@ func (a *AnalysesSpec) normalize(arch config.ArchSpec) error {
 		}
 	}
 	if a.Sim != nil {
-		if err := a.Sim.normalize(); err != nil {
+		if err := a.Sim.normalize(app); err != nil {
 			return err
 		}
 	}
@@ -320,7 +320,25 @@ type SimSpec struct {
 	Seed       int64     `json:"seed,omitempty"`
 }
 
-func (s *SimSpec) normalize() error {
+// MaxSimPackets bounds the packets a traffic simulation expects at its
+// largest load point (sim.Config.ExpectedPackets: the application's
+// summed edge bandwidth in Gb/s, times that load scale, times the
+// window, over the packet size). The window cap alone bounds nothing,
+// since a tiny packet size or a huge load scale multiplies the packets. The cap admits every built-in
+// application at the default packet size and load over the longest
+// window, MaxSimDurationNs (DVOPD expects the most, 1.63e5 packets).
+// Timed at the cap on one worker (Intel Xeon, 2 vCPUs), a simulation
+// below saturation took 0.17 s (PIP at load 17.7 over 1e7 ns), but one
+// far past it takes longer, because every release rescans the queue of
+// waiting packets: 7.6 s for DVOPD at load 10 and 31 s for PIP at load
+// 200.
+const MaxSimPackets = 200_000
+
+// normalize resolves a simulation's defaults and admits it only if it
+// can run: each load point's config passes the simulator's own
+// Validate, and the largest load point expects at most MaxSimPackets
+// packets of the application.
+func (s *SimSpec) normalize(app *cg.Graph) error {
 	// Resolve the physical defaults through the simulator's own
 	// normalization so the two layers cannot drift apart.
 	cfg := sim.Config{
@@ -347,10 +365,15 @@ func (s *SimSpec) normalize() error {
 	if len(s.LoadScales) > MaxSimLoadPoints {
 		return fmt.Errorf("scenario: %d sim load points, limit %d", len(s.LoadScales), MaxSimLoadPoints)
 	}
+	maxLoad := 0.0
 	for _, l := range s.LoadScales {
-		if l <= 0 {
-			return fmt.Errorf("scenario: sim load scale must be positive, got %v", l)
+		if err := s.config(l).Validate(); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
+		maxLoad = max(maxLoad, l)
+	}
+	if packets := s.config(maxLoad).ExpectedPackets(app); !(packets <= MaxSimPackets) {
+		return fmt.Errorf("scenario: sim expects %.3g packets at load scale %v, limit %v", packets, maxLoad, float64(MaxSimPackets))
 	}
 	return nil
 }

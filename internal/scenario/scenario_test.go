@@ -3,9 +3,11 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
+	"phonocmap/internal/cg"
 	"phonocmap/internal/config"
 	"phonocmap/internal/core"
 	"phonocmap/internal/search"
@@ -190,6 +192,15 @@ func TestNormalizeValidation(t *testing.T) {
 			}
 			s.Analyses = &AnalysesSpec{Sim: &SimSpec{LoadScales: loads}}
 		}},
+		{"NaN sim load", func(s *Spec) {
+			s.Analyses = &AnalysesSpec{Sim: &SimSpec{LoadScales: []float64{math.NaN()}}}
+		}},
+		{"infinite sim packet size", func(s *Spec) {
+			s.Analyses = &AnalysesSpec{Sim: &SimSpec{PacketBits: math.Inf(1)}}
+		}},
+		{"sim packets over the cap", func(s *Spec) {
+			s.Analyses = &AnalysesSpec{Sim: &SimSpec{PacketBits: 1, DurationNs: MaxSimDurationNs}}
+		}},
 	}
 	for _, tc := range cases {
 		s := base()
@@ -205,6 +216,18 @@ func TestNormalizeValidation(t *testing.T) {
 	s.Analyses = &AnalysesSpec{LinkFailures: &LinkFailuresSpec{}}
 	if _, err := s.Normalize(); err != nil {
 		t.Errorf("link failures on cygnus rejected: %v", err)
+	}
+}
+
+// TestSimAdmitsBuiltinAppsAtTheLongestWindow normalizes a default
+// simulation of every built-in application over MaxSimDurationNs: the
+// packet cap must admit each of them at the default packet size and load.
+func TestSimAdmitsBuiltinAppsAtTheLongestWindow(t *testing.T) {
+	for _, name := range cg.AppNames() {
+		s := Spec{App: config.AppSpec{Builtin: name}, Analyses: &AnalysesSpec{Sim: &SimSpec{DurationNs: MaxSimDurationNs}}}
+		if _, err := s.Normalize(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

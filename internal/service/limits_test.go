@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"phonocmap/internal/cg"
 	"phonocmap/internal/network"
 	"phonocmap/internal/scenario"
 )
@@ -87,5 +88,68 @@ func TestSimWindowCapped(t *testing.T) {
 	final, _ := pollUntil(t, ts.URL, st.ID, 60*time.Second, func(st JobStatus) bool { return st.State.Terminal() })
 	if final.State != StateDone {
 		t.Fatalf("a job at the cap finished %q (%s), want done", final.State, final.Error)
+	}
+}
+
+// TestSimAdmission submits PIP jobs whose traffic simulation cannot run,
+// or would simulate more than scenario.MaxSimPackets packets at its
+// largest load point: each must be answered 400 invalid_spec in the
+// error envelope before any network is built. A job whose simulation
+// expects just under the cap must be accepted and run.
+func TestSimAdmission(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	job := func(sim string) string {
+		return `{"app":{"builtin":"PIP"},"budget":50,"analyses":{"sim":` + sim + `}}`
+	}
+	cases := []struct{ name, sim string }{
+		{"negative packet size", `{"packet_bits":-1}`},
+		{"warm-up past the window", `{"warmup_ns":2000,"duration_ns":1000}`},
+		{"warm-up at the window", `{"warmup_ns":1000,"duration_ns":1000}`},
+		{"negative warm-up", `{"warmup_ns":-1}`},
+		{"negative line rate", `{"link_bandwidth_gbps":-40}`},
+		{"negative setup latency", `{"setup_ns_per_hop":-1}`},
+		{"tiny packets", `{"packet_bits":1e-6}`},
+		{"packets over the cap", `{"packet_bits":40.96,"duration_ns":1e7}`},
+		{"huge load scale", `{"load_scales":[1,1e6]}`},
+	}
+	for _, c := range cases {
+		builds := network.BuildsTotal()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(job(c.sim)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Errorf("%s: body is not an error envelope: %v", c.name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeInvalidSpec {
+			t.Errorf("%s: got %d %q (%s), want 400 invalid_spec", c.name, resp.StatusCode, env.Error.Code, env.Error.Message)
+		}
+		if got := network.BuildsTotal() - builds; got != 0 {
+			t.Errorf("%s: %d networks built for a rejected request", c.name, got)
+		}
+	}
+
+	// PIP's load scale that expects just under the cap over the longest
+	// window at the default packet size (sim.Run's rates: MB/s to Gb/s),
+	// below saturation, where a simulation at the cap is quick.
+	app, err := cg.Builtin("PIP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gbps := 0.0
+	for _, e := range app.Edges() {
+		gbps += e.Bandwidth * 8 / 1000
+	}
+	load := scenario.MaxSimPackets * 4096 / (gbps * scenario.MaxSimDurationNs) * (1 - 1e-9)
+	var st JobStatus
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", json.RawMessage(job(fmt.Sprintf(`{"duration_ns":%v,"load_scales":[%v]}`, float64(scenario.MaxSimDurationNs), load))), &st); code != http.StatusAccepted {
+		t.Fatalf("a job just under the packet cap (load scale %v) was answered %d, want 202", load, code)
+	}
+	final, _ := pollUntil(t, ts.URL, st.ID, 120*time.Second, func(st JobStatus) bool { return st.State.Terminal() })
+	if final.State != StateDone {
+		t.Fatalf("a job just under the packet cap finished %q (%s), want done", final.State, final.Error)
 	}
 }

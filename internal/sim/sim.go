@@ -80,7 +80,17 @@ func (c *Config) Normalize() {
 	}
 }
 
-func (c Config) validate() error {
+// Validate checks a normalized Config: finite values, a positive packet
+// size and line rate, a non-negative setup latency, a warm-up inside a
+// positive window and a positive load scale. Run applies it, and so does
+// the scenario layer when it admits a simulation, so the two reject the
+// same configs.
+func (c Config) Validate() error {
+	for _, v := range [...]float64{c.PacketBits, c.LinkBandwidthGbps, c.SetupNsPerHop, c.DurationNs, c.WarmupNs, c.LoadScale} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sim: non-finite value in config %+v", c)
+		}
+	}
 	if c.PacketBits <= 0 || c.LinkBandwidthGbps <= 0 || c.SetupNsPerHop < 0 {
 		return fmt.Errorf("sim: invalid physical config %+v", c)
 	}
@@ -92,6 +102,21 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// ExpectedPackets returns how many packets a run of the application
+// under the normalized config generates on average: each flow's rate at
+// the config's load scale, over the window, in packets of PacketBits.
+func (c Config) ExpectedPackets(app *cg.Graph) float64 {
+	packets := 0.0
+	for _, e := range app.Edges() {
+		packets += flowRateGbps(e.Bandwidth, c.LoadScale) * c.DurationNs / c.PacketBits
+	}
+	return packets
+}
+
+// flowRateGbps is the rate in Gb/s of a flow whose CG edge carries mbps
+// MB/s, at load scale load.
+func flowRateGbps(mbps, load float64) float64 { return mbps * 8 / 1000 * load }
 
 // Stats summarizes one simulation run.
 type Stats struct {
@@ -159,7 +184,7 @@ type waiting struct {
 // Run simulates the mapped application on the network.
 func Run(nw *network.Network, app *cg.Graph, m core.Mapping, cfg Config) (Stats, error) {
 	cfg.Normalize()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
 	if err := m.Validate(nw.NumTiles()); err != nil {
@@ -189,7 +214,7 @@ func Run(nw *network.Network, app *cg.Graph, m core.Mapping, cfg Config) (Stats,
 		for i, l := range links {
 			idxs[i] = linkIdx[[2]int{int(l.From), int(l.Dir)}]
 		}
-		rate := e.Bandwidth * 8 / 1000 * cfg.LoadScale // MB/s -> Gb/s
+		rate := flowRateGbps(e.Bandwidth, cfg.LoadScale)
 		if rate <= 0 {
 			continue
 		}

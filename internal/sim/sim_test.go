@@ -190,6 +190,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(nw, app, core.Mapping{0, 1}, Config{LoadScale: -1}); err == nil {
 		t.Error("accepted negative load")
 	}
+	if _, err := Run(nw, app, core.Mapping{0, 1}, Config{LoadScale: math.NaN()}); err == nil {
+		t.Error("accepted NaN load")
+	}
+	if _, err := Run(nw, app, core.Mapping{0, 1}, Config{PacketBits: math.Inf(1)}); err == nil {
+		t.Error("accepted infinite packets")
+	}
 	zero := twoTaskApp(t, 0)
 	if _, err := Run(nw, zero, core.Mapping{0, 1}, Config{}); err == nil {
 		t.Error("accepted zero-bandwidth-only app")
