@@ -29,7 +29,9 @@
 // crosstalk level.
 //
 // Whole-set evaluation has one implementation, Evaluator's; the
-// incremental engine (Incremental) is an Evaluator plus an undo log.
+// incremental engine (Incremental) is an Evaluator plus one undo log,
+// the same on both engines below: the changed communications' old paths
+// and a copy of all m accumulators, which Undo restores.
 //
 // One pair kernel serves every evaluation path (kernel.go). Each element
 // keeps an occupancy list of the path steps traversing it, with what the
@@ -55,17 +57,18 @@
 // Networks of up to core's tile cap also have a second engine, the path
 // table (table.go): for every pair of the network's tile-pair paths, the
 // noise each injects into the other summed over their shared elements,
-// and the pair's conflict count, filled once per network from a seating
-// of every path with the kernel's own pair terms. A whole-set evaluation
-// then reads the table for each pair of the set's communications (a
-// compact table in path-index order, so each row streams), a delta about
-// 2·|Δ|·m times on the compact layout, reading each changed pair once for
-// both directions, and 3·|Δ|·m on the dense one, and an undo restores an
-// O(m) snapshot; integer sums keep every result bit-identical to the
-// kernel's. TableOf builds a network's table
-// at most once, on first use, and the network keeps it;
-// NewTableEvaluator and NewTableIncremental score from it. A table of up
-// to 16 tiles is dense, a term per ordered pair; above that it is
+// and the pair's conflict count, filled once per network, path by path,
+// from a seating of every path with the kernel's own pair terms (one
+// fill for both layouts). A whole-set evaluation then reads the table for
+// each pair of the set's communications (a compact table in path-index
+// order, so each row streams), a delta about 2·|Δ|·m times on the
+// compact layout, reading each changed pair once for both directions,
+// and 3·|Δ|·m on the dense one, and an undo restores the logged
+// accumulators; integer sums keep every result bit-identical to the
+// kernel's. TableOf builds a network's table at most once, on first use,
+// and the network keeps it; NewTableEvaluator and NewTableIncremental
+// score from it, and Bytes reads its size off the built table. A table
+// of up to 16 tiles is dense, a term per ordered pair; above that it is
 // compact, a uint16 code per unordered pair into a dictionary of the
 // network's distinct terms, which keeps a 6×6 table near 2 MB instead of
 // 15 MB. The layout is chosen by size alone, since the dense one reads

@@ -24,8 +24,7 @@ import (
 // table reads on the compact layout and 3·|Δ|·m on the dense one
 // (PathTable.delta); a delta of more than a third of m on the dense
 // layout, or a fifth on the compact one, sums the whole table again
-// instead (tableRecomputeNum). Undo restores an O(m) snapshot of the
-// accumulators.
+// instead (tableRecomputeNum).
 //
 // Bit-for-bit contract: every Result an Incremental produces is
 // identical — to the last bit — to Evaluator.Evaluate (or
@@ -58,9 +57,15 @@ import (
 // incident to two moved tasks; a mapping that is not a neighbour of the
 // seated one is seated afresh with Init.
 //
-// Undo does no pair work. It costs O(|path|) per changed communication
-// plus one store per touched victim: it pops the new paths' entries off
-// the ends of their lists and re-appends the old ones.
+// Both engines keep one undo log: the changed communications with their
+// old paths and path indices, a copy of all m accumulators and the
+// previous Result. The copy is O(m), as fold already is on every delta:
+// on the 8×8 dense problem (m = 220) it is 1.7 KB against a delta of
+// about 140 µs, so logging only the victims a delta touches saves
+// nothing in order. Undo does no pair work: it restores the paths,
+// indices and accumulators, and on the kernel it also pops the new
+// paths' entries off the ends of their lists and re-appends the old
+// ones, O(|path|) per changed communication.
 //
 // An Incremental is not safe for concurrent use.
 type Incremental struct {
@@ -68,32 +73,28 @@ type Incremental struct {
 	// path indices, occupancy map, per-victim noise (ev.acc) and weights
 	// (set by InitWeighted, constant across deltas).
 	ev Evaluator
-
-	// conflicts is the seated set's contention total. weightsBuf is the
-	// reusable backing store of ev.weights, so re-Init copies instead of
-	// allocating.
-	conflicts  int
+	// weightsBuf is the reusable backing store of ev.weights, so re-Init
+	// copies instead of allocating.
 	weightsBuf []float64
 
+	// res is the seated set's Result; res.Conflicts is its contention
+	// total, which deltas move.
 	res    Result
 	inited bool
 
 	// Per-delta scratch: changedMark flags the communications being
-	// replaced (catches duplicates); touchedMark flags every victim whose
-	// accumulator was snapshotted for undo; resolved holds the paths of
-	// the incoming communications, looked up while they are validated.
+	// replaced (catches duplicates); resolved holds the paths of the
+	// incoming communications, looked up while they are validated.
 	changedMark []bool
-	touchedMark []bool
 	resolved    []*network.Path
 
-	// Single-level undo log for the last ApplyDelta. After a delta on
-	// the table, undoNoise holds every accumulator and undoTouched is
-	// empty.
+	// Single-level undo log for the last ApplyDelta, the same on both
+	// engines: the changed communications, their old paths and path
+	// indices, every accumulator, and the previous Result.
 	undoValid   bool
 	undoChanged []int
 	undoPaths   []*network.Path
 	undoIdx     []int32
-	undoTouched []int
 	undoNoise   []int64
 	undoRes     Result
 }
@@ -176,13 +177,10 @@ func (inc *Incremental) init(comms []Communication, weights []float64) (Result, 
 	m := len(comms)
 	if cap(inc.changedMark) < m {
 		inc.changedMark = make([]bool, m)
-		inc.touchedMark = make([]bool, m)
 	}
 	inc.changedMark = inc.changedMark[:m]
-	inc.touchedMark = inc.touchedMark[:m]
 	clear(inc.changedMark)
-	clear(inc.touchedMark)
-	inc.res, inc.conflicts = res, res.Conflicts
+	inc.res = res
 	inc.inited = true
 	return res, nil
 }
@@ -194,6 +192,8 @@ func (inc *Incremental) Result() Result { return inc.res }
 // metrics of the updated set, patching only the victims that share
 // elements with the changed communications (see the type docs for the
 // cost). The previous state is retained for one Undo.
+//
+//phonocmap:noalloc
 func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Result, error) {
 	if !inc.inited {
 		return Result{}, fmt.Errorf("analysis: ApplyDelta before Init")
@@ -201,6 +201,57 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 	if len(changed) != len(newComms) {
 		return Result{}, fmt.Errorf("analysis: %d indices for %d communications", len(changed), len(newComms))
 	}
+	if err := inc.resolveDelta(changed, newComms); err != nil {
+		return Result{}, err
+	}
+
+	// Open the undo log.
+	inc.undoChanged = append(inc.undoChanged[:0], changed...)
+	inc.undoPaths = inc.undoPaths[:0]
+	inc.undoIdx = inc.undoIdx[:0]
+	for _, ci := range changed {
+		inc.undoPaths = append(inc.undoPaths, inc.ev.paths[ci])
+		inc.undoIdx = append(inc.undoIdx, inc.ev.idx[ci])
+	}
+	inc.undoNoise = append(inc.undoNoise[:0], inc.ev.acc...)
+	inc.undoRes = inc.res
+
+	conflicts := inc.res.Conflicts
+	if inc.ev.tab != nil {
+		// A patch or a fresh sum.
+		inc.reroute(changed, newComms)
+		num, den := tableRecomputeNum, tableRecomputeDen
+		if inc.ev.tab.codes != nil {
+			num, den = compactRecomputeNum, compactRecomputeDen
+		}
+		if len(changed)*den > len(inc.ev.paths)*num {
+			conflicts = inc.ev.score(nil)
+		} else {
+			conflicts += inc.ev.tab.delta(inc.ev.idx, inc.ev.acc, changed, inc.undoIdx, inc.changedMark)
+		}
+	} else {
+		for _, ci := range changed {
+			conflicts -= inc.detach(ci)
+		}
+		inc.reroute(changed, newComms)
+		for _, ci := range changed {
+			conflicts += inc.attach(ci)
+		}
+	}
+	for _, ci := range changed {
+		inc.changedMark[ci] = false
+	}
+	inc.res = fold(inc.ev.paths, inc.ev.acc, inc.ev.weights, conflicts, nil)
+	inc.undoValid = true
+	return inc.res, nil
+}
+
+// resolveDelta checks a delta's replacements before anything changes:
+// each index in range and listed once, each replacement on two distinct
+// tiles of the network with a path between them. It flags the changed
+// communications in changedMark and puts the replacements' paths in
+// resolved; on an error it clears the flags it set.
+func (inc *Incremental) resolveDelta(changed []int, newComms []Communication) error {
 	n, m := inc.ev.nw.NumTiles(), len(inc.ev.paths)
 	inc.resolved = inc.resolved[:0]
 	for i, ci := range changed {
@@ -223,63 +274,11 @@ func (inc *Incremental) ApplyDelta(changed []int, newComms []Communication) (Res
 			for _, cj := range changed[:i] {
 				inc.changedMark[cj] = false
 			}
-			return Result{}, err
+			return err
 		}
 		inc.changedMark[ci] = true
 	}
-
-	// Open the undo log.
-	inc.undoChanged = append(inc.undoChanged[:0], changed...)
-	inc.undoPaths = inc.undoPaths[:0]
-	inc.undoTouched = inc.undoTouched[:0]
-	inc.undoNoise = inc.undoNoise[:0]
-	inc.undoIdx = inc.undoIdx[:0]
-	inc.undoRes = inc.res
-	for _, ci := range changed {
-		inc.undoPaths = append(inc.undoPaths, inc.ev.paths[ci])
-		inc.undoIdx = append(inc.undoIdx, inc.ev.idx[ci])
-	}
-
-	if inc.ev.tab != nil {
-		// An O(m) snapshot, then a patch or a fresh sum.
-		inc.undoNoise = append(inc.undoNoise, inc.ev.acc...)
-		inc.reroute(changed, newComms)
-		num, den := tableRecomputeNum, tableRecomputeDen
-		if inc.ev.tab.codes != nil {
-			num, den = compactRecomputeNum, compactRecomputeDen
-		}
-		if len(changed)*den > m*num {
-			inc.conflicts = inc.ev.score(nil)
-		} else {
-			inc.conflicts += inc.ev.tab.delta(inc.ev.idx, inc.ev.acc, changed, inc.undoIdx, inc.changedMark)
-		}
-	} else {
-		// Every victim snapshots its accumulator the moment it is first
-		// touched; the changed ones up front, since their accumulators
-		// are rebuilt from zero.
-		for _, ci := range changed {
-			inc.touch(ci)
-		}
-		for _, ci := range changed {
-			inc.detach(ci)
-		}
-		inc.reroute(changed, newComms)
-		for _, ci := range changed {
-			inc.ev.acc[ci] = 0
-		}
-		for _, ci := range changed {
-			inc.attach(ci)
-		}
-		for _, vi := range inc.undoTouched {
-			inc.touchedMark[vi] = false
-		}
-	}
-	for _, ci := range changed {
-		inc.changedMark[ci] = false
-	}
-	inc.res = fold(inc.ev.paths, inc.ev.acc, inc.ev.weights, inc.conflicts, nil)
-	inc.undoValid = true
-	return inc.res, nil
+	return nil
 }
 
 // reroute points the changed communications at their new paths.
@@ -295,9 +294,12 @@ func (inc *Incremental) reroute(changed []int, newComms []Communication) {
 // detach is the first scan of a delta: it removes communication c's
 // entries from the elements of its current path and, in the same pass,
 // takes back what each of those steps contributed to the other
-// occupants. What it takes from another changed communication is
-// discarded when that one's accumulator restarts from zero.
-func (inc *Incremental) detach(c int) {
+// occupants, returning the conflicts it takes back. What it takes from
+// another changed communication is discarded when that one attaches and
+// sets its accumulator afresh.
+//
+//phonocmap:noalloc
+func (inc *Incremental) detach(c int) (conflicts int) {
 	p := inc.ev.paths[c]
 	for si := range p.Steps {
 		s := &p.Steps[si]
@@ -310,9 +312,8 @@ func (inc *Incremental) detach(c int) {
 				continue
 			}
 			t := pairOf(v.class, a.class)
-			inc.conflicts -= int(t & contends)
+			conflicts += int(t & contends)
 			if t&leaksIntoFirst != 0 {
-				inc.touch(int(v.comm))
 				inc.ev.acc[v.comm] -= inc.ev.occ.noise(v, &a)
 			}
 			if w != r {
@@ -322,14 +323,18 @@ func (inc *Incremental) detach(c int) {
 		}
 		inc.ev.occ.lists[s.Node] = occ[:w]
 	}
+	return conflicts
 }
 
 // attach is the second scan of a delta: it enters communication c's new
 // path step by step, adding each step's contribution to the occupants it
-// meets and, in the same pass, theirs to c's own accumulator.
-// Occupants include the changed communications attached before c, so
-// each changed-changed pair is handled here exactly once.
-func (inc *Incremental) attach(c int) {
+// meets and, in the same pass, theirs to c's own accumulator, which it
+// then sets; it returns the conflicts it adds. Occupants include the
+// changed communications attached before c, so each changed-changed pair
+// is handled here exactly once.
+//
+//phonocmap:noalloc
+func (inc *Incremental) attach(c int) (conflicts int) {
 	p := inc.ev.paths[c]
 	var own int64
 	for si := range p.Steps {
@@ -342,9 +347,8 @@ func (inc *Incremental) attach(c int) {
 				continue
 			}
 			t := pairOf(v.class, a.class)
-			inc.conflicts += int(t & contends)
+			conflicts += int(t & contends)
 			if t&leaksIntoFirst != 0 {
-				inc.touch(int(v.comm))
 				inc.ev.acc[v.comm] += inc.ev.occ.noise(v, &a)
 			}
 			if t&leaksIntoSecond != 0 {
@@ -354,6 +358,7 @@ func (inc *Incremental) attach(c int) {
 		inc.ev.occ.add(s.Node, a)
 	}
 	inc.ev.acc[c] = own
+	return conflicts
 }
 
 // Undo reverts the last ApplyDelta, restoring paths, occupancy and every
@@ -367,21 +372,14 @@ func (inc *Incremental) attach(c int) {
 // entries are exactly its k new-path entries. Popping them and
 // re-appending the old paths' entries restores every list's multiset of
 // entries, though not its order, which no pair loop depends on.
+//
+//phonocmap:noalloc
 func (inc *Incremental) Undo() (Result, error) {
 	if !inc.undoValid {
 		return Result{}, fmt.Errorf("analysis: nothing to undo")
 	}
-	if inc.ev.tab != nil {
-		// Restore the snapshot of every accumulator.
-		for i, ci := range inc.undoChanged {
-			inc.ev.paths[ci] = inc.undoPaths[i]
-			inc.ev.idx[ci] = inc.undoIdx[i]
-		}
-		copy(inc.ev.acc, inc.undoNoise)
-	} else {
-		// Pop the new paths' entries, re-append the old ones, and restore
-		// the snapshotted accumulators (no pair work: the stored values
-		// are the previous values).
+	kernel := inc.ev.tab == nil
+	if kernel {
 		for _, ci := range inc.undoChanged {
 			p := inc.ev.paths[ci]
 			for si := range p.Steps {
@@ -389,27 +387,16 @@ func (inc *Incremental) Undo() (Result, error) {
 				inc.ev.occ.lists[p.Steps[si].Node] = occ[:len(occ)-1]
 			}
 		}
-		for i, ci := range inc.undoChanged {
-			inc.ev.paths[ci] = inc.undoPaths[i]
-			inc.ev.idx[ci] = inc.undoIdx[i]
+	}
+	for i, ci := range inc.undoChanged {
+		inc.ev.paths[ci] = inc.undoPaths[i]
+		inc.ev.idx[ci] = inc.undoIdx[i]
+		if kernel {
 			inc.ev.occ.addPath(ci, inc.ev.paths[ci])
 		}
-		for i, vi := range inc.undoTouched {
-			inc.ev.acc[vi] = inc.undoNoise[i]
-		}
 	}
+	copy(inc.ev.acc, inc.undoNoise)
 	inc.res = inc.undoRes
-	inc.conflicts = inc.res.Conflicts
 	inc.undoValid = false
 	return inc.res, nil
-}
-
-// touch queues a victim's undo snapshot on first contact in a delta.
-func (inc *Incremental) touch(vi int) {
-	if inc.touchedMark[vi] {
-		return
-	}
-	inc.touchedMark[vi] = true
-	inc.undoTouched = append(inc.undoTouched, vi)
-	inc.undoNoise = append(inc.undoNoise, inc.ev.acc[vi])
 }

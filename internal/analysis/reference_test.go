@@ -395,8 +395,8 @@ func TestPairTableMatchesReference(t *testing.T) {
 // fifth, a quarter, a third, half and most of the set to all of it, on
 // both sides of each table layout's recompute threshold, and checks every state
 // against the frozen reference. Every Undo
-// must restore the previous result, and on the kernel every occupancy
-// list.
+// must restore the previous result and every accumulator, and on the
+// kernel every occupancy list.
 func TestIncrementalMatchesReference(t *testing.T) {
 	for _, rn := range refNetworks(t) {
 		for _, weighted := range []bool{false, true} {
@@ -447,6 +447,7 @@ func TestIncrementalMatchesReference(t *testing.T) {
 								newComms[i] = randomComm(rng, n)
 							}
 							prev := inc.Result()
+							prevAcc := slices.Clone(inc.ev.acc)
 							prevOcc := occupancyOf(inc)
 							if got, err = inc.ApplyDelta(changed, newComms); err != nil {
 								t.Fatal(err)
@@ -465,6 +466,9 @@ func TestIncrementalMatchesReference(t *testing.T) {
 								requireBitIdentical(t, what+" Undo", got, prev)
 								want, _ := refEvaluate(rn.nw, comms, weights, nil)
 								requireBitIdentical(t, what+" Undo", got, want)
+								if !slices.Equal(inc.ev.acc, prevAcc) {
+									t.Fatalf("%s Undo: accumulators %v, want %v", what, inc.ev.acc, prevAcc)
+								}
 								if engine == "kernel" {
 									requireSameOccupancy(t, what+" Undo", occupancyOf(inc), prevOcc)
 								}

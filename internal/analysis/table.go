@@ -28,7 +28,9 @@ import (
 // kernel's count for one pair of co-located steps (one per victim). The
 // diagonal holds what two communications on one path give each other:
 // no noise, and 2 conflicts per step, since every step contends with its
-// twin. A table is immutable once built and safe for concurrent use.
+// twin. One fill builds either layout below (fill), and Bytes reads a
+// built table's size off its slices. A table is immutable once built
+// and safe for concurrent use.
 //
 // A table has one of two layouts, chosen by the network's tile count:
 //
@@ -107,8 +109,7 @@ type tableOrErr struct {
 
 // TableOf returns nw's path table, building it on the first call for nw:
 // one table per network object, built by whichever caller asks first
-// (concurrent callers wait for it) and freed with the network. TableBytes
-// gives its size.
+// (concurrent callers wait for it) and freed with the network.
 func TableOf(nw *network.Network) (*PathTable, error) {
 	r := nw.Memo(func(nw *network.Network) any {
 		t, err := newPathTable(nw, nw.NumTiles() <= denseMaxTiles)
@@ -117,27 +118,21 @@ func TableOf(nw *network.Network) (*PathTable, error) {
 	return r.t, r.err
 }
 
-// TableBytes returns the memory nw's path table takes, built or not,
-// without building it. A dense table takes an int64 noise term and a
-// uint8 conflict count for each of the (n²)² ordered pairs of path
-// indices of n tiles, exactly. A compact table takes a uint16 code per
-// unordered pair and an int32 row offset per path index, plus its
-// dictionary, whose size only the build knows: it is charged at maxTerms
-// entries, so TableBytes never under-counts a built table.
-func TableBytes(nw *network.Network) int64 {
-	n := int64(nw.NumTiles())
-	stride := n * n
-	if n <= denseMaxTiles {
-		return stride * stride * 9
-	}
-	return stride*(stride+1)/2*2 + stride*4 + maxTerms*int64(unsafe.Sizeof(term{}))
+// Bytes returns the memory the table takes, read off its slices: 9 bytes
+// per ordered pair of path indices on the dense layout; on the compact
+// one, 2 bytes per unordered pair, 4 per path index and 24 per
+// dictionary term.
+func (t *PathTable) Bytes() int64 {
+	return int64(len(t.noise))*8 + int64(len(t.conf)) +
+		int64(len(t.codes))*2 + int64(len(t.off))*4 + int64(len(t.terms))*int64(unsafe.Sizeof(term{}))
 }
 
 // newPathTable seats every path of the network in exactly sized
 // occupancy lists, one slab for all of them, and fills the dense or the
-// compact layout from them with the pair kernel's terms. It rests on
-// the invariant the class-run walk rests on: no path crosses an element
-// twice, so two entries of one list belong to two different paths.
+// compact layout from them with the pair kernel's terms (fill). It rests
+// on the invariant the class-run walk rests on: no path crosses an
+// element twice, so two entries of one list belong to two different
+// paths.
 func newPathTable(nw *network.Network, dense bool) (*PathTable, error) {
 	//phonocmap:wallclock feeds only the process-wide table build-time counter, never a score
 	start := time.Now()
@@ -163,6 +158,8 @@ func newPathTable(nw *network.Network, dense bool) (*PathTable, error) {
 	for g := 1; g < len(first); g++ {
 		first[g] += first[g-1]
 	}
+	// Paths enter the slab src-major, in ascending path index, so each
+	// element's list holds its paths in ascending index.
 	slab := make([]entry, first[len(first)-1])
 	next := make([]int32, len(first)-1)
 	copy(next, first)
@@ -179,11 +176,21 @@ func newPathTable(nw *network.Network, dense bool) (*PathTable, error) {
 			}
 		}
 	}
-	t := &PathTable{nw: nw, stride: n * n}
-	o := occupancy{leak: leakCoeffs(nw.Params())}
+	stride := n * n
+	t := &PathTable{nw: nw, stride: stride}
 	if dense {
-		t.fillDense(&o, slab, first)
-	} else if err := t.fillCompact(&o, slab, first); err != nil {
+		t.noise, t.conf = make([]int64, stride*stride), make([]uint8, stride*stride)
+	} else {
+		t.off = make([]int32, stride)
+		size := 0
+		for p := range t.off {
+			t.off[p] = int32(size - p)
+			size += stride - p
+		}
+		t.codes = make([]uint16, size)
+	}
+	copy(next, first)
+	if err := t.fill(slab, first, next); err != nil {
 		return nil, err
 	}
 	tableBuilds.Inc()
@@ -192,53 +199,22 @@ func newPathTable(nw *network.Network, dense bool) (*PathTable, error) {
 	return t, nil
 }
 
-// fillDense runs the pair kernel's loop over each element's list of the
-// slab, adding each pair's terms to the pair's two entries.
-func (t *PathTable) fillDense(o *occupancy, slab []entry, first []int32) {
+// fill fills either layout victim-major. For each path p, in ascending
+// index, it walks the lists of p's elements from p's own entry, which
+// at[g] points at (at starts as a copy of first and steps past each
+// entry as its path is filled): a list holds its paths in ascending
+// index, so the entries after p's are exactly the higher paths. Each
+// pair that leaks or contends adds both directions and its conflicts to
+// a scratch row of terms. Then the row's nonzero terms and p's diagonal
+// are stored, in both halves of the dense layout or coded through the
+// compact layout's dictionary, and the row is cleared.
+func (t *PathTable) fill(slab []entry, first, at []int32) error {
 	n, stride := t.nw.NumTiles(), t.stride
-	t.noise, t.conf = make([]int64, stride*stride), make([]uint8, stride*stride)
-	for pi := 0; pi < stride; pi++ {
-		if p := tablePath(t.nw, pi/n, pi%n); p != nil {
-			t.conf[pi*stride+pi] = uint8(2 * len(p.Steps))
-		}
+	o := occupancy{leak: leakCoeffs(t.nw.Params())}
+	var d termDict
+	if t.codes != nil {
+		d = termDict{terms: make([]term, 1, maxTerms), slots: make([]uint16, 2*maxTerms)}
 	}
-	for g := 0; g+1 < len(first); g++ {
-		occ := slab[first[g]:first[g+1]]
-		for i := 1; i < len(occ); i++ {
-			b := &occ[i]
-			for j := range occ[:i] {
-				a := &occ[j]
-				ab, ba := int(a.comm)*stride+int(b.comm), int(b.comm)*stride+int(a.comm)
-				pr := pairOf(a.class, b.class)
-				t.conf[ab] += pr & contends
-				t.conf[ba] += pr & contends
-				if pr&leaksIntoFirst != 0 {
-					t.noise[ab] += o.noise(a, b)
-				}
-				if pr&leaksIntoSecond != 0 {
-					t.noise[ba] += o.noise(b, a)
-				}
-			}
-		}
-	}
-}
-
-// fillCompact builds the compact layout victim-major: for each path p it
-// walks the lists of p's elements, takes every entry of a higher path
-// index q whose pair with p's step leaks or contends, and accumulates
-// both directions and the conflicts into a row of scratch terms; then it
-// codes the row's nonzero terms, and p's diagonal, through the
-// dictionary.
-func (t *PathTable) fillCompact(o *occupancy, slab []entry, first []int32) error {
-	n, stride := t.nw.NumTiles(), t.stride
-	t.off = make([]int32, stride)
-	size := 0
-	for p := range t.off {
-		t.off[p] = int32(size - p)
-		size += stride - p
-	}
-	t.codes = make([]uint16, size)
-	d := termDict{terms: make([]term, 1, maxTerms), slots: make([]uint16, 2*maxTerms)}
 	row := make([]term, stride)
 	for pi := 0; pi < stride; pi++ {
 		p := tablePath(t.nw, pi/n, pi%n)
@@ -246,14 +222,12 @@ func (t *PathTable) fillCompact(o *occupancy, slab []entry, first []int32) error
 			continue
 		}
 		for si := range p.Steps {
-			a := entryOf(pi, &p.Steps[si])
 			g := p.Steps[si].Node
-			occ := slab[first[g]:first[g+1]]
-			for j := range occ {
-				b := &occ[j]
-				if int(b.comm) <= pi {
-					continue
-				}
+			a := &slab[at[g]]
+			at[g]++
+			higher := slab[at[g]:first[g+1]]
+			for j := range higher {
+				b := &higher[j]
 				pr := pairOf(a.class, b.class)
 				if pr == 0 {
 					continue
@@ -261,28 +235,36 @@ func (t *PathTable) fillCompact(o *occupancy, slab []entry, first []int32) error
 				x := &row[b.comm]
 				x.conf += int64(pr & contends)
 				if pr&leaksIntoFirst != 0 {
-					x.noise[0] += o.noise(&a, b)
+					x.noise[0] += o.noise(a, b)
 				}
 				if pr&leaksIntoSecond != 0 {
-					x.noise[1] += o.noise(b, &a)
+					x.noise[1] += o.noise(b, a)
 				}
 			}
 		}
-		codes := t.codes[int(t.off[pi])+pi : int(t.off[pi])+stride]
 		row[pi] = term{conf: int64(2 * len(p.Steps))}
 		for q := pi; q < stride; q++ {
-			if row[q] == (term{}) {
+			x := row[q]
+			if x == (term{}) {
 				continue
 			}
-			c, ok := d.code(row[q])
+			row[q] = term{}
+			if t.codes == nil {
+				pq, qp := pi*stride+q, q*stride+pi
+				t.noise[pq], t.noise[qp] = x.noise[0], x.noise[1]
+				t.conf[pq], t.conf[qp] = uint8(x.conf), uint8(x.conf)
+				continue
+			}
+			c, ok := d.code(x)
 			if !ok {
 				return fmt.Errorf("analysis: %s has more than %d distinct path-pair terms, the most a path table codes", t.nw, maxTerms-1)
 			}
-			codes[q-pi] = c
-			row[q] = term{}
+			t.codes[int(t.off[pi])+q] = c
 		}
 	}
-	t.terms = append([]term(nil), d.terms...)
+	if t.codes != nil {
+		t.terms = append([]term(nil), d.terms...)
+	}
 	return nil
 }
 

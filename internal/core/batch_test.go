@@ -23,7 +23,7 @@ func batchTestProblem(t *testing.T, obj Objective) *Problem {
 func kernelTestProblem(t *testing.T, obj Objective) *Problem {
 	t.Helper()
 	prob := randomProblem(t, obj, 7, 28, 70)
-	if tableFor(prob.Network()) != nil {
+	if TableFor(prob.Network()) != nil {
 		t.Fatal("7x7 problem scores from a path table, want the pair kernel")
 	}
 	return prob

@@ -46,11 +46,6 @@ type Options struct {
 	// ProgressEvery sets the OnProgress stride; 0 means every 500
 	// evaluations.
 	ProgressEvery int
-	// EvalWorkers sets the run's EvaluateBatch worker count; 0 follows
-	// the process-wide default (SetDefaultEvalWorkers). Worker count
-	// never changes results — sequential and parallel runs are
-	// bit-identical under equal seeds.
-	EvalWorkers int
 }
 
 // Exploration is the DSE engine of the paper's architecture (Figure 1,
@@ -88,7 +83,6 @@ func (e *Exploration) Run(s Searcher) (RunResult, error) {
 		return RunResult{}, err
 	}
 	ctx.SetCancel(e.opts.Context)
-	ctx.SetEvalWorkers(e.opts.EvalWorkers)
 	defer ctx.Close()
 	ctx.OnImprove = e.opts.OnImprove
 	if e.opts.OnProgress != nil {

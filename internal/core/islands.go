@@ -32,10 +32,6 @@ type ParallelOptions struct {
 	OnProgress func(island int, evals int, best Score)
 	// ProgressEvery sets the OnProgress stride (default 500).
 	ProgressEvery int
-	// EvalWorkers sets each island's EvaluateBatch worker count; 0
-	// follows the process-wide default. Like seeds, it never changes
-	// results — only throughput.
-	EvalWorkers int
 }
 
 // RunParallel executes one seeded search per entry of opts.Seeds on a
@@ -90,7 +86,6 @@ func RunParallel(prob *Problem, factory func() (Searcher, error), opts ParallelO
 				Seed:          seed,
 				Context:       opts.Context,
 				ProgressEvery: opts.ProgressEvery,
-				EvalWorkers:   opts.EvalWorkers,
 			}
 			if opts.OnImprove != nil {
 				exOpts.OnImprove = func(evals int, best Score) { opts.OnImprove(island, evals, best) }

@@ -113,12 +113,12 @@ type Problem struct {
 // MB for its codes alone, so networks above 6×6 keep the kernel.
 const tableMaxTiles = 36
 
-// tableFor returns the path table problems on nw score from: nw's
+// TableFor returns the path table problems on nw score from: nw's
 // table, built on the first call for nw, when nw has at most
 // tableMaxTiles tiles. It returns nil above the cap, and for a network
 // with a path too long for a table; problems on those score with the
 // pair kernel.
-func tableFor(nw *network.Network) *analysis.PathTable {
+func TableFor(nw *network.Network) *analysis.PathTable {
 	if nw.NumTiles() > tableMaxTiles {
 		return nil
 	}
@@ -129,25 +129,11 @@ func tableFor(nw *network.Network) *analysis.PathTable {
 	return tab
 }
 
-// TableBytes returns the memory nw's path table takes once a problem on
-// nw first evaluates: analysis.TableBytes up to tableMaxTiles tiles, 0
-// above. It builds nothing, so a network cache can charge an entry for
-// its table before any problem asks for it. (A network that gets no table,
-// because its paths are too long for a dense one or its terms too many
-// for a compact one, is charged as if it had one; no built-in router
-// gives such a network at 36 tiles or fewer.)
-func TableBytes(nw *network.Network) int64 {
-	if nw.NumTiles() > tableMaxTiles {
-		return 0
-	}
-	return analysis.TableBytes(nw)
-}
-
 // NewProblem validates Eq. 2 (the application must fit the topology) and
-// binds the pieces together. The problem scores with the engine tableFor
-// picks from the network's tile count; the table, when there is one, is
-// built when the problem first evaluates, so a problem that never does
-// builds none.
+// binds the pieces together. The problem scores with the engine TableFor
+// picks from the network's tile count; the table, when there is one and
+// the network has not built it yet (a network cache builds it with the
+// network), is built when the problem first evaluates.
 func NewProblem(app *cg.Graph, nw *network.Network, obj Objective) (*Problem, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
@@ -205,7 +191,7 @@ func (p *Problem) Clone() *Problem {
 // evaluator returns the problem's full evaluator, making it on first use.
 func (p *Problem) evaluator() *analysis.Evaluator {
 	if p.ev == nil {
-		if tab := tableFor(p.nw); tab != nil {
+		if tab := TableFor(p.nw); tab != nil {
 			p.ev = analysis.NewTableEvaluator(tab)
 		} else {
 			p.ev = analysis.NewEvaluator(p.nw)

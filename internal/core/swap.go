@@ -52,9 +52,9 @@ type SwapSession struct {
 // NewSwapSession evaluates m in full through the incremental engine and
 // returns a session seated on it. The mapping is copied.
 func (p *Problem) NewSwapSession(m Mapping) (*SwapSession, error) {
-	// Sibling sessions get here concurrently; tableFor is safe for that.
+	// Sibling sessions get here concurrently; TableFor is safe for that.
 	var inc *analysis.Incremental
-	if tab := tableFor(p.nw); tab != nil {
+	if tab := TableFor(p.nw); tab != nil {
 		inc = analysis.NewTableIncremental(tab)
 	} else {
 		inc = analysis.NewIncremental(p.nw)

@@ -194,7 +194,7 @@ func TestLocalSweepMatchesEngine(t *testing.T) {
 // apps on a mesh and a torus, both objectives, each searcher family)
 // twice through one Local: the first sweep builds the eight networks and
 // their path tables, the second builds none, and every cell of both
-// equals sweep.RunCell's, which builds its own. The counters are
+// equals sweep.NewCellRunner(nil)'s, which builds its own. The counters are
 // process-wide, so this test must not run in parallel with others.
 func TestLocalKeepsNetworksAcrossSweeps(t *testing.T) {
 	var apps []config.AppSpec
@@ -226,12 +226,12 @@ func TestLocalKeepsNetworksAcrossSweeps(t *testing.T) {
 			t.Errorf("sweep %d built %d path tables, want %d", round, got, want)
 		}
 		for i, cr := range res.Cells {
-			run, _, err := sweep.RunCell(context.Background(), cells[i])
+			run, _, err := sweep.NewCellRunner(nil)(context.Background(), cells[i])
 			if err != nil || cr.Error != "" {
 				t.Fatalf("cell %s: %v / %s", cells[i].Label(), err, cr.Error)
 			}
 			if !cr.Mapping.Equal(run.Mapping) || cr.Score != run.Score || cr.Evals != run.Evals {
-				t.Errorf("sweep %d cell %s: %+v, RunCell %+v", round, cells[i].Label(), cr.Score, run.Score)
+				t.Errorf("sweep %d cell %s: %+v, unshared %+v", round, cells[i].Label(), cr.Score, run.Score)
 			}
 		}
 	}

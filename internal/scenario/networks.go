@@ -13,15 +13,15 @@ import (
 
 // NetworkCache shares networks between compiles: a compile through the
 // cache takes its network from the cache, built on the first request for
-// its architecture, so every cell or job on one architecture shares one
-// network and, up to core's tile cap, the one path table its problems
-// build on their first evaluation. Networks are immutable and each
-// Problem owns its own scratch, so sharing changes no result. The cache
-// is keyed by the normalized ArchSpec's canonical JSON (NetworkKey) and
-// bounded by the summed size of its networks and their tables, built or
-// not, evicting the least recently used; a network larger than the bound
-// is handed out but not kept. It is safe for concurrent use:
-// concurrent first requests for one architecture build it once.
+// its architecture together with its path table (up to core's tile cap),
+// so every cell or job on one architecture shares one network and one
+// table. Networks and tables are immutable and each Problem owns its own
+// scratch, so sharing changes no result. The cache is keyed by the
+// normalized ArchSpec's canonical JSON (NetworkKey) and bounded by the
+// summed size of its networks and their built tables, evicting the least
+// recently used; a network larger than the bound is handed out but not
+// kept. It is safe for concurrent use: concurrent first requests for one
+// architecture build it, and its table, once.
 //
 // A local runner and a server each keep one cache, bounded by
 // NetworkCacheBytes, across all their sweeps and jobs.
@@ -51,11 +51,9 @@ type netEntry struct {
 // their compiles share and of their path tables, as NewNetworkCache
 // charges them. It is set from the two workloads that share networks.
 // perfbench's table2 grid compiles over the eight Table II
-// architectures, 3×3 to 6×6 meshes and tori, which take 13.1 MiB as
-// built (networks 7.0 MiB, tables 6.1 MiB) and are charged 18.2 MiB
-// before their tables exist, since a compact table's dictionary is
-// charged at its bound (analysis.TableBytes). The bound keeps all eight,
-// so a runner builds each once across its sweeps. perfbench's service
+// architectures, 3×3 to 6×6 meshes and tori, which are charged 13.1 MiB
+// (networks 7.0 MiB, tables 6.1 MiB). The bound keeps all eight, so a
+// runner builds each once across its sweeps. perfbench's service
 // workload compiles over three architectures, the 3×3 Crux and Cygnus
 // meshes and the 4×4 Crux mesh, 1.13 MiB with their tables, so a server
 // that receives many architectures keeps at most about 19 MiB more than
@@ -72,8 +70,8 @@ var networkReuses = obs.NewCounter()
 func NetworkReusesTotal() int64 { return networkReuses.Value() }
 
 // NewNetworkCache returns an empty cache holding up to maxBytes of
-// networks and path tables (network.Network.Bytes plus core.TableBytes);
-// 0 means no bound.
+// networks and path tables (network.Network.Bytes plus
+// analysis.PathTable.Bytes); 0 means no bound.
 func NewNetworkCache(maxBytes int64) *NetworkCache {
 	return &NetworkCache{maxBytes: maxBytes, entries: make(map[string]*netEntry)}
 }
@@ -113,10 +111,11 @@ func (nc *NetworkCache) Compile(spec Spec) (*Compiled, error) {
 }
 
 // network returns the normalized architecture's network, from the cache
-// when it holds one. The first request builds it; its path table is left
-// to the first problem that evaluates on it, but the entry is charged
-// for the table from the start (core.TableBytes). A failed build is not
-// kept.
+// when it holds one. The first request builds it and its path table
+// (core.TableFor), and the entry is charged for both as built; a
+// network that gets no table, above the tile cap or with a failed table
+// build, is charged for none, and its problems use the pair kernel. A
+// failed network build is not kept.
 func (nc *NetworkCache) network(arch config.ArchSpec) (*network.Network, error) {
 	if nc == nil {
 		return arch.Build()
@@ -141,7 +140,10 @@ func (nc *NetworkCache) network(arch config.ArchSpec) (*network.Network, error) 
 
 	e.nw, e.err = arch.Build()
 	if e.err == nil {
-		e.size = e.nw.Bytes() + core.TableBytes(e.nw)
+		e.size = e.nw.Bytes()
+		if tab := core.TableFor(e.nw); tab != nil {
+			e.size += tab.Bytes()
+		}
 	}
 	nc.mu.Lock()
 	if e.err != nil {

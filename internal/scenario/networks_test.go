@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"phonocmap/internal/analysis"
+	"phonocmap/internal/cg"
 	"phonocmap/internal/config"
 	"phonocmap/internal/core"
 	"phonocmap/internal/network"
@@ -13,10 +14,12 @@ import (
 // TestNetworkCacheBuildsOncePerArch compiles specs on one architecture
 // from several goroutines at once through one cache: the first request
 // builds the network, every other one waits for it and shares it, and a
-// spec on another architecture gets a network of its own. No compile
-// builds a path table; the first evaluation does, and the cache charged
-// the entry for it already. The build counters are process-wide, so this
-// test must not run in parallel with others.
+// spec on another architecture gets a network of its own. The first
+// request builds the network's path table with it, so the compiles build
+// exactly one table, the cache charges the entry for the network and the
+// built table, and the problems' evaluations build none. The build
+// counters are process-wide, so this test must not run in parallel with
+// others.
 func TestNetworkCacheBuildsOncePerArch(t *testing.T) {
 	nc := NewNetworkCache(0)
 	builds, reuses, tables := network.BuildsTotal(), NetworkReusesTotal(), analysis.TableBuildsTotal()
@@ -47,10 +50,14 @@ func TestNetworkCacheBuildsOncePerArch(t *testing.T) {
 	if got := NetworkReusesTotal() - reuses; got != n-1 {
 		t.Errorf("%d concurrent compiles reused the network %d times, want %d", n, got, n-1)
 	}
-	if got := analysis.TableBuildsTotal() - tables; got != 0 {
-		t.Errorf("%d compiles built %d path tables, want none before an evaluation", n, got)
+	if got := analysis.TableBuildsTotal() - tables; got != 1 {
+		t.Errorf("%d compiles on one architecture built %d path tables, want 1", n, got)
 	}
-	if want := comps[0].Network.Bytes() + core.TableBytes(comps[0].Network); nc.bytes != want || core.TableBytes(comps[0].Network) == 0 {
+	tab := core.TableFor(comps[0].Network)
+	if tab == nil {
+		t.Fatal("a 4x4 network has no path table")
+	}
+	if want := comps[0].Network.Bytes() + tab.Bytes(); nc.bytes != want {
 		t.Errorf("the cache charges %d bytes for a 4x4 network, want its network and table, %d", nc.bytes, want)
 	}
 	mapping := core.IdentityMapping(comps[0].App.NumTasks())
@@ -60,7 +67,7 @@ func TestNetworkCacheBuildsOncePerArch(t *testing.T) {
 		}
 	}
 	if got := analysis.TableBuildsTotal() - tables; got != 1 {
-		t.Errorf("two problems' first evaluations on one network built %d path tables, want 1", got)
+		t.Errorf("after two problems' first evaluations, one network has had %d path tables built, want 1", got)
 	}
 	torus, err := nc.Compile(Spec{App: config.AppSpec{Builtin: "VOPD"}, Arch: config.ArchSpec{Topology: "torus"}})
 	if err != nil {
@@ -112,5 +119,37 @@ func TestNetworkCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	first := compile(tiny, "mesh", "")
 	if compile(tiny, "mesh", "") == first || tiny.bytes != 0 || tiny.lru.Len() != 0 {
 		t.Errorf("a network larger than the bound was kept (%d bytes, %d entries)", tiny.bytes, tiny.lru.Len())
+	}
+}
+
+// TestNetworkCacheChargesWhatItHolds compiles the Table II grid's specs,
+// the eight bundled applications on auto-sized meshes and tori, through
+// one unbounded cache. The cache must charge exactly what it holds: for
+// each distinct network, the network's size plus its built path table's.
+func TestNetworkCacheChargesWhatItHolds(t *testing.T) {
+	nc := NewNetworkCache(0)
+	seen := make(map[*network.Network]bool)
+	var want int64
+	for _, name := range cg.AppNames() {
+		for _, topology := range []string{"mesh", "torus"} {
+			comp, err := nc.Compile(Spec{App: config.AppSpec{Builtin: name}, Arch: config.ArchSpec{Topology: topology}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nw := comp.Network; !seen[nw] {
+				seen[nw] = true
+				want += nw.Bytes()
+				if tab := core.TableFor(nw); tab != nil {
+					want += tab.Bytes()
+				}
+			}
+		}
+	}
+	if len(seen) != 8 {
+		t.Errorf("the Table II specs compiled on %d networks, want 8", len(seen))
+	}
+	if nc.bytes != want {
+		t.Errorf("the cache charges %.2f MiB (%d bytes) for the Table II networks, which hold %.2f MiB (%d bytes) with their tables",
+			float64(nc.bytes)/(1<<20), nc.bytes, float64(want)/(1<<20), want)
 	}
 }

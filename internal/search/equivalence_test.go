@@ -478,16 +478,11 @@ func (m refMemetic) Search(ctx *core.Context) error {
 }
 
 // runSeeded executes one searcher on a fresh clone of the problem under
-// the standard Exploration seed derivation.
+// the standard Exploration seed derivation, at the process-wide eval
+// worker count.
 func runSeeded(t *testing.T, prob *core.Problem, s core.Searcher, budget int, seed int64) core.RunResult {
 	t.Helper()
-	return runSeededWorkers(t, prob, s, budget, seed, 0)
-}
-
-// runSeededWorkers is runSeeded with an explicit eval worker count.
-func runSeededWorkers(t *testing.T, prob *core.Problem, s core.Searcher, budget int, seed int64, workers int) core.RunResult {
-	t.Helper()
-	ex, err := core.NewExploration(prob.Clone(), core.Options{Budget: budget, Seed: seed, EvalWorkers: workers})
+	ex, err := core.NewExploration(prob.Clone(), core.Options{Budget: budget, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +491,15 @@ func runSeededWorkers(t *testing.T, prob *core.Problem, s core.Searcher, budget 
 		t.Fatal(err)
 	}
 	return res
+}
+
+// runSeededWorkers is runSeeded with the process-wide eval worker count
+// set to workers for the run and restored afterwards.
+func runSeededWorkers(t *testing.T, prob *core.Problem, s core.Searcher, budget int, seed int64, workers int) core.RunResult {
+	t.Helper()
+	defer core.SetDefaultEvalWorkers(core.DefaultEvalWorkers())
+	core.SetDefaultEvalWorkers(workers)
+	return runSeeded(t, prob, s, budget, seed)
 }
 
 // TestIncrementalSearchersMatchReference: under equal seeds, the

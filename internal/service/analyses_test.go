@@ -263,7 +263,7 @@ func TestSweepAnalysisColumnsMatchLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localResults, err := sweep.Run(cells, sweep.RunCell, sweep.Options{Workers: 2})
+	localResults, err := sweep.Run(cells, sweep.NewCellRunner(nil), sweep.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

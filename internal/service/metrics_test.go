@@ -235,11 +235,10 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestMetricsNetworkBuilds checks the network build, reuse and path
 // table counters against what each job must do on a fresh server: a
-// compile builds its network unless the server's network cache holds
-// it, and the search builds the network's path table on its first
-// evaluation unless an earlier job's did; each link cut or robustness
-// sample builds a pair-restricted network and never a table; a cache
-// replay builds nothing. The counters are process-wide, so this test must not run in
+// compile builds its network, and the network's path table with it,
+// unless the server's network cache holds them; each link cut or
+// robustness sample builds a pair-restricted network and never a table;
+// a cache replay builds nothing. The counters are process-wide, so this test must not run in
 // parallel with others.
 func TestMetricsNetworkBuilds(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})

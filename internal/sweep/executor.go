@@ -160,27 +160,16 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return ctx.Err()
 }
 
-// RunCell is the unshared reference Runner: it compiles the cell, with a
-// network of its own, through the scenario compiler and runs it through
-// the scenario executor — the same seed derivation and cancellation
-// policy as a service job, so local and service sweeps produce
-// bit-identical results for equal cells. A cancelled cell keeps its
-// best-so-far run (Run.Cancelled set) without a report. Local front ends
-// run cells through NewCellRunner, which shares networks; tests compare
-// it against RunCell.
-func RunCell(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, error) {
-	comp, err := c.Compile()
-	if err != nil {
-		return core.RunResult{}, nil, err
-	}
-	return execute(ctx, comp)
-}
-
-// NewCellRunner returns RunCell with every cell compiled through nets,
-// so cells on equal architectures share one network and its path table
-// while the cache keeps them, and results stay bit-identical to
-// RunCell's. A runner.Local passes the one cache it keeps across its
-// sweeps; a nil cache builds a network per cell, as RunCell does.
+// NewCellRunner returns the local Runner: it compiles each cell through
+// nets and runs it through the scenario executor — the same seed
+// derivation and cancellation policy as a service job, so local and
+// service sweeps produce bit-identical results for equal cells. A
+// cancelled cell keeps its best-so-far run (Run.Cancelled set) without a
+// report. Cells on equal architectures share one network and its path
+// table while the cache keeps them; a runner.Local passes the one cache
+// it keeps across its sweeps. A nil cache compiles each cell with a
+// network of its own, the unshared reference that tests compare shared
+// runs against.
 func NewCellRunner(nets *scenario.NetworkCache) Runner {
 	return func(ctx context.Context, c Cell) (core.RunResult, *scenario.Report, error) {
 		comp, err := nets.Compile(c.Scenario())

@@ -56,7 +56,7 @@ func TestCellRunnerBuildsEachNetworkOnce(t *testing.T) {
 // TestSharedNetworksBitIdentical runs one grid three ways: through a
 // NewCellRunner on 4 workers, whose concurrent cells share networks and
 // path tables (run it under -race), through one on a single worker, and
-// through RunCell, which builds every cell's network. Every cell's
+// through NewCellRunner(nil), which builds every cell's network. Every cell's
 // result must be bit-identical across the three. The grid covers each
 // searcher family (full evaluations, batch reseats, incremental swaps),
 // islands, both table layouts (dense on 3×3 and 4×4, compact on 5×5 and
@@ -88,7 +88,7 @@ func TestSharedNetworksBitIdentical(t *testing.T) {
 	}
 	shared4 := run(NewCellRunner(scenario.NewNetworkCache(0)), 4)
 	shared1 := run(NewCellRunner(scenario.NewNetworkCache(0)), 1)
-	unshared := run(RunCell, 1)
+	unshared := run(NewCellRunner(nil), 1)
 	for i := range cells {
 		for _, other := range []struct {
 			name string

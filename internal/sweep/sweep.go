@@ -9,7 +9,8 @@
 // understands it: the same application/architecture normalization
 // (config.ArchSpec.Normalize + config.Experiment.Normalize) and the same
 // scenario executor (scenario.Compiled.Execute; local front ends reach it
-// through NewCellRunner, and RunCell is its unshared reference), so a
+// through NewCellRunner, and NewCellRunner(nil) is its unshared
+// reference), so a
 // cell run locally, by phonocmap-bench, or through the service's
 // /v1/sweeps endpoint produces bit-identical results and shares one
 // content-addressed cache identity. The aggregators leave failed cells

@@ -149,7 +149,7 @@ func TestRunExecutesEveryCellDeterministically(t *testing.T) {
 	}
 	var done atomic.Int32
 	run := func(workers int) []Result {
-		results, err := Run(cells, RunCell, Options{
+		results, err := Run(cells, NewCellRunner(nil), Options{
 			Workers:    workers,
 			OnCellDone: func(Result) { done.Add(1) },
 		})
@@ -274,7 +274,7 @@ func TestRunCellIslandsMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := RunCell(context.Background(), cells[0])
+	res, _, err := NewCellRunner(nil)(context.Background(), cells[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestRunCellIslandsMode(t *testing.T) {
 	// with the same base seed (islands include that seed).
 	single := cells[0]
 	single.Islands = 1
-	sres, _, err := RunCell(context.Background(), single)
+	sres, _, err := NewCellRunner(nil)(context.Background(), single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestRunCellCarriesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, rep, err := RunCell(context.Background(), cells[0])
+	run, rep, err := NewCellRunner(nil)(context.Background(), cells[0])
 	if err != nil {
 		t.Fatal(err)
 	}
